@@ -8,6 +8,7 @@ Outputs are deterministic: fixed float formatting, no timestamps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -126,54 +127,32 @@ def cmd_sample(args) -> int:
     return 0
 
 
-_NAMED_TRANSFORMS = ("linear-ct", "frft", "fr-laplace", "hankel", "fr-hankel",
-                     "hankel-type", "radial-laplace", "bessel-exp",
-                     "barut-girardello", "radial-ct", "geometric")
+# values for spec fields that have a CLI flag and were not given one
+_SPEC_DEFAULTS = {"alpha": 1.0, "m": 0, "kind": 1, "nu": 0.0, "nu_prime": 0.0,
+                  "beta": 0.5, "n_dim": 2.0}
 
 
 def _transform_spec(args):
-    if args.spec_json:
-        obj = json.loads(args.spec_json)
-        name = obj.pop("name")
-        if "matrix" in obj:
-            obj["matrix"] = SympMat2.from_json(json.dumps(obj["matrix"]))
-        args2 = argparse.Namespace(name=name, **obj)
-        return _named_spec(args2)
-    return _named_spec(args)
-
-
-def _named_spec(args):
-    def get(attr, default=None):
-        return getattr(args, attr, default) if getattr(args, attr, None) is not None else default
-
-    name = args.name
-    if name == "frft":
-        return transforms.FrFT(get("alpha", 1.0))
-    if name == "fr-laplace":
-        return transforms.FrLaplace(get("alpha", 1.0))
-    if name == "hankel":
-        return transforms.Hankel(int(get("m", 0)))
-    if name == "fr-hankel":
-        return transforms.FrHankel(int(get("m", 0)), get("alpha", 1.0))
-    if name == "hankel-type":
-        return transforms.HankelType(int(get("kind", 1)), get("nu", 0.0), get("nu_prime", 0.0))
-    if name == "radial-laplace":
-        return transforms.RadialLaplace(int(get("kind", 1)), get("nu", 0.0), get("nu_prime", 0.0))
-    if name == "bessel-exp":
-        return transforms.BesselExp(get("beta", 0.5), get("nu", 0.0), get("nu_prime", 0.0))
-    if name == "barut-girardello":
-        return transforms.BarutGirardello(get("n_dim", 2.0), int(get("m", 0)))
-    if name in ("linear-ct", "geometric", "radial-ct"):
-        mat_json = get("matrix")
-        if mat_json is None:
-            raise CanonicaError(f"transform {name} needs --matrix JSON")
-        m = mat_json if isinstance(mat_json, SympMat2) else SympMat2.from_json(mat_json)
-        if name == "linear-ct":
-            return transforms.LinearCT(m)
-        if name == "geometric":
-            return transforms.Geometric(m)
-        return transforms.RadialCT(m, get("n_dim", 2.0), int(get("m", 0)))
-    raise CanonicaError(f"unknown transform {name!r}; choose from {_NAMED_TRANSFORMS}")
+    """Build the spec named by --name and the flags, or by --spec-json."""
+    values = json.loads(args.spec_json) if args.spec_json else vars(args)
+    name = values.get("name")
+    if name not in transforms.TRANSFORMS:
+        raise CanonicaError(
+            f"unknown transform {name!r}; choose from {', '.join(transforms.TRANSFORMS)}")
+    spec_cls = transforms.TRANSFORMS[name][0]
+    kwargs = {}
+    for field in dataclasses.fields(spec_cls):
+        value = values.get(field.name)
+        if value is None:
+            value = _SPEC_DEFAULTS.get(field.name)
+        if value is None:
+            raise CanonicaError(f"transform {name} needs a value for {field.name!r}")
+        if field.name == "matrix":
+            value = SympMat2.from_json(value if isinstance(value, str) else json.dumps(value))
+        elif field.type == "int":
+            value = int(value)
+        kwargs[field.name] = value
+    return spec_cls(**kwargs)
 
 
 def cmd_transform(args) -> int:
@@ -346,7 +325,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("transform", help="apply a canonical transform to a field file")
-    p.add_argument("--name", help=f"one of {', '.join(_NAMED_TRANSFORMS)}")
+    p.add_argument("--name", help=f"one of {', '.join(transforms.TRANSFORMS)}")
     p.add_argument("--spec-json", help="full transform spec as JSON")
     p.add_argument("--alpha", type=float)
     p.add_argument("--m", type=int)

@@ -6,14 +6,10 @@ complex matrices behind Gaussian convolution, Gaussian apertures, and the
 bilateral Laplace transform.  This module provides the constructors for all
 of them, composition/inversion, classification predicates, and the two
 triangular ("lens - scale - free section") factorization schemes.
-
-All square roots and fractional powers below use the principal branch,
-arg in (-pi, pi].
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -247,13 +243,3 @@ def fourier_orders_equal(a1: float, a2: float, tol: float = 1e-12) -> bool:
     d = math.fmod(a1 - a2, 4.0)
     return min(abs(d), abs(abs(d) - 4.0)) <= tol
 
-
-def principal_sqrt(z: complex) -> complex:
-    return cmath.sqrt(z)
-
-
-def principal_power(z: complex, p: float) -> complex:
-    """z**p with arg(z) in (-pi, pi]; 0**positive = 0."""
-    if z == 0:
-        return 0.0 if p > 0 else complex("inf")
-    return cmath.exp(p * cmath.log(z))

@@ -87,12 +87,12 @@ def default_apodization(grid: Grid1D) -> float:
 
 @dataclass(frozen=True)
 class LinearCT:
-    m: SympMat2
+    matrix: SympMat2
 
 
 @dataclass(frozen=True)
 class Geometric:
-    m: SympMat2
+    matrix: SympMat2
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,9 @@ class PoissonProp:
 
 @dataclass(frozen=True)
 class RadialCT:
-    m: SympMat2
+    matrix: SympMat2
     n_dim: float
-    m_idx: int
+    m: int
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ class RadialHeatProp:
 @dataclass(frozen=True)
 class BarutGirardello:
     n_dim: float
-    m_idx: int
+    m: int
 
 
 TransformSpec = (
@@ -271,26 +271,24 @@ def _edge_check(field: SampledField, cfg: QuadratureConfig):
         )
 
 
-def _support(field: SampledField, cfg: QuadratureConfig):
-    lo, hi = field.grid.start, field.grid.end
-    if cfg.truncation_radius is not None:
-        mid = 0.5 * (lo + hi)
-        lo = max(lo, mid - cfg.truncation_radius)
-        hi = min(hi, mid + cfg.truncation_radius)
-    return lo, hi
-
-
 def _source_nodes(field: SampledField, cfg: QuadratureConfig, phase_total: float,
                   edge_check: bool = True):
-    """Quadrature nodes/weights and interpolated (optionally apodized) samples."""
+    """Quadrature nodes/weights and interpolated (optionally apodized) samples.
+
+    Truncation and apodization are centred on the axis for half-line grids
+    and on the grid midpoint for full-line grids.
+    """
     if edge_check:
         _edge_check(field, cfg)
-    lo, hi = _support(field, cfg)
+    lo, hi = field.grid.start, field.grid.end
+    center = 0.0 if field.grid.kind == GridKind.HALF_LINE else 0.5 * (lo + hi)
+    if cfg.truncation_radius is not None:
+        lo = max(lo, center - cfg.truncation_radius)
+        hi = min(hi, center + cfg.truncation_radius)
     panels = _panel_count(cfg, phase_total, field.grid.count)
     xq, wq = _gl_nodes(lo, hi, panels, cfg.nodes_per_panel)
     fq = _interpolant(field)(xq)
     if cfg.apodization is not None:
-        center = 0.0 if field.grid.kind == GridKind.HALF_LINE else 0.5 * (lo + hi)
         fq = fq * np.exp(-((xq - center) ** 2) / (2.0 * cfg.apodization**2))
     return xq, wq, fq
 
@@ -313,28 +311,8 @@ def _require_half_line(field: SampledField):
 
 def _check_radial_index(field: SampledField, m: int):
     geo = field.geometry
-    if isinstance(geo, Radial) and geo.m != m:
+    if isinstance(geo, (Radial, RadialDim)) and geo.m != m:
         raise GeometryMismatch(f"field azimuthal index {geo.m} != transform order {m}")
-    if isinstance(geo, RadialDim) and geo.m != m:
-        raise GeometryMismatch(f"field azimuthal index {geo.m} != transform order {m}")
-
-
-def _axis_guard(ro: np.ndarray, power: float, name: str):
-    """Power-weighted kernels are indeterminate on the axis unless the
-    combined exponent is positive; demand r > 0 output grids otherwise."""
-    if ro[0] <= 0.0 and power <= 1e-12:
-        raise ValueError(f"{name}: output grid must start above r = 0 for these parameters")
-
-
-def _axis_power_case(ro: np.ndarray, power: float, name: str) -> bool:
-    """True when the on-axis row needs its finite-limit value (power == 0)."""
-    if ro[0] > 0.0:
-        return False
-    if abs(power) <= 1e-12:
-        return True
-    if power < 0.0:
-        raise ValueError(f"{name}: output grid must start above r = 0 for these parameters")
-    return False
 
 
 def _kernel_beats_growth(field: SampledField, xq, wq, fq, kern_tail_expo):
@@ -581,21 +559,49 @@ def poisson_propagate(field, t: float, out_grid: Grid1D,
 
 
 # ---------------------------------------------------------------------------
-# radial engines (Bessel-J kernels)
+# radial engines
 
-def _radial_nodes(field: SampledField, cfg: QuadratureConfig, phase_total: float,
-                  edge_check: bool = True):
-    if edge_check:
-        _edge_check(field, cfg)
-    lo, hi = field.grid.start, field.grid.end
-    if cfg.truncation_radius is not None:
-        hi = min(hi, cfg.truncation_radius)
-    panels = _panel_count(cfg, phase_total, field.grid.count)
-    xq, wq = _gl_nodes(lo, hi, panels, cfg.nodes_per_panel)
-    fq = _interpolant(field)(xq)
-    if cfg.apodization is not None:
-        fq = fq * np.exp(-(xq**2) / (2.0 * cfg.apodization**2))
-    return xq, wq, fq
+def _bessel_sum(name: str, ro: np.ndarray, nodes, bessel, nu: float, k: float,
+                expo=None, cross: float = 0.0, row: float = 0.0,
+                col: float = 0.0) -> np.ndarray:
+    """Quadrature of the radial kernel shared by the Bessel-J and Bessel-I engines.
+
+    Returns sum_j exp(expo(r, y_j)) Z_nu(|k| r y_j) (r y_j)^cross r^row y_j^col
+    w_j f_j for every output point r, with Z = specfun.bessel_j or
+    specfun.bessel_i_scaled; Bessel-I engines fold the +|k| r y of the scaled
+    function into expo.  On the axis the kernel behaves like r^(nu+cross+row):
+    a positive power gives a zero row, power zero the finite limit
+    (|k| y/2)^nu / Gamma(nu+1) y^cross y^col e^{expo(0, y)}, and a negative
+    power has no finite value, so an r = 0 output point is rejected.
+    """
+    xq, wq, fq = nodes
+    power = nu + cross + row
+    axis = ro == 0.0
+    if power < -1e-12 and np.any(axis):
+        raise ValueError(f"{name}: output grid must start above r = 0 for these parameters")
+    k = abs(k)
+    wf = wq * fq if col == 0.0 else wq * xq**col * fq
+    rxy = ro[:, None] * xq[None, :]
+    kern = bessel(nu, rxy if k == 1.0 else k * rxy)
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows are set below
+        if cross != 0.0:
+            kern *= rxy**cross
+        if expo is not None:
+            ekern = _guarded_exp(expo(ro[:, None], xq[None, :]))
+            ekern *= kern
+            kern = ekern
+        vals = kern @ wf
+        if row != 0.0:
+            vals *= ro**row
+    if np.any(axis):
+        if abs(power) <= 1e-12:
+            limit = (0.5 * k * xq) ** nu / math.gamma(nu + 1.0) * xq**cross
+            if expo is not None:
+                limit = limit * _guarded_exp(expo(0.0, xq))
+            vals[axis] = limit @ wf
+        else:
+            vals[axis] = 0.0
+    return vals
 
 
 def hankel(field: SampledField, m: int, out_grid: Grid1D,
@@ -604,10 +610,9 @@ def hankel(field: SampledField, m: int, out_grid: Grid1D,
     _require_half_line(field)
     _check_radial_index(field, m)
     ro = out_grid.points
-    xq, wq, fq = _radial_nodes(field, cfg, field.grid.end * float(np.max(ro)))
-    kern = specfun.bessel_j(m, ro[:, None] * xq[None, :])
-    vals = kern @ (wq * xq * fq)
-    return SampledField(out_grid, vals.astype(complex), field.geometry, field.evol)
+    nodes = _source_nodes(field, cfg, field.grid.end * float(np.max(ro)))
+    vals = _bessel_sum("hankel", ro, nodes, specfun.bessel_j, m, 1.0, col=1.0)
+    return SampledField(out_grid, vals, field.geometry, field.evol)
 
 
 def _resample_half_line(field: SampledField, out_grid: Grid1D) -> SampledField:
@@ -625,16 +630,15 @@ def fr_hankel(field: SampledField, m: int, alpha: float, out_grid: Grid1D,
     if abs(s) <= GEOMETRIC_B_TOL:
         return _resample_half_line(field, out_grid)
     ro = out_grid.points
-    xq, wq, fq = _radial_nodes(
+    nodes = _source_nodes(
         field, cfg,
         (abs(c) * field.grid.end**2 + 2 * field.grid.end * float(np.max(ro))) / (2 * abs(s)),
     )
-    chirp = _guarded_exp((0.5j * c / s) * (xq[None, :] ** 2 + ro[:, None] ** 2))
-    bess = specfun.bessel_j(m, np.abs(ro[:, None] * xq[None, :] / s))
     sign = (-1.0) ** m if s < 0 else 1.0
     pref = cmath.exp(1j * (m + 1) * (phi - math.pi / 2.0)) / s
-    vals = pref * sign * ((chirp * bess) @ (wq * xq * fq))
-    return SampledField(out_grid, vals, field.geometry, field.evol)
+    vals = _bessel_sum("fr_hankel", ro, nodes, specfun.bessel_j, m, 1.0 / s,
+                       expo=lambda x, y: (0.5j * c / s) * (y**2 + x**2), col=1.0)
+    return SampledField(out_grid, pref * sign * vals, field.geometry, field.evol)
 
 
 def radial_ct(field: SampledField, mat: SympMat2, n_dim: float, m_idx: int,
@@ -658,23 +662,16 @@ def radial_ct(field: SampledField, mat: SympMat2, n_dim: float, m_idx: int,
         raise ValueError("negative B with non-integer Bessel order is not supported")
     sign = (-1.0) ** round(nu) if b < 0 else 1.0  # J_nu parity for negative kernel argument
     ro = out_grid.points
-    xq, wq, fq = _radial_nodes(
+    nodes = _source_nodes(
         field, cfg,
         (abs(a) * field.grid.end**2 + abs(d) * float(np.max(ro)) ** 2
          + 2 * field.grid.end * float(np.max(ro))) / (2 * abs(b)),
     )
-    cross = ro[:, None] * xq[None, :]
-    chirp = np.exp((0.5j / b) * (a * xq[None, :] ** 2 + d * ro[:, None] ** 2))
-    bess = specfun.bessel_j(nu, np.abs(cross / b))
     pref = (-1j) ** (m_idx + n_dim / 2.0) / b
-    if abs(n_dim - 2.0) < 1e-12:
-        rad_pow = np.ones_like(cross)
-    else:
-        _axis_guard(ro, float(m_idx), "radial_ct")
-        with np.errstate(invalid="ignore"):
-            rad_pow = np.where(cross > 0, cross ** (1.0 - n_dim / 2.0), 0.0)
-    vals = pref * sign * ((chirp * bess * rad_pow) @ (wq * xq ** (n_dim - 1.0) * fq))
-    return SampledField(out_grid, vals, field.geometry, field.evol + evol_shift)
+    vals = _bessel_sum("radial_ct", ro, nodes, specfun.bessel_j, nu, 1.0 / b,
+                       expo=lambda x, y: (0.5j / b) * (a * y**2 + d * x**2),
+                       cross=1.0 - n_dim / 2.0, col=n_dim - 1.0)
+    return SampledField(out_grid, pref * sign * vals, field.geometry, field.evol + evol_shift)
 
 
 def _radial_geometric(field: SampledField, mat: SympMat2, n_dim: float, m_idx: int,
@@ -702,31 +699,11 @@ def hankel_type(field: SampledField, kind: int, nu: float, nu_prime: float,
     if isinstance(geo, RadialType) and (abs(geo.nu - nu) > 1e-12 or abs(geo.nu_prime - nu_prime) > 1e-12):
         raise GeometryMismatch("field radial-type parameters do not match the transform")
     ro = out_grid.points
-    _axis_guard(ro, 1.0 + nu + nu_prime if kind == 1 else nu - nu_prime, "hankel_type")
-    xq, wq, fq = _radial_nodes(field, cfg, field.grid.end * float(np.max(ro)))
-    cross = ro[:, None] * xq[None, :]
-    bess = specfun.bessel_j(nu, cross)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross_pow = np.where(cross > 0, cross ** (-nu_prime), 0.0)
-    if kind == 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ypow = np.where(ro > 0, ro ** (1.0 + 2.0 * nu_prime), 0.0)
-        vals = ypow * ((bess * cross_pow) @ (wq * fq))
-    else:
-        vals = (bess * cross_pow) @ (wq * xq ** (1.0 + 2.0 * nu_prime) * fq)
-    return SampledField(out_grid, vals.astype(complex), field.geometry, field.evol)
-
-
-# ---------------------------------------------------------------------------
-# radial engines (Bessel-I kernels)
-
-def _i_kernel(nu: float, arg: np.ndarray, stable_expo: np.ndarray) -> np.ndarray:
-    """exp(stable_expo) * ive(nu, |arg|).
-
-    Callers pass stable_expo = (analytic exponent) + |arg| in a
-    cancellation-safe combined form, e.g. -(x - y)^2 / (2 t) for the heat
-    kernel exp(-(x^2+y^2)/2t) I_nu(x y / t)."""
-    return _guarded_exp(stable_expo) * specfun.bessel_i_scaled(nu, np.abs(arg))
+    nodes = _source_nodes(field, cfg, field.grid.end * float(np.max(ro)))
+    weight = 1.0 + 2.0 * nu_prime  # on the output variable (kind 1) or the input (kind 2)
+    vals = _bessel_sum("hankel_type", ro, nodes, specfun.bessel_j, nu, 1.0, cross=-nu_prime,
+                       row=weight if kind == 1 else 0.0, col=0.0 if kind == 1 else weight)
+    return SampledField(out_grid, vals, field.geometry, field.evol)
 
 
 def radial_laplace(field: SampledField, kind: int, nu: float, nu_prime: float,
@@ -735,24 +712,13 @@ def radial_laplace(field: SampledField, kind: int, nu: float, nu_prime: float,
     _require_half_line(field)
     _require_gaussian_decay(field)
     ro = out_grid.points
-    axis_power = 1.0 + nu + nu_prime if kind == 1 else nu - nu_prime
-    axis_row = _axis_power_case(ro, axis_power, "radial_laplace")
-    xq, wq, fq = _radial_nodes(field, cfg, 0.0)
-    cross = ro[:, None] * xq[None, :]
-    kern = _i_kernel(nu, cross, cross)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross_pow = np.where(cross > 0, cross ** (-nu_prime), 0.0)
+    nodes = _source_nodes(field, cfg, 0.0)
+    weight = 1.0 + 2.0 * nu_prime
+    vals = _bessel_sum("radial_laplace", ro, nodes, specfun.bessel_i_scaled, nu, 1.0,
+                       expo=lambda x, y: x * y, cross=-nu_prime,
+                       row=weight if kind == 1 else 0.0, col=0.0 if kind == 1 else weight)
     phase = cmath.exp(-1j * math.pi * (1.0 + nu))
-    if kind == 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ypow = np.where(ro > 0, ro ** (1.0 + 2.0 * nu_prime), 0.0)
-        vals = phase * ypow * ((kern * cross_pow) @ (wq * fq))
-    else:
-        vals = phase * ((kern * cross_pow) @ (wq * xq ** (1.0 + 2.0 * nu_prime) * fq))
-    if axis_row:
-        row = xq ** (nu - nu_prime) / (2.0**nu * math.gamma(nu + 1.0))
-        vals[ro == 0.0] = phase * (row @ (wq * fq))
-    return SampledField(out_grid, vals, field.geometry, field.evol)
+    return SampledField(out_grid, phase * vals, field.geometry, field.evol)
 
 
 def fr_radial_laplace(field: SampledField, alpha: float, nu: float, nu_prime: float,
@@ -770,23 +736,14 @@ def fr_radial_laplace(field: SampledField, alpha: float, nu: float, nu_prime: fl
     if abs(s) <= GEOMETRIC_B_TOL:
         return _resample_half_line(field, out_grid)
     ro = out_grid.points
-    axis_row = _axis_power_case(ro, 1.0 + nu + nu_prime, "fr_radial_laplace")
-    xq, wq, fq = _radial_nodes(field, cfg, 0.0)
-    cross = ro[:, None] * xq[None, :]
-    chirp = (0.5 * c / s) * (xq[None, :] ** 2 + ro[:, None] ** 2)
-    kern = _i_kernel(nu, cross / abs(s), chirp + cross / abs(s))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross_pow = np.where(cross > 0, cross ** (-nu_prime), 0.0)
-        ypow = np.where(ro > 0, ro ** (1.0 + 2.0 * nu_prime), 0.0)
+    nodes = _source_nodes(field, cfg, 0.0)
+    vals = _bessel_sum("fr_radial_laplace", ro, nodes, specfun.bessel_i_scaled, nu, 1.0 / s,
+                       expo=lambda x, y: (0.5 * c / s) * (y**2 + x**2) + x * y / abs(s),
+                       cross=-nu_prime, row=1.0 + 2.0 * nu_prime)
     # phase of the J -> I rotation folded with the kernel's (-i)^(m+n/2)/B
     phase = cmath.exp(-0.5j * math.pi * (nu + 1.0)) / (1j * s) \
         * cmath.exp(-0.5j * math.pi * math.copysign(1.0, s) * nu)
-    vals = phase * ypow * ((kern * cross_pow) @ (wq * fq))
-    if axis_row:
-        row = (xq ** (nu - nu_prime) / ((2.0 * abs(s)) ** nu * math.gamma(nu + 1.0))
-               * np.exp((0.5 * c / s) * xq**2))
-        vals[ro == 0.0] = phase * (row @ (wq * fq))
-    return SampledField(out_grid, vals, field.geometry, field.evol)
+    return SampledField(out_grid, phase * vals, field.geometry, field.evol)
 
 
 def bessel_exp(field: SampledField, beta: float, nu: float, nu_prime: float,
@@ -796,21 +753,13 @@ def bessel_exp(field: SampledField, beta: float, nu: float, nu_prime: float,
         raise ValueError("beta must be positive")
     _require_half_line(field)
     ro = out_grid.points
-    axis_row = _axis_power_case(ro, 1.0 + nu + nu_prime, "bessel_exp")
-    xq, wq, fq = _radial_nodes(field, cfg, 0.0, edge_check=False)
+    nodes = _source_nodes(field, cfg, 0.0, edge_check=False)
     ro_max = float(np.max(ro))
-    _kernel_beats_growth(field, xq, wq, fq, lambda y: -((y - ro_max) ** 2) / (4.0 * beta))
-    x, y = ro[:, None], xq[None, :]
-    kern = _i_kernel(nu, x * y / (2.0 * beta), -((x - y) ** 2) / (4.0 * beta))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross_pow = np.where(x * y > 0, (x * y) ** (-nu_prime), 0.0)
-        xpow = np.where(ro > 0, ro ** (1.0 + 2.0 * nu_prime), 0.0)
-    vals = (xpow / (2.0 * beta)) * ((kern * cross_pow) @ (wq * fq))
-    if axis_row:
-        row = (xq ** (nu - nu_prime) / ((4.0 * beta) ** nu * math.gamma(nu + 1.0))
-               * np.exp(-xq**2 / (4.0 * beta)) / (2.0 * beta))
-        vals[ro == 0.0] = row @ (wq * fq)
-    return SampledField(out_grid, vals.astype(complex), field.geometry, field.evol)
+    _kernel_beats_growth(field, *nodes, lambda y: -((y - ro_max) ** 2) / (4.0 * beta))
+    vals = _bessel_sum("bessel_exp", ro, nodes, specfun.bessel_i_scaled, nu, 1.0 / (2.0 * beta),
+                       expo=lambda x, y: -((x - y) ** 2) / (4.0 * beta),
+                       cross=-nu_prime, row=1.0 + 2.0 * nu_prime)
+    return SampledField(out_grid, vals / (2.0 * beta), field.geometry, field.evol)
 
 
 def bessel_exp_quarter_turn(field: SampledField, nu: float, nu_prime: float,
@@ -824,21 +773,12 @@ def bessel_exp_quarter_turn(field: SampledField, nu: float, nu_prime: float,
     """
     _require_half_line(field)
     ro = out_grid.points
-    axis_row = _axis_power_case(ro, 1.0 + nu + nu_prime, "bessel_exp_quarter_turn")
-    xq, wq, fq = _radial_nodes(field, cfg, field.grid.end * float(np.max(ro)))
-    x, y = ro[:, None], xq[None, :]
-    cross = x * y
-    kern = np.exp(0.5j * (x**2 + y**2)) * specfun.bessel_j(nu, cross)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross_pow = np.where(cross > 0, cross ** (-nu_prime), 0.0)
-        xpow = np.where(ro > 0, ro ** (1.0 + 2.0 * nu_prime), 0.0)
+    nodes = _source_nodes(field, cfg, field.grid.end * float(np.max(ro)))
+    vals = _bessel_sum("bessel_exp_quarter_turn", ro, nodes, specfun.bessel_j, nu, 1.0,
+                       expo=lambda x, y: 0.5j * (x**2 + y**2),
+                       cross=-nu_prime, row=1.0 + 2.0 * nu_prime)
     phase = -1j * cmath.exp(-0.5j * math.pi * nu)
-    vals = phase * xpow * ((kern * cross_pow) @ (wq * fq))
-    if axis_row:
-        row = (xq ** (nu - nu_prime) / 2.0**nu * np.exp(0.5j * xq**2)
-               / math.gamma(nu + 1.0))
-        vals[ro == 0.0] = phase * (row @ (wq * fq))
-    return SampledField(out_grid, vals, field.geometry, field.evol)
+    return SampledField(out_grid, phase * vals, field.geometry, field.evol)
 
 
 def radial_heat_propagate(field, t: float, mu: float, out_grid: Grid1D,
@@ -849,13 +789,12 @@ def radial_heat_propagate(field, t: float, mu: float, out_grid: Grid1D,
         raise ValueError("diffusion time must be positive")
     if mu <= 1:
         raise ValueError("mu must exceed 1")
-    nu = mu / 2.0 - 1.0
     ro = out_grid.points
     if isinstance(field, SampledField):
         _require_half_line(field)
-        xq, wq, fq = _radial_nodes(field, cfg, 0.0, edge_check=False)
+        nodes = _source_nodes(field, cfg, 0.0, edge_check=False)
         ro_max = float(np.max(ro))
-        _kernel_beats_growth(field, xq, wq, fq, lambda y: -((y - ro_max) ** 2) / (2.0 * t))
+        _kernel_beats_growth(field, *nodes, lambda y: -((y - ro_max) ** 2) / (2.0 * t))
         evol = field.evol + t
         geometry = field.geometry
     else:
@@ -863,22 +802,13 @@ def radial_heat_propagate(field, t: float, mu: float, out_grid: Grid1D,
         panels = _panel_count(cfg, 0.0, out_grid.count)
         xq, wq = _gl_nodes(0.0, hi, panels, cfg.nodes_per_panel)
         fn = (lambda y: field.eval(y, source_evol)) if isinstance(field, AnalyticField) else field
-        fq = np.asarray(fn(xq), dtype=complex)
+        nodes = (xq, wq, np.asarray(fn(xq), dtype=complex))
         evol = source_evol + t
         geometry = RadialDim(mu, 0)
-    x, y = ro[:, None], xq[None, :]
-    kern = _i_kernel(nu, x * y / t, -((x - y) ** 2) / (2.0 * t))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xpow = np.where(ro > 0, ro ** (1.0 - mu / 2.0), 0.0)
-        if abs(mu - 2.0) < 1e-12:
-            xpow = np.ones_like(ro)
-    vals = (xpow / t) * ((kern * y ** (mu / 2.0)) @ (wq * fq))
-    on_axis = np.nonzero(ro == 0.0)[0]
-    if len(on_axis) and abs(mu - 2.0) >= 1e-12:
-        # finite limit of the kernel row at r = 0
-        row = 2.0 / ((2.0 * t) ** (mu / 2.0) * math.gamma(mu / 2.0)) * np.exp(-xq**2 / (2.0 * t)) * xq ** (mu - 1.0)
-        vals[on_axis] = row @ (wq * fq)
-    return SampledField(out_grid, vals.astype(complex), geometry, evol)
+    vals = _bessel_sum("radial_heat_propagate", ro, nodes, specfun.bessel_i_scaled,
+                       mu / 2.0 - 1.0, 1.0 / t, expo=lambda x, y: -((x - y) ** 2) / (2.0 * t),
+                       row=1.0 - mu / 2.0, col=mu / 2.0)
+    return SampledField(out_grid, vals / t, geometry, evol)
 
 
 def barut_girardello(field: SampledField, n_dim: float, m_idx: int, out_grid: Grid1D,
@@ -886,62 +816,52 @@ def barut_girardello(field: SampledField, n_dim: float, m_idx: int, out_grid: Gr
     """Bessel-I radial transform built on the Bargmann matrix, forward direction."""
     _require_half_line(field)
     _require_gaussian_decay(field)
-    nu = n_dim / 2.0 + m_idx - 1.0
     ro = out_grid.points
-    xq, wq, fq = _radial_nodes(field, cfg, 0.0)
-    x, y = ro[:, None], xq[None, :]
-    kern = _i_kernel(nu, math.sqrt(2.0) * x * y, -0.5 * (x**2 + y**2) + math.sqrt(2.0) * x * y)
-    cross = x * y
-    if abs(n_dim - 2.0) < 1e-12:
-        cross_pow = np.ones_like(cross)
-    else:
-        _axis_guard(ro, float(m_idx), "barut_girardello")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross_pow = np.where(cross > 0, cross ** (1.0 - n_dim / 2.0), 0.0)
-    vals = math.sqrt(2.0) * ((kern * cross_pow) @ (wq * fq))
-    return SampledField(out_grid, vals.astype(complex), field.geometry, field.evol)
+    nodes = _source_nodes(field, cfg, 0.0)
+    vals = _bessel_sum("barut_girardello", ro, nodes, specfun.bessel_i_scaled,
+                       n_dim / 2.0 + m_idx - 1.0, math.sqrt(2.0),
+                       expo=lambda x, y: -0.5 * (x**2 + y**2) + math.sqrt(2.0) * x * y,
+                       cross=1.0 - n_dim / 2.0)
+    return SampledField(out_grid, math.sqrt(2.0) * vals, field.geometry, field.evol)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
+# CLI name -> (spec class, engine call).  Each call looks its engine up by the
+# module-global name when it runs, so a rebound engine is what apply reaches.
+TRANSFORMS = {
+    "linear-ct": (LinearCT, lambda s, f, g, c: linear_ct(s.matrix, f, g, c)),
+    "geometric": (Geometric, lambda s, f, g, c: geometric(s.matrix, f, g)),
+    "fresnel-prop": (FresnelProp, lambda s, f, g, c: fresnel_propagate(f, s.zeta, g, c)),
+    "frft": (FrFT, lambda s, f, g, c: frft(f, s.alpha, g, c)),
+    "fr-laplace": (FrLaplace, lambda s, f, g, c: fr_laplace(f, s.alpha, g, c)),
+    "poisson-prop": (PoissonProp, lambda s, f, g, c: poisson_propagate(f, s.t, g, c)),
+    "radial-ct": (RadialCT, lambda s, f, g, c: radial_ct(f, s.matrix, s.n_dim, s.m, g, c)),
+    "hankel": (Hankel, lambda s, f, g, c: hankel(f, s.m, g, c)),
+    "fr-hankel": (FrHankel, lambda s, f, g, c: fr_hankel(f, s.m, s.alpha, g, c)),
+    "hankel-type": (HankelType,
+                    lambda s, f, g, c: hankel_type(f, s.kind, s.nu, s.nu_prime, g, c)),
+    "radial-laplace": (RadialLaplace,
+                       lambda s, f, g, c: radial_laplace(f, s.kind, s.nu, s.nu_prime, g, c)),
+    "fr-radial-laplace": (FrRadialLaplace, lambda s, f, g, c: fr_radial_laplace(
+        f, s.alpha, s.nu, s.nu_prime, g, c)),
+    "bessel-exp": (BesselExp, lambda s, f, g, c: (
+        bessel_exp_quarter_turn(f, s.nu, s.nu_prime, g, c) if s.beta == "i/2"
+        else bessel_exp(f, s.beta, s.nu, s.nu_prime, g, c))),
+    "radial-heat-prop": (RadialHeatProp,
+                         lambda s, f, g, c: radial_heat_propagate(f, s.t, s.mu, g, c)),
+    "barut-girardello": (BarutGirardello,
+                         lambda s, f, g, c: barut_girardello(f, s.n_dim, s.m, g, c)),
+}
+
+
 def apply(spec: TransformSpec, field: SampledField, out_grid: Grid1D,
           cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
     """Apply a transform specification to a sampled field."""
-    if isinstance(spec, LinearCT):
-        return linear_ct(spec.m, field, out_grid, cfg)
-    if isinstance(spec, Geometric):
-        return geometric(spec.m, field, out_grid)
-    if isinstance(spec, FresnelProp):
-        return fresnel_propagate(field, spec.zeta, out_grid, cfg)
-    if isinstance(spec, FrFT):
-        return frft(field, spec.alpha, out_grid, cfg)
-    if isinstance(spec, FrLaplace):
-        return fr_laplace(field, spec.alpha, out_grid, cfg)
-    if isinstance(spec, PoissonProp):
-        return poisson_propagate(field, spec.t, out_grid, cfg)
-    if isinstance(spec, RadialCT):
-        return radial_ct(field, spec.m, spec.n_dim, spec.m_idx, out_grid, cfg)
-    if isinstance(spec, Hankel):
-        return hankel(field, spec.m, out_grid, cfg)
-    if isinstance(spec, FrHankel):
-        return fr_hankel(field, spec.m, spec.alpha, out_grid, cfg)
-    if isinstance(spec, HankelType):
-        return hankel_type(field, spec.kind, spec.nu, spec.nu_prime, out_grid, cfg)
-    if isinstance(spec, RadialLaplace):
-        if spec.kind == 1:
-            return radial_laplace(field, 1, spec.nu, spec.nu_prime, out_grid, cfg)
-        return radial_laplace(field, 2, spec.nu, spec.nu_prime, out_grid, cfg)
-    if isinstance(spec, FrRadialLaplace):
-        return fr_radial_laplace(field, spec.alpha, spec.nu, spec.nu_prime, out_grid, cfg)
-    if isinstance(spec, BesselExp):
-        if spec.beta == "i/2":
-            return bessel_exp_quarter_turn(field, spec.nu, spec.nu_prime, out_grid, cfg)
-        return bessel_exp(field, spec.beta, spec.nu, spec.nu_prime, out_grid, cfg)
-    if isinstance(spec, RadialHeatProp):
-        return radial_heat_propagate(field, spec.t, spec.mu, out_grid, cfg)
-    if isinstance(spec, BarutGirardello):
-        return barut_girardello(field, spec.n_dim, spec.m_idx, out_grid, cfg)
+    for spec_cls, run in TRANSFORMS.values():
+        if type(spec) is spec_cls:
+            return run(spec, field, out_grid, cfg)
     raise TypeError(f"unknown transform spec {spec!r}")
 
 

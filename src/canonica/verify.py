@@ -139,39 +139,25 @@ def _d2(vals, h):
     return out
 
 
-class _Op:
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, x, vals, h):
-        return self.fn(x, vals, h)
-
-
-def _linear_ops(h_unused=None):
-    kp = _Op(lambda x, v, h: 0.5 * x**2 * v)
-    km = _Op(lambda x, v, h: -0.5 * _d2(v, h))
-    k3 = _Op(lambda x, v, h: -0.5j * (x * _d1(v, h) + 0.5 * v))
-    xop = _Op(lambda x, v, h: x * v)
-    pop = _Op(lambda x, v, h: -1j * _d1(v, h))
-    return kp, km, k3, xop, pop
+def _linear_ops():
+    """(K+, K-, K3) on the line."""
+    return (lambda x, v, h: 0.5 * x**2 * v,
+            lambda x, v, h: -0.5 * _d2(v, h),
+            lambda x, v, h: -0.5j * (x * _d1(v, h) + 0.5 * v))
 
 
 def _radial_ops(m: int):
-    kp = _Op(lambda x, v, h: 0.5 * x**2 * v)
-    km = _Op(lambda x, v, h: -0.5 * (_d2(v, h) + _d1(v, h) / x - m**2 * v / x**2))
-    k3 = _Op(lambda x, v, h: -0.5j * (x * _d1(v, h) + v))
-    return kp, km, k3
+    """(K+, K-, K3) of the radial family with azimuthal index m."""
+    return (lambda x, v, h: 0.5 * x**2 * v,
+            lambda x, v, h: -0.5 * (_d2(v, h) + _d1(v, h) / x - m**2 * v / x**2),
+            lambda x, v, h: -0.5j * (x * _d1(v, h) + v))
 
 
 def _type1_ops(nu: float, nu_prime: float):
-    def bdag(x, v, h):
-        return (_d2(v, h) - (1.0 + 2.0 * nu_prime) * _d1(v, h) / x
-                + ((nu_prime + 1.0) ** 2 - nu**2) * v / x**2)
-
-    kp = _Op(lambda x, v, h: 0.5 * x**2 * v)
-    km = _Op(lambda x, v, h: -0.5 * bdag(x, v, h))
-    k3 = _Op(lambda x, v, h: -0.5j * (x * _d1(v, h) - nu_prime * v))
-    return kp, km, k3
+    """(K+, K-, K3) of the first Hankel-type family."""
+    return (lambda x, v, h: 0.5 * x**2 * v,
+            lambda x, v, h: -0.5 * bessel_type_op(x, v, h, nu, nu_prime, adjoint=True),
+            lambda x, v, h: -0.5j * (x * _d1(v, h) - nu_prime * v))
 
 
 def bessel_type_op(x, vals, h, nu: float, nu_prime: float, adjoint: bool = False):
@@ -183,23 +169,18 @@ def bessel_type_op(x, vals, h, nu: float, nu_prime: float, adjoint: bool = False
             + (nu_prime**2 - nu**2) * vals / x**2)
 
 
-COMMUTATOR_PAIRS = (
-    "x_p", "kp_km", "kpm_k3",
-    "radial_kp_km", "radial_kpm_k3",
-    "type1_kp_km", "type1_kpm_k3",
-)
-
-
 def commutator_check(pair: str, testfn: SampledField, h: float,
                      m: int = 0, nu: float = 1.0, nu_prime: float = -1.0,
                      min_coord: float = 0.0) -> float:
     """Sup-norm deviation of a bracket identity, derivatives by central differences.
 
-    The step h must equal the field's grid step; the deviation is O(h^2)
-    for smooth, decaying test functions.  Radial brackets carry 1/r and
-    1/r^2 factors that amplify the stencil error near the axis, so the
-    deviation is always taken from r >= 2h and, when an h-independent
-    convergence order is wanted, from a fixed min_coord inward.
+    Pairs are "x_p" and "kp_km" / "kpm_k3" for the linear, "radial_" and
+    "type1_" operator families.  The step h must equal the field's grid
+    step; the deviation is O(h^2) for smooth, decaying test functions.
+    Radial brackets carry 1/r and 1/r^2 factors that amplify the stencil
+    error near the axis, so the deviation is always taken from r >= 2h and,
+    when an h-independent convergence order is wanted, from a fixed
+    min_coord inward.
     """
     if abs(h - testfn.grid.step) > 1e-12 * h:
         raise ValueError("h must match the test field's grid step")
@@ -214,34 +195,20 @@ def commutator_check(pair: str, testfn: SampledField, h: float,
         return op_a(x, op_b(x, v, h), h) - op_b(x, op_a(x, v, h), h)
 
     if pair == "x_p":
-        kp, km, k3, xop, pop = _linear_ops()
-        dev = bracket(xop, pop) - 1j * v
-    elif pair == "kp_km":
-        kp, km, k3, *_ = _linear_ops()
-        dev = bracket(kp, km) - 2j * k3(x, v, h)
-    elif pair == "kpm_k3":
-        kp, km, k3, *_ = _linear_ops()
-        dev_p = bracket(kp, k3) - 1j * kp(x, v, h)
-        dev_m = bracket(km, k3) + 1j * km(x, v, h)
-        dev = np.where(np.abs(dev_p) > np.abs(dev_m), dev_p, dev_m)
-    elif pair == "radial_kp_km":
-        kp, km, k3 = _radial_ops(m)
-        dev = bracket(kp, km) - 2j * k3(x, v, h)
-    elif pair == "radial_kpm_k3":
-        kp, km, k3 = _radial_ops(m)
-        dev_p = bracket(kp, k3) - 1j * kp(x, v, h)
-        dev_m = bracket(km, k3) + 1j * km(x, v, h)
-        dev = np.where(np.abs(dev_p) > np.abs(dev_m), dev_p, dev_m)
-    elif pair == "type1_kp_km":
-        kp, km, k3 = _type1_ops(nu, nu_prime)
-        dev = bracket(kp, km) - 2j * k3(x, v, h)
-    elif pair == "type1_kpm_k3":
-        kp, km, k3 = _type1_ops(nu, nu_prime)
-        dev_p = bracket(kp, k3) - 1j * kp(x, v, h)
-        dev_m = bracket(km, k3) + 1j * km(x, v, h)
-        dev = np.where(np.abs(dev_p) > np.abs(dev_m), dev_p, dev_m)
+        dev = bracket(lambda x, v, h: x * v, lambda x, v, h: -1j * _d1(v, h)) - 1j * v
     else:
-        raise ValueError(f"unknown pair {pair!r}")
+        family, _, which = pair.partition("_") if pair.startswith(("radial_", "type1_")) \
+            else ("linear", "", pair)
+        if which not in ("kp_km", "kpm_k3"):
+            raise ValueError(f"unknown pair {pair!r}")
+        kp, km, k3 = {"linear": _linear_ops, "radial": lambda: _radial_ops(m),
+                      "type1": lambda: _type1_ops(nu, nu_prime)}[family]()
+        if which == "kp_km":
+            dev = bracket(kp, km) - 2j * k3(x, v, h)
+        else:
+            dev_p = bracket(kp, k3) - 1j * kp(x, v, h)
+            dev_m = bracket(km, k3) + 1j * km(x, v, h)
+            dev = np.where(np.abs(dev_p) > np.abs(dev_m), dev_p, dev_m)
     return float(np.max(np.abs(dev[sl])))
 
 

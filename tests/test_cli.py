@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from canonica.cli import main
-from canonica.fields import read_field
-from canonica import specfun
+from canonica.fields import Grid1D, GridKind, SampledField, read_field, write_field
+from canonica.symplectic import mat_fourier, mat_free
+from canonica import specfun, transforms
 
 
 def run_cli(*args):
@@ -172,3 +173,68 @@ def test_appell_spec_json_flag(tmp_path):
     x = field.grid.points
     ref = np.exp(0.5j * (x - 2.0) ** 2 / 0.7) / np.sqrt(2j * np.pi * 0.7)
     assert np.max(np.abs(field.values - ref)) < 1e-12
+
+
+def _radial_gauss_file(path):
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 14.0, 512)
+    write_field(SampledField(grid, np.exp(-grid.points**2) + 0j), path)
+
+
+# --spec-json keys per table name; omitted flag-backed fields take the CLI defaults
+SPEC_JSON_PARAMS = {
+    "linear-ct": {"matrix": json.loads(mat_free(0.4).to_json())},
+    "geometric": {"matrix": json.loads(mat_fourier(0.0).to_json())},
+    "fresnel-prop": {"zeta": 0.3},
+    "frft": {"alpha": 0.5},
+    "fr-laplace": {},
+    "poisson-prop": {"t": 0.5},
+    "radial-ct": {"matrix": json.loads(mat_fourier(0.5).to_json()), "n_dim": 3.0, "m": 1},
+    "hankel": {"m": 2},
+    "fr-hankel": {"m": 1, "alpha": 0.3},
+    "hankel-type": {"kind": 2, "nu": 1.0, "nu_prime": -0.6},
+    "radial-laplace": {"kind": 2},
+    "fr-radial-laplace": {"alpha": 0.5, "nu": 0.5, "nu_prime": -1.5},
+    "bessel-exp": {"beta": "i/2", "nu": 0.5},
+    "radial-heat-prop": {"t": 0.5, "mu": 3.0},
+    "barut-girardello": {"n_dim": 3.0},
+}
+
+
+def test_every_table_name_builds_its_spec_from_json(tmp_path, monkeypatch):
+    src, out = tmp_path / "src.csv", tmp_path / "out.csv"
+    _radial_gauss_file(src)
+    built = []
+    monkeypatch.setattr(transforms, "apply",
+                        lambda spec, field, grid, cfg: built.append(spec) or field)
+    defaults = {"alpha": 1.0, "m": 0, "kind": 1, "nu": 0.0, "nu_prime": 0.0, "beta": 0.5,
+                "n_dim": 2.0}
+    for name, (spec_cls, _) in transforms.TRANSFORMS.items():
+        params = SPEC_JSON_PARAMS[name]
+        spec_json = json.dumps({"name": name, **params})
+        assert run_cli("transform", "--spec-json", spec_json, "--in", str(src),
+                       "--out", str(out)) == 0, name
+        spec = built.pop()
+        assert type(spec) is spec_cls
+        for key, value in vars(spec).items():
+            want = params.get(key, defaults.get(key))
+            if key == "matrix":
+                assert json.loads(value.to_json()) == want
+            else:
+                assert value == want, (name, key)
+
+
+def test_transform_reaches_fr_radial_laplace(tmp_path, capsys):
+    src, frac, direct = (tmp_path / f"{n}.csv" for n in ("src", "frac", "direct"))
+    _radial_gauss_file(src)
+    common = ["--nu", "0.5", "--nu-prime", "-1.5", "--in", str(src), "--out-grid", "0:3:64",
+              "--nodes", "16"]
+    assert run_cli("transform", "--name", "fr-radial-laplace", "--alpha", "1", *common,
+                   "--out", str(frac)) == 0
+    assert run_cli("transform", "--name", "radial-laplace", "--kind", "1", *common,
+                   "--out", str(direct)) == 0
+    a, b = read_field(frac).values, read_field(direct).values
+    assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-10
+    capsys.readouterr()
+    assert run_cli("transform", "--name", "made-up", "--in", str(src), "--out", str(frac)) == 1
+    err = capsys.readouterr().err
+    assert all(name in err for name in transforms.TRANSFORMS)

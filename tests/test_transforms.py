@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canonica.common import (
     DivergenceRisk,
@@ -22,7 +24,15 @@ from canonica.fields import (
     StdHG,
     sample,
 )
-from canonica.symplectic import SympMat2, compose, inverse, mat_free, mat_lens, mat_scale
+from canonica.symplectic import (
+    SympMat2,
+    compose,
+    inverse,
+    mat_fourier,
+    mat_free,
+    mat_lens,
+    mat_scale,
+)
 from canonica import transforms
 from canonica.transforms import (
     FrFT,
@@ -375,3 +385,83 @@ def test_bessel_exp_quarter_turn_conjugates_to_hankel_type():
     assert np.array_equal(via_spec.values, mid.values)
     with pytest.raises(ValueError):
         BesselExp("i/3", nu, nup)
+
+
+AXIS_POWER_ZERO = {
+    # engine: call on (field, out_grid) with parameters whose axis power is zero
+    "hankel": lambda f, g: hankel(f, 0, g, CFG16),
+    "fr_hankel": lambda f, g: fr_hankel(f, 0, 0.6, g, CFG16),
+    "radial_ct": lambda f, g: transforms.radial_ct(f, mat_free(0.7), 3.0, 0, g, CFG16),
+    "hankel_type-1": lambda f, g: hankel_type(f, 1, 0.5, -1.5, g, CFG16),
+    "hankel_type-2": lambda f, g: hankel_type(f, 2, 1.0, 1.0, g, CFG16),
+    "radial_laplace-1": lambda f, g: radial_laplace(f, 1, 0.5, -1.5, g, CFG16),
+    "radial_laplace-2-nu0.5": lambda f, g: radial_laplace(f, 2, 0.5, 0.5, g, CFG16),
+    "radial_laplace-2-nu1": lambda f, g: radial_laplace(f, 2, 1.0, 1.0, g, CFG16),
+    "fr_radial_laplace": lambda f, g: transforms.fr_radial_laplace(f, 0.6, 0.5, -1.5, g, CFG16),
+    "bessel_exp": lambda f, g: bessel_exp(f, 0.3, 0.5, -1.5, g, CFG16),
+    "bessel_exp_quarter_turn": lambda f, g: transforms.bessel_exp_quarter_turn(
+        f, 0.5, -1.5, g, CFG16),
+    "radial_heat_propagate": lambda f, g: radial_heat_propagate(f, 0.4, 3.0, g, CFG16),
+    "barut_girardello": lambda f, g: barut_girardello(f, 3.0, 0, g, CFG16),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(AXIS_POWER_ZERO))
+def test_on_axis_value_is_the_kernel_limit(engine):
+    # with axis power nu + cross + row = 0 the r = 0 output is the r -> 0+ limit
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 8.0, 256)
+    fld = SampledField(grid, np.exp(-grid.points**2) + 0j)
+    near_axis = Grid1D(GridKind.HALF_LINE, 0.0, 5e-5, 2)
+    on, near = AXIS_POWER_ZERO[engine](fld, near_axis).values
+    assert abs(near) > 1e-3
+    assert abs(on - near) <= 1e-6 * abs(near)
+
+
+def test_negative_axis_power_rejects_the_axis():
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 8.0, 256)
+    fld = SampledField(grid, np.exp(-grid.points**2) + 0j)
+    with pytest.raises(ValueError, match="above r = 0"):
+        hankel_type(fld, 2, 0.5, 1.0, Grid1D(GridKind.HALF_LINE, 0.0, 0.1, 8), CFG16)
+    off_axis = hankel_type(fld, 2, 0.5, 1.0, Grid1D(GridKind.HALF_LINE, 0.1, 0.1, 8), CFG16)
+    assert np.all(np.isfinite(off_axis.values))
+
+
+LINEARITY_SPECS = {
+    "linear-ct": LinearCT(compose(mat_free(0.4), mat_lens(0.8))),
+    "geometric": transforms.Geometric(mat_scale(1.5)),
+    "fresnel-prop": FresnelProp(0.3),
+    "frft": FrFT(0.5),
+    "fr-laplace": transforms.FrLaplace(1.0),
+    "poisson-prop": PoissonProp(0.5),
+    "radial-ct": transforms.RadialCT(mat_fourier(0.5), 3.0, 1),
+    "hankel": Hankel(1),
+    "fr-hankel": transforms.FrHankel(1, 0.5),
+    "hankel-type": transforms.HankelType(2, 1.0, -0.6),
+    "radial-laplace": transforms.RadialLaplace(2, 0.5, 0.5),
+    "fr-radial-laplace": transforms.FrRadialLaplace(0.5, 0.5, -1.5),
+    "bessel-exp": transforms.BesselExp(0.25, 0.5, -1.5),
+    "radial-heat-prop": transforms.RadialHeatProp(0.5, 3.0),
+    "barut-girardello": transforms.BarutGirardello(3.0, 0),
+}
+_COEF = st.builds(lambda mag, arg: mag * cmath.exp(1j * arg),
+                  st.floats(0.1, 10.0), st.floats(0.0, 2.0 * math.pi))
+
+
+@pytest.mark.filterwarnings("ignore::canonica.common.TruncationWarning")
+@pytest.mark.parametrize("name", sorted(transforms.TRANSFORMS))
+@settings(max_examples=10, deadline=None)
+@given(a=_COEF, b=_COEF)
+def test_apply_is_linear(name, a, b):
+    spec = LINEARITY_SPECS[name]
+    radial = name not in ("linear-ct", "geometric", "fresnel-prop", "frft", "fr-laplace",
+                          "poisson-prop")
+    grid = (Grid1D.from_span(GridKind.HALF_LINE, 0.0, 6.0, 64) if radial
+            else Grid1D.from_span(GridKind.FULL_LINE, -6.0, 6.0, 96))
+    x = grid.points
+    f = SampledField(grid, np.exp(-x**2) * (1.0 + 0.3 * x) + 0j)
+    g = SampledField(grid, x**2 * np.exp(-x**2 + 0.5j * x))
+    both = SampledField(grid, a * f.values + b * g.values)
+    tf, tg = apply(spec, f, grid, CFG16).values, apply(spec, g, grid, CFG16).values
+    lhs = apply(spec, both, grid, CFG16).values
+    scale = abs(a) * np.max(np.abs(tf)) + abs(b) * np.max(np.abs(tg))
+    assert np.max(np.abs(lhs - (a * tf + b * tg))) <= 1e-9 * scale
