@@ -35,7 +35,7 @@ from .fields import (
     RadialDim,
     SampledField,
 )
-from .symplectic import SympMat2, compose, inverse, mat_fourier, mat_laplace, reduce_order
+from .symplectic import IDENTITY, reduce_order
 from . import transforms
 from .transforms import DEFAULT_CONFIG, QuadratureConfig
 
@@ -98,7 +98,7 @@ def _branch_power(c: float, phi: float, power: float) -> complex:
     return cmath.exp(power * cmath.log(c * cmath.exp(-1j * phi)))
 
 
-def _field_index(src: AnalyticField) -> int:
+def _field_index(src: AnalyticField | SampledField) -> int:
     geo = src.geometry
     if isinstance(geo, (Radial, RadialDim)):
         return geo.m
@@ -233,22 +233,31 @@ def appell_analytic(src: AnalyticField, spec: AppellSpec) -> AppellImage:
     return AppellImage(src, spec)
 
 
-def transform_matrix(spec: AppellSpec) -> SympMat2:
-    if spec.equation.is_heat:
-        return mat_laplace(spec.effective_alpha)
-    return mat_fourier(spec.effective_alpha)
+def _bare_fr_laplace(source, alpha, m, mu, grid, cfg):
+    # the caloric map is built on the bare kernel transform: strip the
+    # i^(alpha/2) matching factor carried by the fractional Laplace
+    stage = transforms.fr_laplace(source, alpha, grid, cfg)
+    return SampledField(stage.grid, stage.values * cmath.exp(-0.25j * math.pi * alpha),
+                        stage.geometry, stage.evol)
 
 
-def propagator_matrix(spec: AppellSpec, evol: float) -> SympMat2:
-    if spec.equation.is_heat:
-        return SympMat2(1.0, -1j * evol, 0.0, 1.0)
-    return SympMat2(1.0, evol, 0.0, 1.0)
-
-
-def effective_matrix(spec: AppellSpec) -> SympMat2:
-    """Matrix realized by the numeric path: U(evol) * T^alpha * U(-evol)."""
-    p = propagator_matrix(spec, spec.evol)
-    return compose(p, transform_matrix(spec), inverse(p))
+# equation -> (fractional stage, kernel propagator), called as
+# stage(source, alpha, m, mu, grid, cfg) and propagate(field, evol, m, mu, grid, cfg)
+_EQUATIONS = {
+    EquationKind.PWE: (
+        lambda f, alpha, m, mu, g, c: transforms.frft(f, alpha, g, c),
+        lambda f, evol, m, mu, g, c: transforms.fresnel_propagate(f, evol, g, c)),
+    EquationKind.HEAT: (
+        _bare_fr_laplace,
+        lambda f, evol, m, mu, g, c: transforms.poisson_propagate(f, evol, g, c)),
+    EquationKind.RADIAL_PWE: (
+        lambda f, alpha, m, mu, g, c: transforms.fr_hankel(f, m, alpha, g, c),
+        lambda f, evol, m, mu, g, c: transforms.radial_propagate(f, evol, m, g, c)),
+    EquationKind.RADIAL_HEAT: (
+        lambda f, alpha, m, mu, g, c: transforms.fr_radial_laplace(
+            f, alpha, mu / 2.0 - 1.0, -mu / 2.0, g, c),
+        lambda f, evol, m, mu, g, c: transforms.radial_heat_propagate(f, evol, mu, g, c)),
+}
 
 
 def appell_numeric(source: SampledField, spec: AppellSpec, out_grid: Grid1D,
@@ -267,35 +276,15 @@ def appell_numeric(source: SampledField, spec: AppellSpec, out_grid: Grid1D,
         if source.grid.kind != GridKind.HALF_LINE:
             raise EquationMismatch("radial maps need half-line sources")
     mid = mid_grid if mid_grid is not None else source.grid
-    if eq is EquationKind.PWE:
-        stage = transforms.frft(source, alpha, mid, cfg)
-        if abs(spec.evol) <= 1e-14:
-            out = transforms.linear_ct(SympMat2(1, 0, 0, 1), stage, out_grid, cfg)
+    stage_of, propagate = _EQUATIONS[eq]
+    stage = stage_of(source, alpha, spec.m, spec.mu, mid, cfg)
+    if abs(spec.evol) <= 1e-14:  # the identity matrix: the B = 0 path resamples the stage
+        if eq.is_radial:
+            out = transforms.radial_ct(stage, IDENTITY, 2.0, _field_index(stage), out_grid, cfg)
         else:
-            out = transforms.fresnel_propagate(stage, spec.evol, out_grid, cfg)
-    elif eq is EquationKind.HEAT:
-        stage = transforms.fr_laplace(source, alpha, mid, cfg)
-        # the caloric map is built on the bare kernel transform: strip the
-        # i^(alpha/2) matching factor carried by the fractional Laplace
-        stage = SampledField(stage.grid, stage.values * cmath.exp(-0.25j * math.pi * alpha),
-                             stage.geometry, stage.evol)
-        if abs(spec.evol) <= 1e-14:
-            out = transforms.linear_ct(SympMat2(1, 0, 0, 1), stage, out_grid, cfg)
-        else:
-            out = transforms.poisson_propagate(stage, spec.evol, out_grid, cfg)
-    elif eq is EquationKind.RADIAL_PWE:
-        stage = transforms.fr_hankel(source, spec.m, alpha, mid, cfg)
-        if abs(spec.evol) <= 1e-14:
-            out = transforms._resample_half_line(stage, out_grid)
-        else:
-            out = transforms.radial_propagate(stage, spec.evol, spec.m, out_grid, cfg)
+            out = transforms.linear_ct(IDENTITY, stage, out_grid, cfg)
     else:
-        nu, nu_prime = spec.mu / 2.0 - 1.0, -spec.mu / 2.0
-        stage = transforms.fr_radial_laplace(source, alpha, nu, nu_prime, mid, cfg)
-        if abs(spec.evol) <= 1e-14:
-            out = transforms._resample_half_line(stage, out_grid)
-        else:
-            out = transforms.radial_heat_propagate(stage, spec.evol, spec.mu, out_grid, cfg)
+        out = propagate(stage, spec.evol, spec.m, spec.mu, out_grid, cfg)
     return transforms.with_evol(out, spec.evol)
 
 

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import transforms, verify
-from .appell import AppellSpec, appell_analytic, appell_numeric
+from .appell import _EQUATIONS, AppellSpec, appell_analytic, appell_numeric
 from .common import (
     CanonicaError,
     Direction,
@@ -168,17 +168,11 @@ def cmd_transform(args) -> int:
 
 def cmd_propagate(args) -> int:
     field = read_field(args.infile)
-    eq = EquationKind(args.eq)
     out_grid = _parse_grid(args.out_grid, field.grid.kind) if args.out_grid else field.grid
-    cfg = _quad_config(args)
-    if eq is EquationKind.PWE:
-        out = transforms.fresnel_propagate(field, args.evol, out_grid, cfg)
-    elif eq is EquationKind.HEAT:
-        out = transforms.poisson_propagate(field, args.evol, out_grid, cfg)
-    elif eq is EquationKind.RADIAL_PWE:
-        out = transforms.radial_propagate(field, args.evol, args.m or 0, out_grid, cfg)
-    else:
-        out = transforms.radial_heat_propagate(field, args.evol, args.mu or 2.0, out_grid, cfg)
+    propagate = _EQUATIONS[EquationKind(args.eq)][1]
+    m = args.m if args.m is not None else 0
+    mu = args.mu if args.mu is not None else 2.0
+    out = propagate(field, args.evol, m, mu, out_grid, _quad_config(args))
     write_field(out, args.out)
     print(f"wrote {out_grid.count} samples to {args.out}")
     return 0

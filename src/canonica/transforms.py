@@ -9,7 +9,8 @@ Two quadrature paths:
 * ``gauss-legendre``: composite Gauss-Legendre panels over the input grid
   support, with the sampled field interpolated onto the quadrature nodes
   by a quintic spline.  Panels are sized so each spans at most pi/4 of
-  kernel phase at the fastest output point.
+  kernel phase at the fastest output point; real-exponent (L-form) kernels
+  have no phase and are sized by the sample count alone.
 
 Bessel-I kernels are evaluated through the exponentially scaled form, so
 heat-type kernels never overflow.
@@ -45,7 +46,14 @@ from .fields import (
     RadialType,
     SampledField,
 )
-from .symplectic import SympMat2, mat_fourier, mat_free, mat_laplace
+from .symplectic import (
+    SympMat2,
+    mat_bargmann,
+    mat_fourier,
+    mat_free,
+    mat_laplace,
+    mat_poisson,
+)
 
 GEOMETRIC_B_TOL = 1e-10
 EDGE_WARN_LEVEL = 1e-6
@@ -220,10 +228,25 @@ TransformSpec = (
 # ---------------------------------------------------------------------------
 # quadrature plumbing
 
-def _panel_count(cfg: QuadratureConfig, phase_total: float, count: int) -> int:
+def _real_exponent(mat: SympMat2) -> bool:
+    """True for L-form matrices with imaginary B, whose kernels do not oscillate."""
+    return mat.is_l_form() and not mat.is_real()
+
+
+def _panel_count(cfg: QuadratureConfig, mat: SympMat2, xmax: float, outmax: float,
+                 count: int) -> int:
+    """Panels over the source: at most pi/4 of kernel phase each, and at least
+    one per nodes_per_panel samples.
+
+    The phase of the kernel of `mat` across a source |y| <= xmax at the
+    fastest output point |x| <= outmax is (|A| xmax^2 + 2 outmax xmax)/(2|B|);
+    real-exponent (L-form) kernels have none.
+    """
     if cfg.panels is not None:
         return cfg.panels
-    by_phase = math.ceil(abs(phase_total) / (math.pi / 4.0))
+    phase = 0.0 if _real_exponent(mat) else (
+        (abs(mat.a) * xmax**2 + 2.0 * outmax * xmax) / (2.0 * abs(mat.b)))
+    by_phase = math.ceil(phase / (math.pi / 4.0))
     by_field = math.ceil(count / cfg.nodes_per_panel)
     return min(max(by_phase, by_field, 4), _MAX_PANELS)
 
@@ -271,9 +294,10 @@ def _edge_check(field: SampledField, cfg: QuadratureConfig):
         )
 
 
-def _source_nodes(field: SampledField, cfg: QuadratureConfig, phase_total: float,
+def _source_nodes(field: SampledField, cfg: QuadratureConfig, mat: SympMat2, outmax: float,
                   edge_check: bool = True):
-    """Quadrature nodes/weights and interpolated (optionally apodized) samples.
+    """Quadrature nodes/weights and interpolated (optionally apodized) samples
+    for the kernel of `mat` evaluated up to |x| = outmax.
 
     Truncation and apodization are centred on the axis for half-line grids
     and on the grid midpoint for full-line grids.
@@ -282,10 +306,10 @@ def _source_nodes(field: SampledField, cfg: QuadratureConfig, phase_total: float
         _edge_check(field, cfg)
     lo, hi = field.grid.start, field.grid.end
     center = 0.0 if field.grid.kind == GridKind.HALF_LINE else 0.5 * (lo + hi)
+    panels = _panel_count(cfg, mat, max(abs(lo), abs(hi)), outmax, field.grid.count)
     if cfg.truncation_radius is not None:
         lo = max(lo, center - cfg.truncation_radius)
         hi = min(hi, center + cfg.truncation_radius)
-    panels = _panel_count(cfg, phase_total, field.grid.count)
     xq, wq = _gl_nodes(lo, hi, panels, cfg.nodes_per_panel)
     fq = _interpolant(field)(xq)
     if cfg.apodization is not None:
@@ -315,18 +339,21 @@ def _check_radial_index(field: SampledField, m: int):
         raise GeometryMismatch(f"field azimuthal index {geo.m} != transform order {m}")
 
 
-def _kernel_beats_growth(field: SampledField, xq, wq, fq, kern_tail_expo):
-    """Reject sampled inputs whose growth outruns a decaying kernel.
+def _kernel_beats_growth(field: SampledField, nodes, tau: float, out_ends):
+    """Reject sampled inputs whose growth outruns a Gaussian-convolution kernel.
 
-    kern_tail_expo(y) is the most pessimistic kernel exponent over the output
-    grid; if |f(y)| e^{expo(y)} peaks in the outer 5% of the nodes, the
-    integral is dominated by the truncated tail and cannot be trusted.
+    The kernel decays like exp(-(x - y)^2 / (2 tau)); its most pessimistic
+    exponent is taken over the output points x in out_ends.  If
+    |f(y)| e^{expo(y)} peaks in the outer 5% of the nodes, the integral is
+    dominated by the truncated tail and cannot be trusted.
     """
+    xq, _, fq = nodes
     mag = np.abs(fq)
     if not np.any(mag > 0):
         return
+    tail = np.max([-((xq - x) ** 2) for x in out_ends], axis=0) / (2.0 * tau)
     with np.errstate(divide="ignore"):
-        score = np.log(np.where(mag > 0, mag, np.min(mag[mag > 0]))) + kern_tail_expo(xq)
+        score = np.log(np.where(mag > 0, mag, np.min(mag[mag > 0]))) + tail
     peak = int(np.argmax(score))
     if peak >= int(0.95 * (len(xq) - 1)) and score[peak] > score[len(xq) // 2] + 1.0:
         raise DivergenceRisk(
@@ -411,17 +438,12 @@ def _lform_support_check(mat: SympMat2, field: SampledField, outmax: float, xmax
         )
 
 
-def _linear_phase_total(mat: SympMat2, xmax: float, outmax: float) -> float:
-    return (abs(mat.a) * xmax**2 + 2.0 * outmax * xmax) / (2.0 * abs(mat.b))
-
-
 def _linear_ct_gl(mat: SympMat2, field: SampledField, out_x: np.ndarray,
                   cfg: QuadratureConfig, matching: complex) -> np.ndarray:
-    xmax = max(abs(field.grid.start), abs(field.grid.end))
     outmax = float(np.max(np.abs(out_x))) if len(out_x) else 0.0
-    if mat.is_l_form() and not mat.is_real():
-        _lform_support_check(mat, field, outmax, xmax)
-    xq, wq, fq = _source_nodes(field, cfg, _linear_phase_total(mat, xmax, outmax))
+    if _real_exponent(mat):
+        _lform_support_check(mat, field, outmax, max(abs(field.grid.start), abs(field.grid.end)))
+    xq, wq, fq = _source_nodes(field, cfg, mat, outmax)
     b = mat.b
     expo = (0.5j / b) * (
         mat.a * xq[None, :] ** 2 + mat.d * out_x[:, None] ** 2
@@ -538,10 +560,11 @@ def poisson_propagate(field, t: float, out_grid: Grid1D,
     xo = out_grid.points
     if isinstance(field, SampledField):
         _require_full_line(field)
-        xq, wq, fq = _source_nodes(field, cfg, 0.0, edge_check=False)
         xo_min, xo_max = float(np.min(xo)), float(np.max(xo))
-        _kernel_beats_growth(field, xq, wq, fq,
-                             lambda y: -np.minimum((y - xo_max) ** 2, (y - xo_min) ** 2) / (2.0 * t))
+        nodes = _source_nodes(field, cfg, mat_poisson(t), max(abs(xo_min), abs(xo_max)),
+                              edge_check=False)
+        _kernel_beats_growth(field, nodes, t, (xo_min, xo_max))
+        xq, wq, fq = nodes
         kern = _guarded_exp(-((xo[:, None] - xq[None, :]) ** 2) / (2.0 * t))
         vals = (kern @ (wq * fq)) / math.sqrt(2.0 * math.pi * t)
         return SampledField(out_grid, vals, field.geometry, field.evol + t)
@@ -560,34 +583,89 @@ def poisson_propagate(field, t: float, out_grid: Grid1D,
 
 # ---------------------------------------------------------------------------
 # radial engines
+#
+# Each radial engine is the kernel of one matrix: it names the matrix, the
+# Bessel order nu, the weight powers (cross, row, col) of r y, r and y, and a
+# matching factor (the table in the README's numerical notes).
 
-def _bessel_sum(name: str, ro: np.ndarray, nodes, bessel, nu: float, k: float,
-                expo=None, cross: float = 0.0, row: float = 0.0,
-                col: float = 0.0) -> np.ndarray:
-    """Quadrature of the radial kernel shared by the Bessel-J and Bessel-I engines.
+_HANKEL_MAT = SympMat2(0.0, 1.0, -1.0, 0.0)
+_RADIAL_LAPLACE_MAT = SympMat2(0.0, 1j, 1j, 0.0)
 
-    Returns sum_j exp(expo(r, y_j)) Z_nu(|k| r y_j) (r y_j)^cross r^row y_j^col
-    w_j f_j for every output point r, with Z = specfun.bessel_j or
-    specfun.bessel_i_scaled; Bessel-I engines fold the +|k| r y of the scaled
-    function into expo.  On the axis the kernel behaves like r^(nu+cross+row):
-    a positive power gives a zero row, power zero the finite limit
-    (|k| y/2)^nu / Gamma(nu+1) y^cross y^col e^{expo(0, y)}, and a negative
-    power has no finite value, so an r = 0 output point is rejected.
+
+def _dim_weights(n_dim: float):
+    """Weight powers (cross, row, col) of the n-dimensional radial kernel."""
+    return (1.0 - n_dim / 2.0, 0.0, n_dim - 1.0)
+
+
+def _type_weights(kind: int, nu_prime: float):
+    """Weight powers (cross, row, col) of the first or second Hankel-type kernel."""
+    if kind not in (1, 2):
+        raise ValueError(f"kind must be 1 or 2, got {kind!r}")
+    weight = 1.0 + 2.0 * nu_prime  # on the output variable (kind 1) or the input (kind 2)
+    return (-nu_prime, weight, 0.0) if kind == 1 else (-nu_prime, 0.0, weight)
+
+
+def _kernel_exponent(mat: SympMat2, r, y):
+    """Exponent of the exponential factor of the radial kernel, or None when it is 1.
+
+    Real B: i (A y^2 + D r^2) / 2B.  L-form B = i beta: the real exponent
+    (A y^2 + D r^2)/(2 beta) + r y/|beta|, which includes the e^{r y/|beta|}
+    the scaled Bessel-I function leaves out.  It is computed as
+    ((y + sgn(beta) r)^2 + (A - 1) y^2 + (D - 1) r^2)/(2 beta), so that a
+    Gaussian convolution (A = D = 1) gets -(y - r)^2/(2|beta|) without
+    cancellation.
+    """
+    if _real_exponent(mat):
+        beta, a, d = mat.b.imag, mat.a.real, mat.d.real
+        expo = (y + math.copysign(1.0, beta) * r) ** 2
+        if a != 1.0 or d != 1.0:
+            expo = expo + (a - 1.0) * y**2 + (d - 1.0) * r**2
+        return expo / (2.0 * beta)
+    if mat.a == 0 and mat.d == 0:
+        return None
+    return (0.5j / mat.b.real) * (mat.a.real * y**2 + mat.d.real * r**2)
+
+
+def _bessel_sum(name: str, mat: SympMat2, ro: np.ndarray, nodes, nu: float,
+                weights) -> np.ndarray:
+    """Quadrature of the radial kernel of `mat`, shared by every radial engine.
+
+    Returns (-i)^(nu+1)/B sum_j e^{i(A y_j^2 + D r^2)/2B} J_nu(r y_j/B)
+    (r y_j)^cross r^row y_j^col w_j f_j for every output point r.  Real B
+    gives the Bessel-J kernel, with the J_nu parity (integer nu only) for
+    B < 0.  An L-form B = i beta gives the Bessel-I kernel through
+    J_nu(r y/(i beta)) = e^{-i pi nu sgn(beta)/2} I_nu(r y/|beta|), evaluated
+    as the exponentially scaled I_nu.  On the axis the kernel behaves like
+    r^(nu+cross+row): a positive power gives a zero row, power zero the finite
+    limit (y/2|B|)^nu / Gamma(nu+1) y^cross y^col e^{expo(0, y)}, and a
+    negative power has no finite value, so an r = 0 output point is rejected.
     """
     xq, wq, fq = nodes
+    cross, row, col = weights
     power = nu + cross + row
     axis = ro == 0.0
     if power < -1e-12 and np.any(axis):
         raise ValueError(f"{name}: output grid must start above r = 0 for these parameters")
-    k = abs(k)
+    if _real_exponent(mat):
+        beta = mat.b.imag
+        bessel, k = specfun.bessel_i_scaled, 1.0 / abs(beta)
+        rotation = cmath.exp(-0.5j * math.pi * nu * math.copysign(1.0, beta))
+        pref = (-1j) ** (nu + 1.0) / mat.b * rotation
+    else:
+        b = mat.b.real
+        if b < 0 and abs(nu - round(nu)) > 1e-9:
+            raise ValueError("negative B with non-integer Bessel order is not supported")
+        bessel, k = specfun.bessel_j, 1.0 / abs(b)
+        pref = (-1j) ** (nu + 1.0) / b * ((-1.0) ** round(nu) if b < 0 else 1.0)
     wf = wq * fq if col == 0.0 else wq * xq**col * fq
     rxy = ro[:, None] * xq[None, :]
     kern = bessel(nu, rxy if k == 1.0 else k * rxy)
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows are set below
         if cross != 0.0:
             kern *= rxy**cross
+        expo = _kernel_exponent(mat, ro[:, None], xq[None, :])
         if expo is not None:
-            ekern = _guarded_exp(expo(ro[:, None], xq[None, :]))
+            ekern = _guarded_exp(expo)
             ekern *= kern
             kern = ekern
         vals = kern @ wf
@@ -596,12 +674,42 @@ def _bessel_sum(name: str, ro: np.ndarray, nodes, bessel, nu: float, k: float,
     if np.any(axis):
         if abs(power) <= 1e-12:
             limit = (0.5 * k * xq) ** nu / math.gamma(nu + 1.0) * xq**cross
+            expo = _kernel_exponent(mat, 0.0, xq)
             if expo is not None:
-                limit = limit * _guarded_exp(expo(0.0, xq))
+                limit = limit * _guarded_exp(expo)
             vals[axis] = limit @ wf
         else:
             vals[axis] = 0.0
-    return vals
+    return pref * vals
+
+
+def _radial(name: str, field: SampledField, mat: SympMat2, out_grid: Grid1D,
+            cfg: QuadratureConfig, nu: float, weights, matching: complex = 1.0,
+            evol_shift: float = 0.0, diffusion: bool = False) -> SampledField:
+    """Matching factor times the radial kernel of `mat` applied to a half-line field.
+
+    At B = 0 the kernel is the point map r -> r/|A|: |A|^(-cross-col)
+    e^{i C r^2/2A} f(r/|A|), times e^{-i pi (nu+1)} for A < 0, where the
+    stationary point comes from the other half of J_nu.  This form needs
+    2 cross + row + col = 1, which holds for every engine that reaches B = 0.
+    A Gaussian-convolution kernel (diffusion) replaces the edge check with
+    the growth guard.
+    """
+    ro = out_grid.points
+    if abs(mat.b) <= GEOMETRIC_B_TOL:
+        cross, _, col = weights
+        a = mat.a.real
+        vals = (abs(a) ** (-cross - col) * np.exp(0.5j * (mat.c / mat.a) * ro**2)
+                * _interpolant(field)(ro / abs(a)))
+        if a < 0:
+            vals *= cmath.exp(-1j * math.pi * (nu + 1.0))
+    else:
+        ro_max = float(np.max(ro))
+        nodes = _source_nodes(field, cfg, mat, ro_max, edge_check=not diffusion)
+        if diffusion:
+            _kernel_beats_growth(field, nodes, abs(mat.b), (ro_max,))
+        vals = _bessel_sum(name, mat, ro, nodes, nu, weights)
+    return SampledField(out_grid, matching * vals, field.geometry, field.evol + evol_shift)
 
 
 def hankel(field: SampledField, m: int, out_grid: Grid1D,
@@ -609,15 +717,8 @@ def hankel(field: SampledField, m: int, out_grid: Grid1D,
     """Hankel transform of order m with the r' dr' measure."""
     _require_half_line(field)
     _check_radial_index(field, m)
-    ro = out_grid.points
-    nodes = _source_nodes(field, cfg, field.grid.end * float(np.max(ro)))
-    vals = _bessel_sum("hankel", ro, nodes, specfun.bessel_j, m, 1.0, col=1.0)
-    return SampledField(out_grid, vals, field.geometry, field.evol)
-
-
-def _resample_half_line(field: SampledField, out_grid: Grid1D) -> SampledField:
-    vals = _interpolant(field)(out_grid.points)
-    return SampledField(out_grid, vals, field.geometry, field.evol)
+    return _radial("hankel", field, _HANKEL_MAT, out_grid, cfg, m, _dim_weights(2.0),
+                   1j ** (m + 1))
 
 
 def fr_hankel(field: SampledField, m: int, alpha: float, out_grid: Grid1D,
@@ -625,20 +726,8 @@ def fr_hankel(field: SampledField, m: int, alpha: float, out_grid: Grid1D,
     """Fractional Hankel transform of order m (2-periodic in alpha)."""
     _require_half_line(field)
     _check_radial_index(field, m)
-    phi = alpha * math.pi / 2.0
-    s, c = math.sin(phi), math.cos(phi)
-    if abs(s) <= GEOMETRIC_B_TOL:
-        return _resample_half_line(field, out_grid)
-    ro = out_grid.points
-    nodes = _source_nodes(
-        field, cfg,
-        (abs(c) * field.grid.end**2 + 2 * field.grid.end * float(np.max(ro))) / (2 * abs(s)),
-    )
-    sign = (-1.0) ** m if s < 0 else 1.0
-    pref = cmath.exp(1j * (m + 1) * (phi - math.pi / 2.0)) / s
-    vals = _bessel_sum("fr_hankel", ro, nodes, specfun.bessel_j, m, 1.0 / s,
-                       expo=lambda x, y: (0.5j * c / s) * (y**2 + x**2), col=1.0)
-    return SampledField(out_grid, pref * sign * vals, field.geometry, field.evol)
+    return _radial("fr_hankel", field, mat_fourier(alpha), out_grid, cfg, m, _dim_weights(2.0),
+                   cmath.exp(0.5j * math.pi * (m + 1) * alpha))
 
 
 def radial_ct(field: SampledField, mat: SympMat2, n_dim: float, m_idx: int,
@@ -654,35 +743,8 @@ def radial_ct(field: SampledField, mat: SympMat2, n_dim: float, m_idx: int,
     _check_radial_index(field, m_idx)
     if not mat.is_real(1e-12):
         raise ValueError("radial_ct handles real matrices; use the Laplace-type kernels otherwise")
-    if abs(mat.b) <= GEOMETRIC_B_TOL:
-        return _radial_geometric(field, mat, n_dim, m_idx, out_grid)
-    a, b, d = mat.a.real, mat.b.real, mat.d.real
-    nu = n_dim / 2.0 + m_idx - 1.0
-    if b < 0 and abs(nu - round(nu)) > 1e-9:
-        raise ValueError("negative B with non-integer Bessel order is not supported")
-    sign = (-1.0) ** round(nu) if b < 0 else 1.0  # J_nu parity for negative kernel argument
-    ro = out_grid.points
-    nodes = _source_nodes(
-        field, cfg,
-        (abs(a) * field.grid.end**2 + abs(d) * float(np.max(ro)) ** 2
-         + 2 * field.grid.end * float(np.max(ro))) / (2 * abs(b)),
-    )
-    pref = (-1j) ** (m_idx + n_dim / 2.0) / b
-    vals = _bessel_sum("radial_ct", ro, nodes, specfun.bessel_j, nu, 1.0 / b,
-                       expo=lambda x, y: (0.5j / b) * (a * y**2 + d * x**2),
-                       cross=1.0 - n_dim / 2.0, col=n_dim - 1.0)
-    return SampledField(out_grid, pref * sign * vals, field.geometry, field.evol + evol_shift)
-
-
-def _radial_geometric(field: SampledField, mat: SympMat2, n_dim: float, m_idx: int,
-                      out_grid: Grid1D) -> SampledField:
-    a = mat.a.real
-    pts = out_grid.points / abs(a)
-    interp = _interpolant(field)(pts)
-    parity = (-1.0) ** m_idx if a < 0 else 1.0
-    pref = parity * complex(a) ** (-n_dim / 2.0)
-    vals = pref * np.exp(0.5j * (mat.c / mat.a) * out_grid.points**2) * interp
-    return SampledField(out_grid, vals, field.geometry, field.evol)
+    return _radial("radial_ct", field, mat, out_grid, cfg, n_dim / 2.0 + m_idx - 1.0,
+                   _dim_weights(n_dim), evol_shift=evol_shift)
 
 
 def radial_propagate(field: SampledField, zeta: float, m_idx: int, out_grid: Grid1D,
@@ -694,31 +756,21 @@ def radial_propagate(field: SampledField, zeta: float, m_idx: int, out_grid: Gri
 def hankel_type(field: SampledField, kind: int, nu: float, nu_prime: float,
                 out_grid: Grid1D, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
     """First or second Hankel-type transform of order nu, parameter nu'."""
+    weights = _type_weights(kind, nu_prime)
     _require_half_line(field)
     geo = field.geometry
     if isinstance(geo, RadialType) and (abs(geo.nu - nu) > 1e-12 or abs(geo.nu_prime - nu_prime) > 1e-12):
         raise GeometryMismatch("field radial-type parameters do not match the transform")
-    ro = out_grid.points
-    nodes = _source_nodes(field, cfg, field.grid.end * float(np.max(ro)))
-    weight = 1.0 + 2.0 * nu_prime  # on the output variable (kind 1) or the input (kind 2)
-    vals = _bessel_sum("hankel_type", ro, nodes, specfun.bessel_j, nu, 1.0, cross=-nu_prime,
-                       row=weight if kind == 1 else 0.0, col=0.0 if kind == 1 else weight)
-    return SampledField(out_grid, vals, field.geometry, field.evol)
+    return _radial("hankel_type", field, _HANKEL_MAT, out_grid, cfg, nu, weights, 1j ** (nu + 1.0))
 
 
 def radial_laplace(field: SampledField, kind: int, nu: float, nu_prime: float,
                    out_grid: Grid1D, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
     """Radial-Laplace-type transform (Bessel-I kernel, phase exp(-i pi (1+nu)))."""
+    weights = _type_weights(kind, nu_prime)
     _require_half_line(field)
     _require_gaussian_decay(field)
-    ro = out_grid.points
-    nodes = _source_nodes(field, cfg, 0.0)
-    weight = 1.0 + 2.0 * nu_prime
-    vals = _bessel_sum("radial_laplace", ro, nodes, specfun.bessel_i_scaled, nu, 1.0,
-                       expo=lambda x, y: x * y, cross=-nu_prime,
-                       row=weight if kind == 1 else 0.0, col=0.0 if kind == 1 else weight)
-    phase = cmath.exp(-1j * math.pi * (1.0 + nu))
-    return SampledField(out_grid, phase * vals, field.geometry, field.evol)
+    return _radial("radial_laplace", field, _RADIAL_LAPLACE_MAT, out_grid, cfg, nu, weights)
 
 
 def fr_radial_laplace(field: SampledField, alpha: float, nu: float, nu_prime: float,
@@ -731,19 +783,8 @@ def fr_radial_laplace(field: SampledField, alpha: float, nu: float, nu_prime: fl
     """
     _require_half_line(field)
     _require_gaussian_decay(field)
-    phi = alpha * math.pi / 2.0
-    s, c = math.sin(phi), math.cos(phi)
-    if abs(s) <= GEOMETRIC_B_TOL:
-        return _resample_half_line(field, out_grid)
-    ro = out_grid.points
-    nodes = _source_nodes(field, cfg, 0.0)
-    vals = _bessel_sum("fr_radial_laplace", ro, nodes, specfun.bessel_i_scaled, nu, 1.0 / s,
-                       expo=lambda x, y: (0.5 * c / s) * (y**2 + x**2) + x * y / abs(s),
-                       cross=-nu_prime, row=1.0 + 2.0 * nu_prime)
-    # phase of the J -> I rotation folded with the kernel's (-i)^(m+n/2)/B
-    phase = cmath.exp(-0.5j * math.pi * (nu + 1.0)) / (1j * s) \
-        * cmath.exp(-0.5j * math.pi * math.copysign(1.0, s) * nu)
-    return SampledField(out_grid, phase * vals, field.geometry, field.evol)
+    return _radial("fr_radial_laplace", field, mat_laplace(alpha), out_grid, cfg, nu,
+                   _type_weights(1, nu_prime))
 
 
 def bessel_exp(field: SampledField, beta: float, nu: float, nu_prime: float,
@@ -752,14 +793,8 @@ def bessel_exp(field: SampledField, beta: float, nu: float, nu_prime: float,
     if beta <= 0:
         raise ValueError("beta must be positive")
     _require_half_line(field)
-    ro = out_grid.points
-    nodes = _source_nodes(field, cfg, 0.0, edge_check=False)
-    ro_max = float(np.max(ro))
-    _kernel_beats_growth(field, *nodes, lambda y: -((y - ro_max) ** 2) / (4.0 * beta))
-    vals = _bessel_sum("bessel_exp", ro, nodes, specfun.bessel_i_scaled, nu, 1.0 / (2.0 * beta),
-                       expo=lambda x, y: -((x - y) ** 2) / (4.0 * beta),
-                       cross=-nu_prime, row=1.0 + 2.0 * nu_prime)
-    return SampledField(out_grid, vals / (2.0 * beta), field.geometry, field.evol)
+    return _radial("bessel_exp", field, mat_poisson(2.0 * beta), out_grid, cfg, nu,
+                   _type_weights(1, nu_prime), diffusion=True)
 
 
 def bessel_exp_quarter_turn(field: SampledField, nu: float, nu_prime: float,
@@ -772,13 +807,8 @@ def bessel_exp_quarter_turn(field: SampledField, nu: float, nu_prime: float,
     reproduces the first Hankel-type transform.
     """
     _require_half_line(field)
-    ro = out_grid.points
-    nodes = _source_nodes(field, cfg, field.grid.end * float(np.max(ro)))
-    vals = _bessel_sum("bessel_exp_quarter_turn", ro, nodes, specfun.bessel_j, nu, 1.0,
-                       expo=lambda x, y: 0.5j * (x**2 + y**2),
-                       cross=-nu_prime, row=1.0 + 2.0 * nu_prime)
-    phase = -1j * cmath.exp(-0.5j * math.pi * nu)
-    return SampledField(out_grid, phase * vals, field.geometry, field.evol)
+    return _radial("bessel_exp_quarter_turn", field, mat_free(1.0), out_grid, cfg, nu,
+                   _type_weights(1, nu_prime))
 
 
 def radial_heat_propagate(field, t: float, mu: float, out_grid: Grid1D,
@@ -789,26 +819,19 @@ def radial_heat_propagate(field, t: float, mu: float, out_grid: Grid1D,
         raise ValueError("diffusion time must be positive")
     if mu <= 1:
         raise ValueError("mu must exceed 1")
-    ro = out_grid.points
+    mat = mat_poisson(t)
     if isinstance(field, SampledField):
         _require_half_line(field)
-        nodes = _source_nodes(field, cfg, 0.0, edge_check=False)
-        ro_max = float(np.max(ro))
-        _kernel_beats_growth(field, *nodes, lambda y: -((y - ro_max) ** 2) / (2.0 * t))
-        evol = field.evol + t
-        geometry = field.geometry
-    else:
-        hi = out_grid.end + 12.0 * math.sqrt(t)
-        panels = _panel_count(cfg, 0.0, out_grid.count)
-        xq, wq = _gl_nodes(0.0, hi, panels, cfg.nodes_per_panel)
-        fn = (lambda y: field.eval(y, source_evol)) if isinstance(field, AnalyticField) else field
-        nodes = (xq, wq, np.asarray(fn(xq), dtype=complex))
-        evol = source_evol + t
-        geometry = RadialDim(mu, 0)
-    vals = _bessel_sum("radial_heat_propagate", ro, nodes, specfun.bessel_i_scaled,
-                       mu / 2.0 - 1.0, 1.0 / t, expo=lambda x, y: -((x - y) ** 2) / (2.0 * t),
-                       row=1.0 - mu / 2.0, col=mu / 2.0)
-    return SampledField(out_grid, vals / t, geometry, evol)
+        return _radial("radial_heat_propagate", field, mat, out_grid, cfg, mu / 2.0 - 1.0,
+                       _dim_weights(mu), evol_shift=t, diffusion=True)
+    ro = out_grid.points
+    hi = out_grid.end + 12.0 * math.sqrt(t)
+    panels = _panel_count(cfg, mat, hi, float(np.max(ro)), out_grid.count)
+    xq, wq = _gl_nodes(0.0, hi, panels, cfg.nodes_per_panel)
+    fn = (lambda y: field.eval(y, source_evol)) if isinstance(field, AnalyticField) else field
+    nodes = (xq, wq, np.asarray(fn(xq), dtype=complex))
+    vals = _bessel_sum("radial_heat_propagate", mat, ro, nodes, mu / 2.0 - 1.0, _dim_weights(mu))
+    return SampledField(out_grid, vals, RadialDim(mu, 0), source_evol + t)
 
 
 def barut_girardello(field: SampledField, n_dim: float, m_idx: int, out_grid: Grid1D,
@@ -816,13 +839,8 @@ def barut_girardello(field: SampledField, n_dim: float, m_idx: int, out_grid: Gr
     """Bessel-I radial transform built on the Bargmann matrix, forward direction."""
     _require_half_line(field)
     _require_gaussian_decay(field)
-    ro = out_grid.points
-    nodes = _source_nodes(field, cfg, 0.0)
-    vals = _bessel_sum("barut_girardello", ro, nodes, specfun.bessel_i_scaled,
-                       n_dim / 2.0 + m_idx - 1.0, math.sqrt(2.0),
-                       expo=lambda x, y: -0.5 * (x**2 + y**2) + math.sqrt(2.0) * x * y,
-                       cross=1.0 - n_dim / 2.0)
-    return SampledField(out_grid, math.sqrt(2.0) * vals, field.geometry, field.evol)
+    return _radial("barut_girardello", field, mat_bargmann(), out_grid, cfg,
+                   n_dim / 2.0 + m_idx - 1.0, (1.0 - n_dim / 2.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

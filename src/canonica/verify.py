@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -831,21 +830,9 @@ def run_suite(names=None) -> dict:
     selected = CHECKS if not names else [c for c in CHECKS if c[0] in names or str(c[1]) in names]
     if names and not selected:
         raise ValueError(f"no checks match {names!r}")
-    max_workers = int(os.environ.get("CANONICA_THREADS", "1") or "1")
-    results = {}
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {cid: pool.submit(fn) for cid, _, fn in selected}
-        for cid, fut in futures.items():
-            results[cid] = fut.result()
-    else:
-        for cid, _, fn in selected:
-            results[cid] = fn()
     checks = []
-    for cid, criterion, _ in selected:
-        r = results[cid]
+    for cid, criterion, fn in selected:
+        r = fn()
         passed = r.get("passed", r["max_abs"] <= r["tolerance"])
         row = {"check_id": cid, "criterion": criterion, "params": {},
                "max_abs": r["max_abs"], "tolerance": r["tolerance"], "pass": bool(passed)}

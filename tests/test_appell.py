@@ -38,10 +38,9 @@ from canonica.appell import (
     AppellSpec,
     appell_analytic,
     appell_numeric,
-    effective_matrix,
     self_appell_eigencheck,
 )
-from canonica.symplectic import mat_appell
+from canonica import transforms
 from canonica.transforms import QuadratureConfig, frft
 
 EK = EquationKind
@@ -346,18 +345,6 @@ def test_self_appell_eigenchecks():
         self_appell_eigencheck("xx", 0, 1.0, 0.0, ghg)
 
 
-def test_effective_matrix_equals_appell_matrix():
-    for spec in [
-        AppellSpec(EK.PWE, alpha=0.7, evol=1.1),
-        AppellSpec(EK.HEAT, alpha=1.0, evol=0.6),
-        AppellSpec(EK.RADIAL_PWE, alpha=1.3, evol=0.9, m=2),
-        AppellSpec(EK.RADIAL_HEAT, alpha=0.5, evol=0.4, mu=3.0),
-    ]:
-        m = effective_matrix(spec)
-        ref = mat_appell(spec.equation, spec.effective_alpha, spec.evol)
-        assert m.approx_eq(ref, 1e-12)
-
-
 # ---------------------------------------------------------------------------
 # numeric path
 
@@ -401,6 +388,27 @@ def test_numeric_zero_evol_is_bare_transform():
     ref = frft(src, 1.0, GRID_L)
     assert rel_l2(num.values, ref.values) < 1e-12
     assert num.evol == 0.0
+
+
+def test_numeric_zero_evol_is_bare_transform_for_every_other_kind():
+    full = Grid1D.from_span(GridKind.FULL_LINE, -10.0, 10.0, 512)
+    half = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 12.0, 512)
+    out_full = Grid1D.from_span(GridKind.FULL_LINE, -2.0, 2.0, 96)
+    out_half = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 3.0, 96)
+    mu = 3.0
+    cases = [
+        (AppellSpec(EK.HEAT, alpha=0.7), sample(Gauss(0.5, 0.0, EK.HEAT), full, 0.0), out_full,
+         lambda f: transforms.fr_laplace(f, 0.7, out_full).values * cmath.exp(-0.175j * math.pi)),
+        (AppellSpec(EK.RADIAL_PWE, alpha=0.6, m=1), sample(StdLG(1, 1), half, 0.0), out_half,
+         lambda f: transforms.fr_hankel(f, 1, 0.6, out_half).values),
+        (AppellSpec(EK.RADIAL_HEAT, alpha=0.6, mu=mu), sample(_RadialGauss(0.7, mu), half, 0.0),
+         out_half,
+         lambda f: transforms.fr_radial_laplace(f, 0.6, mu / 2 - 1, -mu / 2, out_half).values),
+    ]
+    for spec, src, out, bare in cases:
+        num = appell_numeric(src, spec, out, mid_grid=out)
+        assert rel_l2(num.values, bare(src)) < 1e-12
+        assert num.evol == 0.0
 
 
 class _ApodizedSquare(AnalyticField):
@@ -511,6 +519,18 @@ def test_numeric_radial_heat_fractional_cross_path():
     num = appell_numeric(src, spec, out, CFG16, mid_grid=mid)
     ana = appell_analytic(f, spec).eval(out.points, 0.4)
     assert rel_l2(num.values, np.asarray(ana)) < 1e-5
+
+
+def test_numeric_radial_heat_order_two_matches_analytic():
+    # alpha = 2 puts the fractional stage on its B = 0 point map
+    mu = 3.0
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 18.0, 1536)
+    out = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 6.0, 256)
+    f = _RadialGauss(1.0, mu)
+    spec = AppellSpec(EK.RADIAL_HEAT, alpha=2.0, evol=0.4, mu=mu)
+    num = appell_numeric(sample(f, grid, 0.0), spec, out, CFG16)
+    ana = appell_analytic(f, spec).eval(out.points, 0.4)
+    assert rel_l2(num.values, np.asarray(ana)) < 1e-10
 
 
 def test_numeric_heat_divergent_composition_raises():

@@ -128,6 +128,19 @@ def test_transform_and_propagate(tmp_path):
                    "--out", str(out)) == 1
 
 
+def test_propagate_radial_heat_uses_the_given_mu(tmp_path):
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 8.0, 128)
+    src, out = tmp_path / "src.csv", tmp_path / "out.csv"
+    write_field(SampledField(grid, np.exp(-grid.points**2) + 0j), src)
+    args = ("propagate", "--eq", "radial-heat", "--evol", "0.3", "--in", str(src),
+            "--out", str(out))
+    assert run_cli(*args, "--mu", "0") == 2  # mu must exceed 1, as for --mu 0.5
+    assert run_cli(*args, "--mu", "0.5") == 2
+    assert run_cli(*args) == 0  # mu defaults to 2
+    ref = transforms.radial_heat_propagate(read_field(src), 0.3, 2.0, grid)
+    assert np.array_equal(read_field(out).values, ref.values)
+
+
 def test_transform_spec_json(tmp_path):
     src = tmp_path / "src.csv"
     out = tmp_path / "out.csv"

@@ -30,7 +30,9 @@ from canonica.symplectic import (
     inverse,
     mat_fourier,
     mat_free,
+    mat_laplace,
     mat_lens,
+    mat_poisson,
     mat_scale,
 )
 from canonica import transforms
@@ -465,3 +467,42 @@ def test_apply_is_linear(name, a, b):
     lhs = apply(spec, both, grid, CFG16).values
     scale = abs(a) * np.max(np.abs(tf)) + abs(b) * np.max(np.abs(tg))
     assert np.max(np.abs(lhs - (a * tf + b * tg))) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("engine", [hankel_type, radial_laplace])
+@pytest.mark.parametrize("kind", [0, 3])
+def test_kind_outside_one_and_two_is_rejected(engine, kind):
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 8.0, 128)
+    fld = SampledField(grid, np.exp(-grid.points**2) + 0j)
+    with pytest.raises(ValueError, match="kind"):
+        engine(fld, kind, 0.5, 0.0, grid, CFG16)
+
+
+@pytest.mark.parametrize("mat", [mat_laplace(1.0), mat_laplace(1.5), mat_laplace(1.9),
+                                 mat_laplace(1.99), mat_poisson(0.5), mat_poisson(0.005),
+                                 compose(mat_free(0.4), mat_lens(0.8))],
+                         ids=["laplace-1", "laplace-1.5", "laplace-1.9", "laplace-1.99",
+                              "poisson-0.5", "poisson-0.005", "real"])
+def test_gl_panel_rule_on_unit_gaussian(mat):
+    # L-form kernels get panels by sample count only; a unit Gaussian has the
+    # closed-form image (A + iB)^(-1/2) exp(i (C + iD) x^2 / (2 (A + iB)))
+    out = Grid1D.from_span(GridKind.FULL_LINE, -2.0, 2.0, 65)
+    src = SampledField(FULL, np.exp(-FULL.points**2 / 2) + 0j)
+    num = linear_ct(mat, src, out, QuadratureConfig(scheme="gauss-legendre"))
+    q = mat.a + 1j * mat.b
+    exact = q**-0.5 * np.exp(1j * (mat.c + 1j * mat.d) * out.points**2 / (2 * q))
+    assert rel_l2(num.values, exact) <= 1e-11
+
+
+def test_fr_radial_laplace_order_two_is_the_limit_from_below():
+    # at alpha = 2 (B = 0) the kernel's point map gives e^{-i pi (nu+1)} f,
+    # the value the transform approaches as alpha -> 2 from below
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 12.0, 1024)
+    out = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 3.0, 64)
+    fld = SampledField(grid, np.exp(-grid.points**2) + 0j)
+    nu, nup = 0.5, -1.5
+    at_two = transforms.fr_radial_laplace(fld, 2.0, nu, nup, out).values
+    ref = cmath.exp(-1j * math.pi * (nu + 1)) * np.exp(-out.points**2)
+    assert rel_l2(at_two, ref) < 1e-12
+    near = transforms.fr_radial_laplace(fld, 1.999, nu, nup, out).values
+    assert rel_l2(near, at_two) < 1e-2

@@ -155,11 +155,3 @@ def test_suite_is_deterministic_in_process():
 def test_check_registry_covers_every_criterion():
     crits = {c[1] for c in CHECKS}
     assert crits == set(range(1, 11))
-
-
-def test_run_suite_threaded(monkeypatch):
-    monkeypatch.setenv("CANONICA_THREADS", "4")
-    seq = run_suite(["m1-laplace-similarity", "g9-generating-function"])
-    monkeypatch.delenv("CANONICA_THREADS")
-    ref = run_suite(["m1-laplace-similarity", "g9-generating-function"])
-    assert json.dumps(seq, sort_keys=True) == json.dumps(ref, sort_keys=True)
