@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
+from . import specfun
 from .common import Direction, EquationKind, EquationMismatch, SingularEvol
 from .fields import (
     AnalyticField,
@@ -118,10 +118,6 @@ def _check_match(src: AnalyticField, spec: AppellSpec):
             raise EquationMismatch("field dimension and map mu differ")
 
 
-# quadrature for the on-locus branch (source-transform) evaluations
-_BRANCH_NODES, _BRANCH_WEIGHTS = leggauss(48)
-
-
 def _decay_radius(fn, start: float = 4.0, cap: float = 48.0) -> float:
     r = start
     while r < cap:
@@ -135,36 +131,21 @@ def _decay_radius(fn, start: float = 4.0, cap: float = 48.0) -> float:
     )
 
 
-def _panelled_quad(fn, lo: float, hi: float, panels: int = 40) -> complex:
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    xq = (mid[:, None] + half[:, None] * _BRANCH_NODES[None, :]).ravel()
-    wq = (half[:, None] * _BRANCH_WEIGHTS[None, :]).ravel()
-    return complex(np.sum(wq * fn(xq)))
-
-
+# the on-locus branch (source-transform) evaluations use 40 panels of 48
+# Gauss-Legendre nodes over the slice's decay radius
 def _fourier_at(src: AnalyticField, zeta: float, k: np.ndarray) -> np.ndarray:
     """Mathematical Fourier transform of the field's fixed-evolution slice."""
     fn = lambda x: src.eval(x, zeta)  # noqa: E731
     radius = _decay_radius(fn)
-    out = np.empty(len(k), dtype=complex)
-    for i, kv in enumerate(k):
-        out[i] = _panelled_quad(lambda x: fn(x) * np.exp(-1j * kv * x), -radius, radius)
-    return out / math.sqrt(2.0 * math.pi)
+    xq, wq = transforms._gl_nodes(-radius, radius, 40, 48)
+    return np.exp(-1j * np.outer(k, xq)) @ (wq * fn(xq)) / math.sqrt(2.0 * math.pi)
 
 
 def _hankel_at(src: AnalyticField, m: int, zeta: float, k: np.ndarray) -> np.ndarray:
-    from . import specfun
-
     fn = lambda x: src.eval(x, zeta)  # noqa: E731
     radius = _decay_radius(lambda x: fn(np.abs(x)))
-    out = np.empty(len(k), dtype=complex)
-    for i, kv in enumerate(k):
-        out[i] = _panelled_quad(
-            lambda x: fn(x) * specfun.bessel_j(m, np.abs(kv * x)) * x, 0.0, radius
-        )
-    return out
+    xq, wq = transforms._gl_nodes(0.0, radius, 40, 48)
+    return specfun.bessel_j(m, np.abs(np.outer(k, xq))) @ (wq * xq * fn(xq))
 
 
 class AppellImage(AnalyticField):
@@ -237,8 +218,7 @@ def _bare_fr_laplace(source, alpha, m, mu, grid, cfg):
     # the caloric map is built on the bare kernel transform: strip the
     # i^(alpha/2) matching factor carried by the fractional Laplace
     stage = transforms.fr_laplace(source, alpha, grid, cfg)
-    return SampledField(stage.grid, stage.values * cmath.exp(-0.25j * math.pi * alpha),
-                        stage.geometry, stage.evol)
+    return replace(stage, values=stage.values * cmath.exp(-0.25j * math.pi * alpha))
 
 
 # equation -> (fractional stage, kernel propagator), called as
@@ -285,7 +265,7 @@ def appell_numeric(source: SampledField, spec: AppellSpec, out_grid: Grid1D,
             out = transforms.linear_ct(IDENTITY, stage, out_grid, cfg)
     else:
         out = propagate(stage, spec.evol, spec.m, spec.mu, out_grid, cfg)
-    return transforms.with_evol(out, spec.evol)
+    return replace(out, evol=spec.evol)
 
 
 def self_appell_eigencheck(mode: str, n: int, alpha: float, zeta: float,

@@ -27,7 +27,7 @@ from .common import (
     LaplaceSingular,
     SingularEvol,
 )
-from .fields import FAMILIES, Grid1D, GridKind, read_field, sample, write_field
+from .fields import FAMILIES, Grid1D, GridKind, Linear, read_field, sample, write_field
 from .symplectic import (
     SympMat2,
     compose,
@@ -68,10 +68,6 @@ def _parse_grid(text: str, kind: str) -> Grid1D:
         raise CanonicaError(f"bad grid spec {text!r} (want start:end:count): {exc}") from None
 
 
-_RADIAL_FAMILIES = {"bessel", "bessel-gauss", "std-lg",
-                    "radial-heat-poly", "radial-heat-appell", "fund-radial-heat"}
-
-
 def _build_family(args):
     name = args.family
     if name not in FAMILIES:
@@ -99,8 +95,8 @@ def _build_family(args):
     return cls(**kwargs)
 
 
-def _family_grid_kind(name: str) -> str:
-    return GridKind.HALF_LINE if name in _RADIAL_FAMILIES else GridKind.FULL_LINE
+def _grid_kind(family) -> str:
+    return GridKind.FULL_LINE if isinstance(family.geometry, Linear) else GridKind.HALF_LINE
 
 
 def _quad_config(args) -> transforms.QuadratureConfig:
@@ -120,7 +116,7 @@ def _quad_config(args) -> transforms.QuadratureConfig:
 
 def cmd_sample(args) -> int:
     family = _build_family(args)
-    grid = _parse_grid(args.grid, _family_grid_kind(args.family))
+    grid = _parse_grid(args.grid, _grid_kind(family))
     field = sample(family, grid, args.evol)
     write_field(field, args.out)
     print(f"wrote {grid.count} samples to {args.out}")
@@ -204,10 +200,9 @@ def cmd_appell(args) -> int:
             args.eq = spec.equation.value
         family = _build_family(args)
         image = appell_analytic(family, spec)
-        kind = _family_grid_kind(args.family)
         if not args.grid:
             raise CanonicaError("analytic appell needs --grid start:end:count")
-        grid = _parse_grid(args.grid, kind)
+        grid = _parse_grid(args.grid, _grid_kind(family))
         out = sample(image, grid, spec.evol)
     write_field(out, args.out)
     print(f"wrote {out.grid.count} samples to {args.out}")

@@ -1,19 +1,23 @@
 """Numerical engines for the canonical transforms.
 
-Two quadrature paths:
+Every transform runs through one of three paths:
 
 * ``chirp-fft``: modulate / FFT-convolve / modulate, using the quadratic
   phase decomposition of the linear kernel.  Default for oscillatory
   linear-kernel transforms on uniform full-line grids whose input and
   output steps match.
-* ``gauss-legendre``: composite Gauss-Legendre panels over the input grid
-  support, with the sampled field interpolated onto the quadrature nodes
-  by a quintic spline.  Panels are sized so each spans at most pi/4 of
-  kernel phase at the fastest output point; real-exponent (L-form) kernels
-  have no phase and are sized by the sample count alone.
+* ``gauss-legendre``: the linear or radial kernel on composite
+  Gauss-Legendre panels over the input grid support, with the sampled field
+  interpolated onto the quadrature nodes by a quintic spline.  Panels are
+  sized so each spans at most pi/4 of kernel phase at the fastest output
+  point; real-exponent (L-form) kernels have no phase and are sized by the
+  sample count alone.  Only Gaussian-convolution kernels accept a callable
+  f(y): it is evaluated on panels over the output window widened by
+  12 sqrt(tau), starting at the axis on half-line grids.
+* B = 0: the point map of the kernel, read off the field's quintic spline.
 
 Bessel-I kernels are evaluated through the exponentially scaled form, so
-heat-type kernels never overflow.
+heat-type kernels never overflow, and real kernels are applied in float64.
 """
 
 from __future__ import annotations
@@ -21,13 +25,12 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
+from scipy import fft
 from scipy.interpolate import make_interp_spline
-from scipy.signal import fftconvolve
 
 from . import specfun
 from .common import (
@@ -37,7 +40,6 @@ from .common import (
     TruncationWarning,
 )
 from .fields import (
-    AnalyticField,
     Grid1D,
     GridKind,
     Linear,
@@ -83,11 +85,6 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
-
-
-def default_apodization(grid: Grid1D) -> float:
-    """Quarter-span Gaussian width used for non-decaying analytic sources."""
-    return grid.span / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +230,13 @@ def _real_exponent(mat: SympMat2) -> bool:
     return mat.is_l_form() and not mat.is_real()
 
 
+def _gaussian_variance(mat: SympMat2) -> float | None:
+    """tau when `mat` is the Gaussian convolution [[1, -i tau], [0, 1]], tau > 0, else None."""
+    if _real_exponent(mat) and mat.a == 1.0 and mat.d == 1.0 and mat.b.imag < 0.0:
+        return -mat.b.imag
+    return None
+
+
 def _panel_count(cfg: QuadratureConfig, mat: SympMat2, xmax: float, outmax: float,
                  count: int) -> int:
     """Panels over the source: at most pi/4 of kernel phase each, and at least
@@ -240,7 +244,8 @@ def _panel_count(cfg: QuadratureConfig, mat: SympMat2, xmax: float, outmax: floa
 
     The phase of the kernel of `mat` across a source |y| <= xmax at the
     fastest output point |x| <= outmax is (|A| xmax^2 + 2 outmax xmax)/(2|B|);
-    real-exponent (L-form) kernels have none.
+    real-exponent (L-form) kernels have none.  A count above _MAX_PANELS is
+    capped with a TruncationWarning.
     """
     if cfg.panels is not None:
         return cfg.panels
@@ -248,7 +253,11 @@ def _panel_count(cfg: QuadratureConfig, mat: SympMat2, xmax: float, outmax: floa
         (abs(mat.a) * xmax**2 + 2.0 * outmax * xmax) / (2.0 * abs(mat.b)))
     by_phase = math.ceil(phase / (math.pi / 4.0))
     by_field = math.ceil(count / cfg.nodes_per_panel)
-    return min(max(by_phase, by_field, 4), _MAX_PANELS)
+    wanted = max(by_phase, by_field, 4)
+    if wanted > _MAX_PANELS:
+        warnings.warn(f"the kernel asks for {wanted} quadrature panels; {_MAX_PANELS} are used, "
+                      "which under-resolves its phase", TruncationWarning, stacklevel=4)
+    return min(wanted, _MAX_PANELS)
 
 
 def _gl_nodes(lo: float, hi: float, panels: int, nodes: int):
@@ -294,19 +303,35 @@ def _edge_check(field: SampledField, cfg: QuadratureConfig):
         )
 
 
-def _source_nodes(field: SampledField, cfg: QuadratureConfig, mat: SympMat2, outmax: float,
-                  edge_check: bool = True):
-    """Quadrature nodes/weights and interpolated (optionally apodized) samples
-    for the kernel of `mat` evaluated up to |x| = outmax.
+def _kernel_nodes(field, cfg: QuadratureConfig, mat: SympMat2, out_grid: Grid1D):
+    """Quadrature nodes, weights and input values for the kernel of `mat`,
+    behind the guard the matrix calls for.
 
-    Truncation and apodization are centred on the axis for half-line grids
-    and on the grid midpoint for full-line grids.
+    A Gaussian convolution gets the growth guard and alone accepts a callable
+    f(y) (rule in the module docstring).  Other kernels get the edge check,
+    after the convergence and support check if L-form.  Truncation and
+    apodization are centred on the axis (half-line) or the grid midpoint.
     """
-    if edge_check:
-        _edge_check(field, cfg)
+    out_x = out_grid.points
+    outmax = float(np.max(np.abs(out_x)))
+    tau = _gaussian_variance(mat)
+    if not isinstance(field, SampledField):
+        if tau is None:
+            raise TypeError("only Gaussian-convolution kernels accept a callable input")
+        reach = 12.0 * math.sqrt(tau)
+        lo = 0.0 if out_grid.kind == GridKind.HALF_LINE else out_grid.start - reach
+        hi = out_grid.end + reach
+        panels = _panel_count(cfg, mat, max(abs(lo), abs(hi)), outmax, out_grid.count)
+        xq, wq = _gl_nodes(lo, hi, panels, cfg.nodes_per_panel)
+        return xq, wq, np.asarray(field(xq), dtype=complex)
     lo, hi = field.grid.start, field.grid.end
+    xmax = max(abs(lo), abs(hi))
+    if tau is None:
+        if _real_exponent(mat):
+            _lform_support_check(mat, field, outmax, xmax)
+        _edge_check(field, cfg)
     center = 0.0 if field.grid.kind == GridKind.HALF_LINE else 0.5 * (lo + hi)
-    panels = _panel_count(cfg, mat, max(abs(lo), abs(hi)), outmax, field.grid.count)
+    panels = _panel_count(cfg, mat, xmax, outmax, field.grid.count)
     if cfg.truncation_radius is not None:
         lo = max(lo, center - cfg.truncation_radius)
         hi = min(hi, center + cfg.truncation_radius)
@@ -314,13 +339,74 @@ def _source_nodes(field: SampledField, cfg: QuadratureConfig, mat: SympMat2, out
     fq = _interpolant(field)(xq)
     if cfg.apodization is not None:
         fq = fq * np.exp(-((xq - center) ** 2) / (2.0 * cfg.apodization**2))
+    if tau is not None:
+        # a half-line source has one tail, whose most pessimistic output point is the outer end
+        ends = ((float(np.max(out_x)),) if field.grid.kind == GridKind.HALF_LINE
+                else (float(np.min(out_x)), float(np.max(out_x))))
+        _kernel_beats_growth(field, (xq, wq, fq), tau, ends)
     return xq, wq, fq
 
 
+def _kernel_exponent(mat: SympMat2, x, y, xy: float):
+    """Exponent i (A y^2 + D x^2 + xy x y) / 2B of a kernel of `mat`, or None when it is 0.
+
+    The linear kernel has xy = -2.  The radial kernel leaves the x y term to
+    its Bessel function (xy = 0), except that an L-form B = i beta restores
+    the e^{x y/|beta|} the scaled I_nu leaves out (xy = 2 sgn beta).  The
+    real L-form exponent (|xy| = 2) is computed as
+    ((y + xy x/2)^2 + (A - 1) y^2 + (D - 1) x^2)/(2 beta), so that a Gaussian
+    convolution (A = D = 1) gets -(y - x)^2/(2 tau) without cancellation.
+    """
+    if _real_exponent(mat):
+        beta, a, d = mat.b.imag, mat.a.real, mat.d.real
+        expo = y + 0.5 * xy * x
+        np.square(expo, out=expo)
+        if a != 1.0 or d != 1.0:
+            expo += (a - 1.0) * y**2
+            expo += (d - 1.0) * x**2
+        expo /= 2.0 * beta
+        return expo
+    if mat.a == 0 and mat.d == 0 and xy == 0.0:
+        return None
+    expo = mat.a * y**2 + mat.d * x**2
+    if xy:
+        expo += xy * x * y
+    expo *= 0.5j / mat.b
+    return expo
+
+
 def _guarded_exp(expo: np.ndarray) -> np.ndarray:
+    """exp(expo), computed in place; DivergenceRisk if it would overflow."""
     if float(np.max(expo.real)) > MAX_EXPONENT:
         raise DivergenceRisk("kernel exponent overflows double precision")
-    return np.exp(expo)
+    return np.exp(expo, out=expo)
+
+
+def _matvec(kern: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """kern @ v for a complex v; a real kernel is applied to the real and imaginary
+    parts in turn, since `real @ complex` first copies it to complex."""
+    if np.isrealobj(kern):
+        return kern @ v.real + 1j * (kern @ v.imag)
+    return kern @ v
+
+
+def _point_map(mat: SympMat2, field: SampledField, out_x: np.ndarray, power: float,
+               flip: complex) -> np.ndarray:
+    """The B = 0 kernel, a point map: |A|^(-power) e^{i C x^2/2A} f(x/A), read
+    off the field's spline.  A < 0 multiplies by `flip`; on a half-line grid
+    the point is x/|A|."""
+    a = mat.a.real
+    pts = out_x / (abs(a) if field.grid.kind == GridKind.HALF_LINE else a)
+    vals = (abs(a) ** (-power) * np.exp(0.5j * (mat.c / mat.a) * out_x**2)
+            * _interpolant(field)(pts))
+    return vals * flip if a < 0 else vals
+
+
+def _output(field, out_grid: Grid1D, vals: np.ndarray, evol_shift: float, geometry):
+    """The output field; a callable input has no geometry of its own and evolution value 0."""
+    if isinstance(field, SampledField):
+        return SampledField(out_grid, vals, field.geometry, field.evol + evol_shift)
+    return SampledField(out_grid, vals, geometry, evol_shift)
 
 
 def _require_full_line(field: SampledField):
@@ -400,13 +486,18 @@ def _integrability(mat: SympMat2):
         raise IntegrabilityViolation(f"Im(A/B) = {ratio.imag} < 0")
 
 
-def _tail_gaussian_rate(x: np.ndarray, mag: np.ndarray) -> float:
-    """Estimated g of the tail envelope exp(-g x^2 / 2), min over both ends."""
+def _tail_gaussian_rate(field: SampledField) -> float:
+    """Estimated g of the tail envelope exp(-g x^2 / 2): the min over both ends
+    of a full-line grid, the outer end of a half-line grid (the axis is no tail)."""
+    x, mag = field.grid.points, np.abs(field.values)
     floor = float(np.max(mag)) * 1e-300 + 1e-300
     logm = np.log(np.maximum(mag, floor))
     n = len(x)
+    ends = [(int(0.75 * (n - 1)), n - 1)]
+    if field.grid.kind != GridKind.HALF_LINE:
+        ends.append((int(0.25 * (n - 1)), 0))
     rates = []
-    for j1, j2 in ((int(0.75 * (n - 1)), n - 1), (int(0.25 * (n - 1)), 0)):
+    for j1, j2 in ends:
         dx2 = x[j2] ** 2 - x[j1] ** 2
         if abs(dx2) > 1e-12:
             rates.append(2.0 * (logm[j1] - logm[j2]) / dx2)
@@ -421,7 +512,7 @@ def _lform_support_check(mat: SympMat2, field: SampledField, outmax: float, xmax
     of widths) to sit inside the sampled support.
     """
     a, b = mat.a.real, mat.b.imag
-    g_est = _tail_gaussian_rate(field.grid.points, np.abs(field.values))
+    g_est = _tail_gaussian_rate(field)
     lam = a / b
     if g_est <= lam + 1e-12:
         raise DivergenceRisk(
@@ -438,20 +529,11 @@ def _lform_support_check(mat: SympMat2, field: SampledField, outmax: float, xmax
         )
 
 
-def _linear_ct_gl(mat: SympMat2, field: SampledField, out_x: np.ndarray,
-                  cfg: QuadratureConfig, matching: complex) -> np.ndarray:
-    outmax = float(np.max(np.abs(out_x))) if len(out_x) else 0.0
-    if _real_exponent(mat):
-        _lform_support_check(mat, field, outmax, max(abs(field.grid.start), abs(field.grid.end)))
-    xq, wq, fq = _source_nodes(field, cfg, mat, outmax)
-    b = mat.b
-    expo = (0.5j / b) * (
-        mat.a * xq[None, :] ** 2 + mat.d * out_x[:, None] ** 2
-        - 2.0 * out_x[:, None] * xq[None, :]
-    )
-    kern = _guarded_exp(expo)
-    pref = matching / cmath.sqrt(2j * math.pi * b)
-    return pref * (kern @ (wq * fq))
+def _linear_ct_gl(mat: SympMat2, field, out_grid: Grid1D, cfg: QuadratureConfig,
+                  matching: complex) -> np.ndarray:
+    xq, wq, fq = _kernel_nodes(field, cfg, mat, out_grid)
+    kern = _guarded_exp(_kernel_exponent(mat, out_grid.points[:, None], xq[None, :], -2.0))
+    return matching / cmath.sqrt(2j * math.pi * mat.b) * _matvec(kern, wq * fq)
 
 
 def _linear_ct_chirp_fft(mat: SympMat2, field: SampledField, out_grid: Grid1D,
@@ -471,7 +553,8 @@ def _linear_ct_chirp_fft(mat: SympMat2, field: SampledField, out_grid: Grid1D,
     delta = out_grid.start - field.grid.start
     lags = delta + h * np.arange(-(n - 1), m_out)
     z = np.exp((0.5j / b) * lags**2)
-    conv = fftconvolve(g, z)[n - 1 : n - 1 + m_out]
+    size = fft.next_fast_len(n + len(z) - 1)
+    conv = fft.ifft(fft.fft(g, size) * fft.fft(z, size))[n - 1 : n - 1 + m_out]
     pref = matching * h / cmath.sqrt(2j * math.pi * b)
     xo = out_grid.points
     return pref * np.exp((0.5j / b) * (mat.d - 1.0) * xo**2) * conv
@@ -503,7 +586,7 @@ def linear_ct(mat: SympMat2, field: SampledField, out_grid: Grid1D,
     if _use_chirp_fft(mat, field, out_grid, cfg):
         vals = _linear_ct_chirp_fft(mat, field, out_grid, cfg, matching)
     else:
-        vals = _linear_ct_gl(mat, field, out_grid.points, cfg, matching)
+        vals = _linear_ct_gl(mat, field, out_grid, cfg, matching)
     return SampledField(out_grid, vals, field.geometry, field.evol + evol_shift)
 
 
@@ -514,12 +597,8 @@ def geometric(mat: SympMat2, field: SampledField, out_grid: Grid1D) -> SampledFi
     if abs(mat.a.imag) > 1e-12:
         raise ValueError("geometric resampling implemented for real A only")
     _require_full_line(field)
-    a = mat.a.real
-    x = field.grid.points
-    pts = out_grid.points / a
-    # band-limited (sinc) interpolation of the samples at the rescaled points
-    interp = np.sinc((pts[:, None] - x[None, :]) / field.grid.step) @ field.values
-    vals = interp * np.exp(0.5j * (mat.c / mat.a) * out_grid.points**2) / cmath.sqrt(complex(a))
+    # A^(-1/2) is -i |A|^(-1/2) for A < 0
+    vals = _point_map(mat, field, out_grid.points, 0.5, -1j)
     return SampledField(out_grid, vals, field.geometry, field.evol)
 
 
@@ -548,37 +627,19 @@ def fr_laplace(field: SampledField, alpha: float, out_grid: Grid1D,
 
 
 def poisson_propagate(field, t: float, out_grid: Grid1D,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG,
-                      source_evol: float = 0.0) -> SampledField:
-    """Diffuse by t > 0: Gaussian-kernel convolution of the input data.
+                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
+    """Diffuse by t > 0: the kernel transform of mat_poisson(t), a Gaussian
+    convolution of the input data.
 
-    Sampled inputs integrate over their grid support; analytic or callable
-    inputs use Gauss-Hermite quadrature, which is exact for polynomials.
+    A sampled field is integrated over its grid support, a callable f(y)
+    over the output window widened by 12 sqrt(t).
     """
     if t <= 0:
         raise ValueError("diffusion time must be positive")
-    xo = out_grid.points
     if isinstance(field, SampledField):
         _require_full_line(field)
-        xo_min, xo_max = float(np.min(xo)), float(np.max(xo))
-        nodes = _source_nodes(field, cfg, mat_poisson(t), max(abs(xo_min), abs(xo_max)),
-                              edge_check=False)
-        _kernel_beats_growth(field, nodes, t, (xo_min, xo_max))
-        xq, wq, fq = nodes
-        kern = _guarded_exp(-((xo[:, None] - xq[None, :]) ** 2) / (2.0 * t))
-        vals = (kern @ (wq * fq)) / math.sqrt(2.0 * math.pi * t)
-        return SampledField(out_grid, vals, field.geometry, field.evol + t)
-    if isinstance(field, AnalyticField):
-        fn = lambda y: field.eval(y, source_evol)  # noqa: E731
-    else:
-        fn = field
-    nodes, weights = hermgauss(max(64, cfg.nodes_per_panel))
-    shift = math.sqrt(2.0 * t) * nodes
-    vals = np.zeros(len(xo), dtype=complex)
-    for s, w in zip(shift, weights):
-        vals += w * np.asarray(fn(xo + s), dtype=complex)
-    vals /= math.sqrt(math.pi)
-    return SampledField(out_grid, vals, Linear(), source_evol + t)
+    vals = _linear_ct_gl(mat_poisson(t), field, out_grid, cfg, 1.0)
+    return _output(field, out_grid, vals, t, Linear())
 
 
 # ---------------------------------------------------------------------------
@@ -605,27 +666,6 @@ def _type_weights(kind: int, nu_prime: float):
     return (-nu_prime, weight, 0.0) if kind == 1 else (-nu_prime, 0.0, weight)
 
 
-def _kernel_exponent(mat: SympMat2, r, y):
-    """Exponent of the exponential factor of the radial kernel, or None when it is 1.
-
-    Real B: i (A y^2 + D r^2) / 2B.  L-form B = i beta: the real exponent
-    (A y^2 + D r^2)/(2 beta) + r y/|beta|, which includes the e^{r y/|beta|}
-    the scaled Bessel-I function leaves out.  It is computed as
-    ((y + sgn(beta) r)^2 + (A - 1) y^2 + (D - 1) r^2)/(2 beta), so that a
-    Gaussian convolution (A = D = 1) gets -(y - r)^2/(2|beta|) without
-    cancellation.
-    """
-    if _real_exponent(mat):
-        beta, a, d = mat.b.imag, mat.a.real, mat.d.real
-        expo = (y + math.copysign(1.0, beta) * r) ** 2
-        if a != 1.0 or d != 1.0:
-            expo = expo + (a - 1.0) * y**2 + (d - 1.0) * r**2
-        return expo / (2.0 * beta)
-    if mat.a == 0 and mat.d == 0:
-        return None
-    return (0.5j / mat.b.real) * (mat.a.real * y**2 + mat.d.real * r**2)
-
-
 def _bessel_sum(name: str, mat: SympMat2, ro: np.ndarray, nodes, nu: float,
                 weights) -> np.ndarray:
     """Quadrature of the radial kernel of `mat`, shared by every radial engine.
@@ -648,14 +688,14 @@ def _bessel_sum(name: str, mat: SympMat2, ro: np.ndarray, nodes, nu: float,
         raise ValueError(f"{name}: output grid must start above r = 0 for these parameters")
     if _real_exponent(mat):
         beta = mat.b.imag
-        bessel, k = specfun.bessel_i_scaled, 1.0 / abs(beta)
+        bessel, k, xy = specfun.bessel_i_scaled, 1.0 / abs(beta), 2.0 * math.copysign(1.0, beta)
         rotation = cmath.exp(-0.5j * math.pi * nu * math.copysign(1.0, beta))
         pref = (-1j) ** (nu + 1.0) / mat.b * rotation
     else:
         b = mat.b.real
         if b < 0 and abs(nu - round(nu)) > 1e-9:
             raise ValueError("negative B with non-integer Bessel order is not supported")
-        bessel, k = specfun.bessel_j, 1.0 / abs(b)
+        bessel, k, xy = specfun.bessel_j, 1.0 / abs(b), 0.0
         pref = (-1j) ** (nu + 1.0) / b * ((-1.0) ** round(nu) if b < 0 else 1.0)
     wf = wq * fq if col == 0.0 else wq * xq**col * fq
     rxy = ro[:, None] * xq[None, :]
@@ -663,18 +703,18 @@ def _bessel_sum(name: str, mat: SympMat2, ro: np.ndarray, nodes, nu: float,
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows are set below
         if cross != 0.0:
             kern *= rxy**cross
-        expo = _kernel_exponent(mat, ro[:, None], xq[None, :])
+        expo = _kernel_exponent(mat, ro[:, None], xq[None, :], xy)
         if expo is not None:
             ekern = _guarded_exp(expo)
             ekern *= kern
             kern = ekern
-        vals = kern @ wf
+        vals = _matvec(kern, wf)
         if row != 0.0:
             vals *= ro**row
     if np.any(axis):
         if abs(power) <= 1e-12:
             limit = (0.5 * k * xq) ** nu / math.gamma(nu + 1.0) * xq**cross
-            expo = _kernel_exponent(mat, 0.0, xq)
+            expo = _kernel_exponent(mat, 0.0, xq, xy)
             if expo is not None:
                 limit = limit * _guarded_exp(expo)
             vals[axis] = limit @ wf
@@ -683,33 +723,24 @@ def _bessel_sum(name: str, mat: SympMat2, ro: np.ndarray, nodes, nu: float,
     return pref * vals
 
 
-def _radial(name: str, field: SampledField, mat: SympMat2, out_grid: Grid1D,
-            cfg: QuadratureConfig, nu: float, weights, matching: complex = 1.0,
-            evol_shift: float = 0.0, diffusion: bool = False) -> SampledField:
-    """Matching factor times the radial kernel of `mat` applied to a half-line field.
+def _radial(name: str, field, mat: SympMat2, out_grid: Grid1D, cfg: QuadratureConfig,
+            nu: float, weights, matching: complex = 1.0, evol_shift: float = 0.0,
+            geometry=None) -> SampledField:
+    """Matching factor times the radial kernel of `mat` applied to a half-line
+    field, or to a callable of the given `geometry` (Gaussian convolutions only).
 
     At B = 0 the kernel is the point map r -> r/|A|: |A|^(-cross-col)
     e^{i C r^2/2A} f(r/|A|), times e^{-i pi (nu+1)} for A < 0, where the
     stationary point comes from the other half of J_nu.  This form needs
     2 cross + row + col = 1, which holds for every engine that reaches B = 0.
-    A Gaussian-convolution kernel (diffusion) replaces the edge check with
-    the growth guard.
     """
     ro = out_grid.points
     if abs(mat.b) <= GEOMETRIC_B_TOL:
         cross, _, col = weights
-        a = mat.a.real
-        vals = (abs(a) ** (-cross - col) * np.exp(0.5j * (mat.c / mat.a) * ro**2)
-                * _interpolant(field)(ro / abs(a)))
-        if a < 0:
-            vals *= cmath.exp(-1j * math.pi * (nu + 1.0))
+        vals = _point_map(mat, field, ro, cross + col, cmath.exp(-1j * math.pi * (nu + 1.0)))
     else:
-        ro_max = float(np.max(ro))
-        nodes = _source_nodes(field, cfg, mat, ro_max, edge_check=not diffusion)
-        if diffusion:
-            _kernel_beats_growth(field, nodes, abs(mat.b), (ro_max,))
-        vals = _bessel_sum(name, mat, ro, nodes, nu, weights)
-    return SampledField(out_grid, matching * vals, field.geometry, field.evol + evol_shift)
+        vals = _bessel_sum(name, mat, ro, _kernel_nodes(field, cfg, mat, out_grid), nu, weights)
+    return _output(field, out_grid, matching * vals, evol_shift, geometry)
 
 
 def hankel(field: SampledField, m: int, out_grid: Grid1D,
@@ -794,7 +825,7 @@ def bessel_exp(field: SampledField, beta: float, nu: float, nu_prime: float,
         raise ValueError("beta must be positive")
     _require_half_line(field)
     return _radial("bessel_exp", field, mat_poisson(2.0 * beta), out_grid, cfg, nu,
-                   _type_weights(1, nu_prime), diffusion=True)
+                   _type_weights(1, nu_prime))
 
 
 def bessel_exp_quarter_turn(field: SampledField, nu: float, nu_prime: float,
@@ -812,26 +843,20 @@ def bessel_exp_quarter_turn(field: SampledField, nu: float, nu_prime: float,
 
 
 def radial_heat_propagate(field, t: float, mu: float, out_grid: Grid1D,
-                          cfg: QuadratureConfig = DEFAULT_CONFIG,
-                          source_evol: float = 0.0) -> SampledField:
-    """Diffuse a radial profile by t > 0 in effective dimension mu."""
+                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
+    """Diffuse a radial profile by t > 0 in effective dimension mu.
+
+    A sampled field is integrated over its grid support, a callable f(r)
+    over [0, r_max + 12 sqrt(t)].
+    """
     if t <= 0:
         raise ValueError("diffusion time must be positive")
     if mu <= 1:
         raise ValueError("mu must exceed 1")
-    mat = mat_poisson(t)
     if isinstance(field, SampledField):
         _require_half_line(field)
-        return _radial("radial_heat_propagate", field, mat, out_grid, cfg, mu / 2.0 - 1.0,
-                       _dim_weights(mu), evol_shift=t, diffusion=True)
-    ro = out_grid.points
-    hi = out_grid.end + 12.0 * math.sqrt(t)
-    panels = _panel_count(cfg, mat, hi, float(np.max(ro)), out_grid.count)
-    xq, wq = _gl_nodes(0.0, hi, panels, cfg.nodes_per_panel)
-    fn = (lambda y: field.eval(y, source_evol)) if isinstance(field, AnalyticField) else field
-    nodes = (xq, wq, np.asarray(fn(xq), dtype=complex))
-    vals = _bessel_sum("radial_heat_propagate", mat, ro, nodes, mu / 2.0 - 1.0, _dim_weights(mu))
-    return SampledField(out_grid, vals, RadialDim(mu, 0), source_evol + t)
+    return _radial("radial_heat_propagate", field, mat_poisson(t), out_grid, cfg, mu / 2.0 - 1.0,
+                   _dim_weights(mu), evol_shift=t, geometry=RadialDim(mu, 0))
 
 
 def barut_girardello(field: SampledField, n_dim: float, m_idx: int, out_grid: Grid1D,
@@ -881,7 +906,3 @@ def apply(spec: TransformSpec, field: SampledField, out_grid: Grid1D,
         if type(spec) is spec_cls:
             return run(spec, field, out_grid, cfg)
     raise TypeError(f"unknown transform spec {spec!r}")
-
-
-def with_evol(field: SampledField, evol: float) -> SampledField:
-    return replace(field, evol=evol)

@@ -251,3 +251,10 @@ def test_transform_reaches_fr_radial_laplace(tmp_path, capsys):
     assert run_cli("transform", "--name", "made-up", "--in", str(src), "--out", str(frac)) == 1
     err = capsys.readouterr().err
     assert all(name in err for name in transforms.TRANSFORMS)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is slow to import, and the chirp-FFT path needs only scipy.fft
+    code = "import sys, canonica; print('scipy.signal' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"

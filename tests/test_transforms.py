@@ -129,8 +129,7 @@ def test_fresnel_chirp_on_plane_wave_bulk():
     assert np.max(np.abs(out.values[bulk] - exact[bulk])) < 1e-7
     # default quarter-span apodization: the bulk reproduces the
     # frequency-chirped wave up to the envelope bias
-    width = transforms.default_apodization(grid)
-    out = fresnel_propagate(src, zeta, grid, QuadratureConfig(apodization=width))
+    out = fresnel_propagate(src, zeta, grid, QuadratureConfig(apodization=grid.span / 4))
     ref = np.asarray(PlaneChirp(lam).eval(xi, zeta))
     quarter = np.abs(xi) <= 5.0
     assert np.max(np.abs(out.values[quarter] - ref[quarter])) < 0.07 * np.max(np.abs(ref))
@@ -506,3 +505,56 @@ def test_fr_radial_laplace_order_two_is_the_limit_from_below():
     assert rel_l2(at_two, ref) < 1e-12
     near = transforms.fr_radial_laplace(fld, 1.999, nu, nup, out).values
     assert rel_l2(near, at_two) < 1e-2
+
+
+def test_fr_radial_laplace_rejects_a_source_the_kernel_outgrows():
+    # at alpha = 0.3 the kernel grows like exp(+0.98 y^2), which exp(-y^2/2) cannot tame;
+    # the axis end of a half-line grid is no tail, so r^2 e^{-r^2/2} is no false alarm
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 12.0, 512)
+    out = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 3.0, 64)
+    r = grid.points
+    with pytest.raises(DivergenceRisk):
+        transforms.fr_radial_laplace(SampledField(grid, np.exp(-r**2 / 2) + 0j), 0.3, 0.5, -1.5,
+                                     out, CFG16)
+    axis_zero = SampledField(grid, r**2 * np.exp(-r**2 / 2) + 0j)
+    assert np.all(np.isfinite(radial_laplace(axis_zero, 1, 0.5, -1.5, out, CFG16).values))
+
+
+def test_panel_cap_warns_with_requested_and_used_counts():
+    # alpha = 0.05 on a +-20 source and output window asks for 9727 panels of kernel phase
+    src = sample(Gauss(1.0), Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 512), 0.0)
+    out = Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 3)
+    cfg = QuadratureConfig(scheme="gauss-legendre", nodes_per_panel=2)
+    with pytest.warns(TruncationWarning, match="9727 quadrature panels; 3000 are used"):
+        frft(src, 0.05, out, cfg)
+
+
+def test_poisson_propagate_is_the_transform_of_its_matrix():
+    src = sample(Gauss(1.0), FULL, 0.0)
+    out = Grid1D.from_span(GridKind.FULL_LINE, -1.5, 1.5, 64)
+    for t in (0.05, 0.5, 2.0):
+        direct = linear_ct(mat_poisson(t), src, out)
+        assert np.array_equal(poisson_propagate(src, t, out).values, direct.values)
+    # a Gaussian-convolution matrix gets the growth guard whichever engine runs it
+    growing = SampledField(FULL, np.exp((FULL.points + 12.0) ** 2 / 16) + 0j)
+    with pytest.raises(DivergenceRisk):
+        poisson_propagate(growing, 0.5, FULL)
+    with pytest.raises(DivergenceRisk):
+        linear_ct(mat_poisson(0.5), growing, FULL)
+
+
+def test_lform_kernels_stay_real(monkeypatch):
+    dtypes = []
+    matvec = transforms._matvec
+    monkeypatch.setattr(transforms, "_matvec", lambda k, v: dtypes.append(k.dtype) or matvec(k, v))
+    out = Grid1D.from_span(GridKind.FULL_LINE, -1.5, 1.5, 16)
+    src = sample(Gauss(1.0), FULL, 0.0)
+    transforms.fr_laplace(src, 0.7, out)
+    poisson_propagate(src, 0.5, out)
+    poisson_propagate(lambda y: y**2 + 0j, 0.5, out)
+    r = HALF.points
+    rad = SampledField(HALF, np.exp(-r**2) + 0j)
+    radial_laplace(rad, 1, 0.5, -1.5, HALF, CFG16)
+    bessel_exp(rad, 0.3, 0.5, -1.5, HALF, CFG16)
+    barut_girardello(rad, 3.0, 0, HALF, CFG16)
+    assert dtypes == [np.float64] * 6
