@@ -1,7 +1,8 @@
 """Real-argument special functions used by the field catalog and kernels.
 
 Hermite and generalized Laguerre polynomials are evaluated by their
-three-term recurrences.  Airy and Bessel functions delegate to
+three-term recurrences, and so is J_n for integer orders n >= 2 where
+x >= n.  Airy and the other Bessel functions delegate to
 scipy.special behind the domain guards below; the guards keep every call
 inside the range where double precision delivers ~1e-10 relative accuracy
 and no overflow.
@@ -16,6 +17,7 @@ HERMITE_MAX_DEGREE = 64
 LAGUERRE_MAX_DEGREE = 64
 AIRY_MAX_ABS = 50.0
 BESSEL_I_MAX_ARG = 700.0
+_BESSEL_J_BLOCK = 32768  # points per block: bounds the recurrence temporaries
 
 
 def _check_degree(n, limit):
@@ -71,11 +73,50 @@ def _check_bessel_args(nu, x, x_max):
     return x
 
 
+def _bessel_j_ladder(n: int, x: np.ndarray, out: np.ndarray) -> None:
+    """J_n(x) into `out` for an integer n >= 2 and x >= n.
+
+    Starts from J_0, J_1 (cephes j0/j1) and climbs J_{k+1} = (2k/x) J_k -
+    J_{k-1}, which is stable for x >= n (Gautschi, SIAM Rev. 9, 1967).
+    """
+    j_prev, j = _sp.j0(x), _sp.j1(x)
+    two_over_x = 2.0 / x
+    step = np.empty_like(x)
+    for k in range(1, n):
+        np.multiply(two_over_x, k, out=step)
+        step *= j
+        step -= j_prev
+        j_prev, j, step = j, step, j_prev
+    out[:] = j
+
+
 def bessel_j(nu: float, x):
-    """Bessel function of the first kind J_nu(x), x >= 0."""
+    """Bessel function of the first kind J_nu(x), x >= 0.
+
+    Array inputs of order 0 and 1 go to cephes j0/j1; higher integer orders
+    go through `_bessel_j_ladder` in blocks of _BESSEL_J_BLOCK points.  Points
+    with x < nu, where the upward recurrence is unstable, and every other
+    order or scalar input go to scipy's jv.
+    """
     x = _check_bessel_args(nu, x, 1e4 * (1.0 + nu))
-    val = _sp.jv(nu, x)
-    return val if np.ndim(x) else float(val)
+    if not np.ndim(x):
+        return float(_sp.jv(nu, x))
+    if not float(nu).is_integer():
+        return _sp.jv(nu, x)
+    if nu <= 1.0:
+        return _sp.j1(x) if nu else _sp.j0(x)
+    n = int(nu)
+    out = np.empty(x.shape)
+    flat, out_flat = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat.size, _BESSEL_J_BLOCK):
+        xb = flat[lo:lo + _BESSEL_J_BLOCK]
+        ob = out_flat[lo:lo + _BESSEL_J_BLOCK]
+        with np.errstate(divide="ignore", invalid="ignore"):  # x < n is redone below
+            _bessel_j_ladder(n, xb, ob)
+        low = xb < n
+        if low.any():
+            ob[low] = _sp.jv(nu, xb[low])
+    return out
 
 
 def bessel_i(nu: float, x):

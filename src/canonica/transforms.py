@@ -391,15 +391,28 @@ def _matvec(kern: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _point_map(mat: SympMat2, field: SampledField, out_x: np.ndarray, power: float,
-               flip: complex) -> np.ndarray:
-    """The B = 0 kernel, a point map: |A|^(-power) e^{i C x^2/2A} f(x/A), read
-    off the field's spline.  A < 0 multiplies by `flip`; on a half-line grid
-    the point is x/|A|."""
+               nu: float) -> np.ndarray:
+    """The B = 0 kernel of order nu, a point map: |A|^(-power) e^{i C x^2/2A}
+    f(x/A), read off the field's spline; on a half-line grid the point is x/|A|.
+
+    For A < 0 the kernel's B -> 0 limit depends on the side of B = 0 the
+    matrix sits on: e^{-i pi (nu+1)} from B > 0 or B in i R+ (and at B = 0
+    exactly), e^{+i pi (nu+1)} from B < 0 or B in -i R+, which is where the
+    orders alpha = -2 of the fractional families land.  The linear kernel is
+    the nu = -1/2 case, the limit -+i of (iB/A)^(1/2)/(iB)^(1/2).  The side
+    is read from the sign of the residual B (|B| <= GEOMETRIC_B_TOL): for
+    mat_fourier(+-2) and mat_laplace(+-2) that is the sign of sin(+-pi),
+    which is the side alpha approaches from, but a matrix composed to B ~ 0
+    gets the branch its rounding lands on.
+    """
     a = mat.a.real
     pts = out_x / (abs(a) if field.grid.kind == GridKind.HALF_LINE else a)
     vals = (abs(a) ** (-power) * np.exp(0.5j * (mat.c / mat.a) * out_x**2)
             * _interpolant(field)(pts))
-    return vals * flip if a < 0 else vals
+    if a < 0:
+        side = -1.0 if (mat.b.real or mat.b.imag) < 0 else 1.0
+        vals *= cmath.exp(-1j * math.pi * (nu + 1.0) * side)
+    return vals
 
 
 def _output(field, out_grid: Grid1D, vals: np.ndarray, evol_shift: float, geometry):
@@ -430,8 +443,10 @@ def _kernel_beats_growth(field: SampledField, nodes, tau: float, out_ends):
 
     The kernel decays like exp(-(x - y)^2 / (2 tau)); its most pessimistic
     exponent is taken over the output points x in out_ends.  If
-    |f(y)| e^{expo(y)} peaks in the outer 5% of the nodes, the integral is
-    dominated by the truncated tail and cannot be trusted.
+    |f(y)| e^{expo(y)} peaks in the outer 5% of the nodes at either end of a
+    full-line grid, or at the outer end of a half-line grid (the axis is no
+    tail), the integral is dominated by the truncated tail and cannot be
+    trusted.
     """
     xq, _, fq = nodes
     mag = np.abs(fq)
@@ -440,8 +455,10 @@ def _kernel_beats_growth(field: SampledField, nodes, tau: float, out_ends):
     tail = np.max([-((xq - x) ** 2) for x in out_ends], axis=0) / (2.0 * tau)
     with np.errstate(divide="ignore"):
         score = np.log(np.where(mag > 0, mag, np.min(mag[mag > 0]))) + tail
-    peak = int(np.argmax(score))
-    if peak >= int(0.95 * (len(xq) - 1)) and score[peak] > score[len(xq) // 2] + 1.0:
+    peak, last = int(np.argmax(score)), len(xq) - 1
+    in_tail = peak >= int(0.95 * last) or (
+        field.grid.kind != GridKind.HALF_LINE and peak <= last - int(0.95 * last))
+    if in_tail and score[peak] > score[len(xq) // 2] + 1.0:
         raise DivergenceRisk(
             "input growth outruns the kernel decay; the truncated tail dominates"
         )
@@ -581,12 +598,13 @@ def linear_ct(mat: SympMat2, field: SampledField, out_grid: Grid1D,
     """Apply the kernel transform of `mat` to a sampled linear-geometry field."""
     _require_full_line(field)
     if abs(mat.b) <= GEOMETRIC_B_TOL:
-        return geometric(mat, field, out_grid)
-    _integrability(mat)
-    if _use_chirp_fft(mat, field, out_grid, cfg):
-        vals = _linear_ct_chirp_fft(mat, field, out_grid, cfg, matching)
+        vals = matching * geometric(mat, field, out_grid).values
     else:
-        vals = _linear_ct_gl(mat, field, out_grid, cfg, matching)
+        _integrability(mat)
+        if _use_chirp_fft(mat, field, out_grid, cfg):
+            vals = _linear_ct_chirp_fft(mat, field, out_grid, cfg, matching)
+        else:
+            vals = _linear_ct_gl(mat, field, out_grid, cfg, matching)
     return SampledField(out_grid, vals, field.geometry, field.evol + evol_shift)
 
 
@@ -597,8 +615,7 @@ def geometric(mat: SympMat2, field: SampledField, out_grid: Grid1D) -> SampledFi
     if abs(mat.a.imag) > 1e-12:
         raise ValueError("geometric resampling implemented for real A only")
     _require_full_line(field)
-    # A^(-1/2) is -i |A|^(-1/2) for A < 0
-    vals = _point_map(mat, field, out_grid.points, 0.5, -1j)
+    vals = _point_map(mat, field, out_grid.points, 0.5, -0.5)
     return SampledField(out_grid, vals, field.geometry, field.evol)
 
 
@@ -730,15 +747,28 @@ def _radial(name: str, field, mat: SympMat2, out_grid: Grid1D, cfg: QuadratureCo
     field, or to a callable of the given `geometry` (Gaussian convolutions only).
 
     At B = 0 the kernel is the point map r -> r/|A|: |A|^(-cross-col)
-    e^{i C r^2/2A} f(r/|A|), times e^{-i pi (nu+1)} for A < 0, where the
-    stationary point comes from the other half of J_nu.  This form needs
+    e^{i C r^2/2A} f(r/|A|), times e^{-i pi (nu+1)} for A < 0 (`_point_map`
+    has the sign of the phase), where the stationary point comes from the
+    other half of J_nu.  This form needs
     2 cross + row + col = 1, which holds for every engine that reaches B = 0.
+
+    Towards the input axis the kernel behaves like y^(nu+cross+col).  A power
+    <= -1 is not integrable, so a source grid that starts on the axis with a
+    field not negligible there (above EDGE_WARN_LEVEL of its peak) is
+    rejected.  Only the axis sample is read: a field that vanishes at the
+    axis, or a grid that starts above it, is summed as given.  Callable
+    inputs (Gaussian convolutions) have power mu - 1 > 0.
     """
     ro = out_grid.points
     if abs(mat.b) <= GEOMETRIC_B_TOL:
         cross, _, col = weights
-        vals = _point_map(mat, field, ro, cross + col, cmath.exp(-1j * math.pi * (nu + 1.0)))
+        vals = _point_map(mat, field, ro, cross + col, nu)
     else:
+        power = nu + weights[0] + weights[2]
+        if (power <= -1.0 + 1e-12 and isinstance(field, SampledField)
+                and field.grid.start == 0.0
+                and abs(field.values[0]) > EDGE_WARN_LEVEL * np.max(np.abs(field.values))):
+            raise ValueError(f"{name}: the kernel ~ y^{power:g} is not integrable at y = 0")
         vals = _bessel_sum(name, mat, ro, _kernel_nodes(field, cfg, mat, out_grid), nu, weights)
     return _output(field, out_grid, matching * vals, evol_shift, geometry)
 

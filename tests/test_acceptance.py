@@ -5,6 +5,7 @@ canonica.verify are the same computations, so `canonica verify all` and
 this module agree check for check.
 """
 
+import json
 import subprocess
 import sys
 import time
@@ -131,5 +132,7 @@ def test_criterion_10_verify_all_deterministic(tmp_path):
         codes.append(res.returncode)
         blobs.append(path.read_bytes())
     ok = codes == [0, 0] and blobs[0] == blobs[1]
+    failed = [c["check_id"] for c in json.loads(blobs[0])["checks"] if not c["pass"]]
     _line(10, "verify all determinism", ok,
-          f"exit codes {codes}; byte-identical={blobs[0] == blobs[1]}")
+          f"exit codes {codes}; byte-identical={blobs[0] == blobs[1]}; "
+          f"failed checks: {', '.join(failed) or 'none'}")

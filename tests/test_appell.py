@@ -565,3 +565,29 @@ def test_appell_spec_json_round_trip():
     spec = AppellSpec(EK.RADIAL_HEAT, alpha=0.7, evol=1.3, direction=Direction.INVERSE, mu=3.5)
     again = AppellSpec.from_json(spec.to_json())
     assert again == spec
+
+
+ORDER_TWO_CASES = {
+    # kind: (source field, source grid, output grid, spec keywords)
+    EK.PWE: (StdHG(2), Grid1D.from_span(GridKind.FULL_LINE, -14.0, 14.0, 2048),
+             Grid1D.from_span(GridKind.FULL_LINE, -1.5, 1.5, 128), {}),
+    EK.HEAT: (Gauss(1.0, 0.0, EK.HEAT), Grid1D.from_span(GridKind.FULL_LINE, -14.0, 14.0, 2048),
+              Grid1D.from_span(GridKind.FULL_LINE, -1.5, 1.5, 128), {}),
+    EK.RADIAL_PWE: (StdLG(1, 1), Grid1D.from_span(GridKind.HALF_LINE, 0.0, 14.0, 1024),
+                    Grid1D.from_span(GridKind.HALF_LINE, 0.0, 6.0, 256), {"m": 1}),
+    EK.RADIAL_HEAT: (_RadialGauss(1.0, 3.0), Grid1D.from_span(GridKind.HALF_LINE, 0.0, 18.0, 1536),
+                     Grid1D.from_span(GridKind.HALF_LINE, 0.0, 6.0, 256), {"mu": 3.0}),
+}
+
+
+@pytest.mark.parametrize("direction", [Direction.FORWARD, Direction.INVERSE])
+@pytest.mark.parametrize("evol", [0.0, 0.4])
+@pytest.mark.parametrize("eq", list(ORDER_TWO_CASES), ids=lambda eq: eq.value)
+def test_numeric_order_two_matches_analytic_both_directions(eq, evol, direction):
+    # alpha = 2 puts the fractional stage on the B = 0 point map, whose A < 0
+    # branch must follow the side of B = 0 each direction comes from
+    f, grid, out, kw = ORDER_TWO_CASES[eq]
+    spec = AppellSpec(eq, alpha=2.0, evol=evol, direction=direction, **kw)
+    num = appell_numeric(sample(f, grid, 0.0), spec, out, CFG16)
+    ana = appell_analytic(f, spec).eval(out.points, evol)
+    assert rel_l2(num.values, np.asarray(ana)) < 1e-10

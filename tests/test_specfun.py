@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from canonica import specfun
 
@@ -114,3 +116,52 @@ def test_bessel_i_scaled_consistency():
         scaled = specfun.bessel_i_scaled(1.0, x)
         ref = float(mpmath.besseli(1, x) * mpmath.exp(-x))
         assert scaled == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("nu", range(9))
+def test_bessel_j_integer_orders_against_mpmath(nu):
+    # integer orders >= 2 climb the upward recurrence for x >= nu; the points
+    # just above nu are where it is least stable
+    rng = np.random.default_rng(nu + 8)
+    guard = 1e4 * (1.0 + nu)
+    for x, tol in ((np.concatenate([rng.uniform(0.0, 100.0, 120), rng.uniform(nu, nu + 3.0, 40)]),
+                    2e-15),
+                   (rng.uniform(0.0, guard, 120), 5e-14)):
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselj(nu, xi)) for xi in x])
+        assert np.max(np.abs(specfun.bessel_j(nu, x) - ref)) <= tol
+
+
+def test_bessel_j_below_the_order():
+    # x < nu, where the upward recurrence is unstable, goes to jv; j0 and j1
+    # need no fallback, down to x = 0
+    for nu in (2, 3, 8):
+        x = np.linspace(0.0, nu, 40, endpoint=False)
+        assert np.array_equal(specfun.bessel_j(nu, x), special.jv(nu, x))
+    x = np.linspace(0.0, 1.0, 40)
+    for nu in (0, 1):
+        assert np.max(np.abs(specfun.bessel_j(nu, x) - special.jv(nu, x))) < 1e-15
+        assert specfun.bessel_j(nu, x)[0] == special.jv(nu, 0.0)
+
+
+def test_bessel_j_blocks_keep_shape_scalars_and_other_orders():
+    x = np.random.default_rng(3).uniform(0.0, 30.0, (300, 250))  # more than two blocks
+    got = specfun.bessel_j(2, x)
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - special.jv(2, x))) < 1e-14
+    scalar = specfun.bessel_j(2, 3.0)
+    assert type(scalar) is float and scalar == special.jv(2, 3.0)
+    for nu in (-0.5, 0.3, 1.25, 1.5, 2.7):  # half-integer and other orders stay on jv
+        assert np.array_equal(specfun.bessel_j(nu, x), special.jv(nu, x))
+
+
+def test_bessel_j_memory_is_the_output_plus_a_block():
+    x = np.linspace(0.0, 50.0, 2_000_000)
+    specfun.bessel_j(3, x[:8])
+    tracemalloc.start()
+    try:
+        out = specfun.bessel_j(3, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * 2**20

@@ -558,3 +558,49 @@ def test_lform_kernels_stay_real(monkeypatch):
     bessel_exp(rad, 0.3, 0.5, -1.5, HALF, CFG16)
     barut_girardello(rad, 3.0, 0, HALF, CFG16)
     assert dtypes == [np.float64] * 6
+
+
+def test_linear_b_zero_path_keeps_matching_and_evol_shift():
+    # the order-2 FrFT is the parity f(-x) from either side of B = 0
+    f = SampledField(FULL, np.exp(-(FULL.points - 1.0) ** 2 / 2) * (1 + 0.3j * FULL.points))
+    mirrored = f.values[::-1]
+    for alpha in (2.0, -2.0):
+        assert rel_l2(frft(f, alpha, FULL).values, mirrored) < 1e-12
+    assert linear_ct(SympMat2(1, 0, 0.3, 1), f, FULL, evol_shift=0.5).evol == 0.5
+
+
+def test_growth_guard_watches_both_ends_of_a_full_line_grid():
+    # e^{x^2/8} grows at both ends; at t = 0.5 the exact image is 9.2e8 at x = 12
+    growing = SampledField(FULL, np.exp(FULL.points**2 / 8) + 0j)
+    with pytest.raises(DivergenceRisk):
+        poisson_propagate(growing, 0.5, FULL)
+    decaying = SampledField(FULL, np.exp(-FULL.points**2 / 2) + 0j)
+    out = poisson_propagate(decaying, 0.5, FULL)
+    exact = np.exp(-FULL.points**2 / 3) / math.sqrt(1.5)
+    assert np.max(np.abs(out.values - exact)) < 1e-10
+
+
+def test_kernel_not_integrable_at_the_input_axis_is_rejected():
+    # the first-kind kernel ~ y^(nu - nu') near y = 0; a power <= -1 has no integral
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 8.0, 256)
+    y = grid.points
+    fld = SampledField(grid, np.exp(-y**2) + 0j)
+    with pytest.raises(ValueError, match="not integrable"):
+        transforms.bessel_exp_quarter_turn(fld, -0.5, 0.75, grid, CFG16)
+    with pytest.raises(ValueError, match="not integrable"):
+        hankel_type(fld, 1, 0.0, 1.0, grid, CFG16)
+    ok = transforms.bessel_exp_quarter_turn(fld, -0.5, 0.0, grid, CFG16)
+    assert np.all(np.isfinite(ok.values))
+
+
+def test_kernel_singular_at_the_input_axis_runs_where_the_integrand_is_integrable():
+    # a field vanishing at the axis: r^2 int J_0(r y) y e^{-y^2} dy = r^2 e^{-r^2/4} / 2
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 8.0, 256)
+    y = grid.points
+    out = hankel_type(SampledField(grid, y**2 * np.exp(-y**2) + 0j), 1, 0.0, 1.0, grid, CFG16)
+    assert rel_l2(out.values, y**2 * np.exp(-y**2 / 4) / 2) < 1e-5
+    # a source grid that starts above the axis never meets the singularity
+    above = Grid1D.from_span(GridKind.HALF_LINE, 0.5, 8.0, 256)
+    fld = SampledField(above, np.exp(-(above.points - 3.0) ** 2) + 0j)
+    out = transforms.bessel_exp_quarter_turn(fld, -0.5, 0.75, above, CFG16)
+    assert np.all(np.isfinite(out.values)) and np.max(np.abs(out.values)) > 0.1
