@@ -2,7 +2,10 @@
 
 Hermite and generalized Laguerre polynomials are evaluated by their
 three-term recurrences, and so is J_n for integer orders n >= 2 where
-x >= n.  Airy and the other Bessel functions delegate to
+x >= n.  The scaled e^{-x} I_nu(x) of order nu <= 10 is evaluated from its
+ascending power series below x = 30 and from Hankel's large-argument
+expansion above.  Both Bessel functions work on arrays in fixed blocks.
+Airy, scalar Bessel calls and every other Bessel order delegate to
 scipy.special behind the domain guards below; the guards keep every call
 inside the range where double precision delivers ~1e-10 relative accuracy
 and no overflow.
@@ -10,14 +13,19 @@ and no overflow.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import special as _sp
 
 HERMITE_MAX_DEGREE = 64
 LAGUERRE_MAX_DEGREE = 64
 AIRY_MAX_ABS = 50.0
-BESSEL_I_MAX_ARG = 700.0
-_BESSEL_J_BLOCK = 32768  # points per block: bounds the recurrence temporaries
+_BESSEL_BLOCK = 32768  # points per block: bounds the temporaries of the Bessel kernels
+_BESSEL_I_SPLIT = 30.0  # scaled I: power series below this argument, Hankel's expansion above
+_BESSEL_I_MAX_ORDER = 10.0  # scaled I: the highest order both branches hold to ~1e-14
+_BESSEL_I_SERIES_TERMS = 60
+_BESSEL_I_HANKEL_TERMS = 18
 
 
 def _check_degree(n, limit):
@@ -73,6 +81,16 @@ def _check_bessel_args(nu, x, x_max):
     return x
 
 
+def _by_blocks(x: np.ndarray, fill) -> np.ndarray:
+    """An array shaped like x, filled by fill(x_block, out_block) one
+    _BESSEL_BLOCK-point block at a time."""
+    out = np.empty(x.shape)
+    flat, out_flat = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat.size, _BESSEL_BLOCK):
+        fill(flat[lo:lo + _BESSEL_BLOCK], out_flat[lo:lo + _BESSEL_BLOCK])
+    return out
+
+
 def _bessel_j_ladder(n: int, x: np.ndarray, out: np.ndarray) -> None:
     """J_n(x) into `out` for an integer n >= 2 and x >= n.
 
@@ -94,7 +112,7 @@ def bessel_j(nu: float, x):
     """Bessel function of the first kind J_nu(x), x >= 0.
 
     Array inputs of order 0 and 1 go to cephes j0/j1; higher integer orders
-    go through `_bessel_j_ladder` in blocks of _BESSEL_J_BLOCK points.  Points
+    go through `_bessel_j_ladder` in blocks of _BESSEL_BLOCK points.  Points
     with x < nu, where the upward recurrence is unstable, and every other
     order or scalar input go to scipy's jv.
     """
@@ -106,32 +124,82 @@ def bessel_j(nu: float, x):
     if nu <= 1.0:
         return _sp.j1(x) if nu else _sp.j0(x)
     n = int(nu)
-    out = np.empty(x.shape)
-    flat, out_flat = x.reshape(-1), out.reshape(-1)
-    for lo in range(0, flat.size, _BESSEL_J_BLOCK):
-        xb = flat[lo:lo + _BESSEL_J_BLOCK]
-        ob = out_flat[lo:lo + _BESSEL_J_BLOCK]
+
+    def fill(xb, ob):
         with np.errstate(divide="ignore", invalid="ignore"):  # x < n is redone below
             _bessel_j_ladder(n, xb, ob)
         low = xb < n
         if low.any():
             ob[low] = _sp.jv(nu, xb[low])
+
+    return _by_blocks(x, fill)
+
+
+def _horner(coeffs, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] t^k into `out`, accumulated in place."""
+    out.fill(coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= t
+        out += c
     return out
 
 
-def bessel_i(nu: float, x):
-    """Modified Bessel function of the first kind I_nu(x), 0 <= x <= 700."""
-    x = _check_bessel_args(nu, x, BESSEL_I_MAX_ARG)
-    val = _sp.iv(nu, x)
-    return val if np.ndim(x) else float(val)
+def _bessel_i_series(nu: float, coeffs, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{-x} (x/2)^nu sum_k (x^2/4)^k / (k! Gamma(nu+k+1)) into `out` (DLMF 10.25.2).
+
+    Every term is positive, so nothing cancels.  At x = 0 the sum is its
+    first coefficient and the power is exact: 1 for nu = 0, 0 above, and
+    +inf below, the limit of I_{-1/2}.
+    """
+    t = np.multiply(x, x)
+    t *= 0.25
+    _horner(coeffs, t, out)
+    out *= np.exp(np.negative(x, out=t), out=t)
+    if nu:
+        with np.errstate(divide="ignore"):
+            out *= np.power(np.multiply(x, 0.5, out=t), nu, out=t)
+    return out
+
+
+def _bessel_i_hankel(coeffs, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(2 pi x)^{-1/2} sum_k (-1)^k a_k(nu) x^{-k} into `out` (DLMF 10.40.1)."""
+    t = np.divide(1.0, x)
+    _horner(coeffs, t, out)
+    out /= np.sqrt(np.multiply(x, 2.0 * math.pi, out=t), out=t)
+    return out
 
 
 def bessel_i_scaled(nu: float, x):
-    """exp(-x) * I_nu(x); overflow-safe building block for heat-type kernels."""
-    x = np.asarray(x, dtype=float)
-    if nu < -0.5:
-        raise ValueError(f"bessel order must be >= -1/2, got {nu}")
-    if np.any(x < 0):
-        raise ValueError("bessel argument must be nonnegative")
-    val = _sp.ive(nu, x)
-    return val if np.ndim(x) else float(val)
+    """exp(-x) * I_nu(x), x >= 0; overflow-safe building block for heat-type kernels.
+
+    Array inputs of order nu <= _BESSEL_I_MAX_ORDER are evaluated in blocks of
+    _BESSEL_BLOCK points: the power series below x = _BESSEL_I_SPLIT and
+    Hankel's expansion above, both summed by Horner from coefficients
+    computed once per call.  Each branch works in the output block with one
+    temporary, which keeps the allocations of a kernel-sized call small.
+    Scalar inputs and higher orders, where the expansion loses accuracy at
+    the split, go to scipy's ive.
+    """
+    x = _check_bessel_args(nu, x, math.inf)
+    if not np.ndim(x):
+        return float(_sp.ive(nu, x))
+    if nu > _BESSEL_I_MAX_ORDER:
+        return _sp.ive(nu, x)
+    series = [1.0 / (math.factorial(k) * math.gamma(nu + k + 1.0))
+              for k in range(_BESSEL_I_SERIES_TERMS)]
+    hankel = [1.0]
+    for k in range(1, _BESSEL_I_HANKEL_TERMS):
+        hankel.append(-hankel[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
+
+    def fill(xb, ob):
+        far = xb >= _BESSEL_I_SPLIT
+        if far.all():
+            _bessel_i_hankel(hankel, xb, ob)
+        elif not far.any():
+            _bessel_i_series(nu, series, xb, ob)
+        else:
+            xf, xn = xb[far], xb[~far]
+            ob[far] = _bessel_i_hankel(hankel, xf, np.empty_like(xf))
+            ob[~far] = _bessel_i_series(nu, series, xn, np.empty_like(xn))
+
+    return _by_blocks(x, fill)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import fft
-from scipy.interpolate import make_interp_spline
 
 from . import specfun
 from .common import (
@@ -55,6 +54,7 @@ from .symplectic import (
     mat_free,
     mat_laplace,
     mat_poisson,
+    reduce_order,
 )
 
 GEOMETRIC_B_TOL = 1e-10
@@ -271,6 +271,8 @@ def _gl_nodes(lo: float, hi: float, panels: int, nodes: int):
 
 
 def _interpolant(field: SampledField):
+    from scipy.interpolate import make_interp_spline  # slow to import; only the spline paths need it
+
     x = field.grid.points
     k = min(5, field.grid.count - 1)
     spl = make_interp_spline(x, field.values, k=k)
@@ -626,10 +628,14 @@ def fresnel_propagate(field: SampledField, zeta: float, out_grid: Grid1D,
 
 def frft(field: SampledField, alpha: float, out_grid: Grid1D,
          cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
-    """Fractional Fourier transform, mathematical normalization."""
-    phi = alpha * math.pi / 2.0
+    """Fractional Fourier transform, mathematical normalization.
+
+    4-periodic in alpha: the order is reduced to (-2, 2] first, since the
+    matching factor e^{i pi alpha/4} alone would flip sign under alpha + 4.
+    """
+    alpha = reduce_order(alpha)
     return linear_ct(mat_fourier(alpha), field, out_grid, cfg,
-                     matching=cmath.exp(0.5j * phi))
+                     matching=cmath.exp(0.25j * math.pi * alpha))
 
 
 def fr_laplace(field: SampledField, alpha: float, out_grid: Grid1D,
@@ -637,10 +643,12 @@ def fr_laplace(field: SampledField, alpha: float, out_grid: Grid1D,
     """Fractional bilateral Laplace transform on a real output grid.
 
     Carries the i^(alpha/2) matching factor, so alpha = 1 reproduces
-    (2 pi i)^(-1/2) times the bilateral Laplace integral.
+    (2 pi i)^(-1/2) times the bilateral Laplace integral.  4-periodic in
+    alpha, as `frft` is: the order is reduced to (-2, 2] first.
     """
-    matching = cmath.exp(0.25j * math.pi * alpha)
-    return linear_ct(mat_laplace(alpha), field, out_grid, cfg, matching=matching)
+    alpha = reduce_order(alpha)
+    return linear_ct(mat_laplace(alpha), field, out_grid, cfg,
+                     matching=cmath.exp(0.25j * math.pi * alpha))
 
 
 def poisson_propagate(field, t: float, out_grid: Grid1D,

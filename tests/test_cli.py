@@ -258,3 +258,10 @@ def test_import_leaves_scipy_signal_unloaded():
     code = "import sys, canonica; print('scipy.signal' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # scipy.interpolate is slow to import, and only the spline paths need it
+    code = "import sys, canonica; print('scipy.interpolate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"

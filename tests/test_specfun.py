@@ -4,6 +4,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special
 
 from canonica import specfun
@@ -69,13 +71,11 @@ def test_airy_ode_residual_second_order():
 def test_bessel_values_and_guards():
     assert specfun.bessel_j(0, 0.0) == 1.0
     assert specfun.bessel_j(2, 0.0) == 0.0
-    assert specfun.bessel_i(0, 0.0) == 1.0
+    assert specfun.bessel_i_scaled(0, 0.0) == 1.0
     with pytest.raises(ValueError):
         specfun.bessel_j(-0.7, 1.0)
     with pytest.raises(ValueError):
         specfun.bessel_j(0, -1.0)
-    with pytest.raises(ValueError):
-        specfun.bessel_i(0, 800.0)
 
 
 def test_first_bessel_zero_by_bisection():
@@ -98,7 +98,7 @@ def test_bessel_half_integer_closed_forms():
     for x in (0.3, 1.7, 6.1):
         ref_i = math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
         ref_j = math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
-        assert specfun.bessel_i(0.5, x) == pytest.approx(ref_i, rel=1e-12)
+        assert specfun.bessel_i_scaled(0.5, x) * math.exp(x) == pytest.approx(ref_i, rel=1e-12)
         assert specfun.bessel_j(0.5, x) == pytest.approx(ref_j, rel=1e-12)
 
 
@@ -165,3 +165,55 @@ def test_bessel_j_memory_is_the_output_plus_a_block():
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + 4 * 2**20
+
+
+_SPLIT = specfun._BESSEL_I_SPLIT
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 0.49999, 0.5000036, 1.0, 2.5, 5.0, 10.0])
+def test_bessel_i_scaled_against_mpmath(nu):
+    # arrays take the power series below the split and Hankel's expansion
+    # above; the points next to the split are where each is least accurate
+    rng = np.random.default_rng(int(nu * 10) + 20)
+    x = np.concatenate([rng.uniform(0.0, _SPLIT, 60), rng.uniform(_SPLIT, 400.0, 40),
+                        _SPLIT - np.array([1e-9, 1e-3, 0.5]), _SPLIT + np.array([0.0, 1e-9, 0.5]),
+                        [1e-12, 1e-3, 2e3]])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.besseli(nu, xi) * mpmath.exp(-xi)) for xi in x])
+    got = specfun.bessel_i_scaled(nu, x)
+    assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+    at_zero = specfun.bessel_i_scaled(nu, np.zeros(3))
+    assert np.all(at_zero == (math.inf if nu < 0 else 1.0 if nu == 0 else 0.0))
+
+
+def test_bessel_i_scaled_blocks_keep_shape_scalars_and_high_orders():
+    x = np.random.default_rng(4).uniform(0.0, 2 * _SPLIT, (300, 250))  # more than two blocks
+    got = specfun.bessel_i_scaled(0.5000036, x)
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - special.ive(0.5000036, x)) / got) < 1e-13
+    scalar = specfun.bessel_i_scaled(0.5000036, 3.0)
+    assert type(scalar) is float and scalar == special.ive(0.5000036, 3.0)
+    # beyond the validated orders Hankel's expansion is off near the split
+    nu = specfun._BESSEL_I_MAX_ORDER + 2.0
+    assert np.array_equal(specfun.bessel_i_scaled(nu, x), special.ive(nu, x))
+
+
+def test_bessel_i_scaled_memory_is_the_output_plus_a_block():
+    x = np.linspace(0.0, 2 * _SPLIT, 2_000_000)
+    specfun.bessel_i_scaled(0.5, x[:8])
+    tracemalloc.start()
+    try:
+        out = specfun.bessel_i_scaled(0.5, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * 2**20
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu=st.floats(0.5, specfun._BESSEL_I_MAX_ORDER - 1.0),
+       x=hnp.arrays(float, st.integers(1, 64), elements=st.floats(0.05, 4 * _SPLIT)))
+def test_bessel_i_scaled_recurrence(nu, x):
+    # I_{nu-1}(x) - I_{nu+1}(x) = (2 nu / x) I_nu(x); the factor e^{-x} is common
+    lo, mid, hi = (specfun.bessel_i_scaled(nu + d, x) for d in (-1.0, 0.0, 1.0))
+    assert np.all(np.abs(lo - hi - 2.0 * nu / x * mid) <= 1e-14 * (lo + hi))

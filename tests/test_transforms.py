@@ -46,6 +46,7 @@ from canonica.transforms import (
     apply,
     bessel_exp,
     fr_hankel,
+    fr_laplace,
     frft,
     fresnel_propagate,
     geometric,
@@ -77,6 +78,24 @@ def test_frft_identity_and_eigenfunction():
     u3 = sample(StdHG(3), FULL, 0.0)
     out = frft(u3, 1.0, FULL)
     assert rel_l2(out.values, (-1j) ** 3 * u3.values) < 1e-6
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, -1.5, 0.3])
+def test_frft_is_four_periodic(alpha):
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -10.0, 10.0, 256)
+    f = SampledField(grid, np.exp(-(grid.points - 1.0) ** 2 / 2) * (1 + 0.3j * grid.points))
+    base = frft(f, alpha, grid).values
+    for shift in (4.0, -4.0, 8.0):
+        assert rel_l2(frft(f, alpha + shift, grid).values, base) < 1e-12
+
+
+def test_fr_laplace_is_four_periodic():
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -10.0, 10.0, 256)
+    f = SampledField(grid, np.exp(-(grid.points - 0.5) ** 2) + 0j)
+    out = Grid1D.from_span(GridKind.FULL_LINE, -1.0, 1.0, 64)
+    base = fr_laplace(f, 0.5, out).values
+    for alpha in (4.5, -3.5):
+        assert rel_l2(fr_laplace(f, alpha, out).values, base) < 1e-12
 
 
 def test_frft_group_law_and_inverse_pairing():
