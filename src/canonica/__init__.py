@@ -46,7 +46,7 @@ from .fields import (
     sample,
     write_field,
 )
-from .transforms import QuadratureConfig, apply
+from .transforms import Plan, QuadratureConfig, apply, plan
 from .appell import AppellSpec, appell_analytic, appell_numeric, self_appell_eigencheck
 from .verify import (
     ResidualReport,

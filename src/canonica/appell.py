@@ -31,7 +31,6 @@ from .fields import (
     AnalyticField,
     Grid1D,
     GridKind,
-    Radial,
     RadialDim,
     SampledField,
 )
@@ -99,10 +98,7 @@ def _branch_power(c: float, phi: float, power: float) -> complex:
 
 
 def _field_index(src: AnalyticField | SampledField) -> int:
-    geo = src.geometry
-    if isinstance(geo, (Radial, RadialDim)):
-        return geo.m
-    return 0
+    return getattr(src.geometry, "m", 0)  # Radial and RadialDim carry an azimuthal index
 
 
 def _check_match(src: AnalyticField, spec: AppellSpec):

@@ -209,28 +209,24 @@ def cmd_appell(args) -> int:
     return 0
 
 
+# constructor token name -> matrix from the token's numeric parameters
+_MATRICES = {
+    "free": mat_free, "lens": mat_lens, "poisson": mat_poisson,
+    "gauss-aperture": mat_gauss_aperture, "bargmann": lambda *_: mat_bargmann(),
+    "scale": lambda *v: mat_scale(complex(v[0], v[1] if len(v) > 1 else 0.0)),
+    "fourier": lambda *v: mat_fourier(*(v or [1.0])),
+    "laplace": lambda *v: mat_laplace(*(v or [1.0])),
+}
+
+
 def _parse_matrix(token: str) -> SympMat2:
     if token.startswith("{"):
         return SympMat2.from_json(token)
     name, _, params = token.partition(":")
     vals = [float(p) for p in params.split(",")] if params else []
     try:
-        if name == "free":
-            return mat_free(*vals)
-        if name == "lens":
-            return mat_lens(*vals)
-        if name == "scale":
-            return mat_scale(complex(vals[0], vals[1] if len(vals) > 1 else 0.0))
-        if name == "fourier":
-            return mat_fourier(*(vals or [1.0]))
-        if name == "laplace":
-            return mat_laplace(*(vals or [1.0]))
-        if name == "poisson":
-            return mat_poisson(*vals)
-        if name == "gauss-aperture":
-            return mat_gauss_aperture(*vals)
-        if name == "bargmann":
-            return mat_bargmann()
+        if name in _MATRICES:
+            return _MATRICES[name](*vals)
         if name.startswith("appell-"):
             eq = EquationKind(name.removeprefix("appell-"))
             return mat_appell(eq, vals[0], vals[1])
@@ -242,11 +238,7 @@ def _parse_matrix(token: str) -> SympMat2:
 def cmd_matrix(args) -> int:
     mats = [_parse_matrix(tok) for tok in args.matrices]
     if args.op == "compose":
-        if len(mats) == 1:
-            out = mats[0]
-        else:
-            out = compose(*mats)
-        print(out.to_json())
+        print((mats[0] if len(mats) == 1 else compose(*mats)).to_json())
     elif args.op == "invert":
         if len(mats) != 1:
             raise CanonicaError("invert takes exactly one matrix")

@@ -1,6 +1,8 @@
 """Numerical engines for the canonical transforms.
 
-Every transform runs through one of three paths:
+A transform is built once for its grids as a `Plan` and then applied to
+fields.  `plan(spec, in_grid, out_grid, cfg)` reads one of three paths off
+the transform's matrix:
 
 * ``chirp-fft``: modulate / FFT-convolve / modulate, using the quadratic
   phase decomposition of the linear kernel.  Default for oscillatory
@@ -14,7 +16,12 @@ Every transform runs through one of three paths:
   sample count alone.  Only Gaussian-convolution kernels accept a callable
   f(y): it is evaluated on panels over the output window widened by
   12 sqrt(tau), starting at the axis on half-line grids.
-* B = 0: the point map of the kernel, read off the field's quintic spline.
+* ``point-map`` (B = 0): the point map of the kernel, read off the field's
+  quintic spline.
+
+The plan holds the nodes, the weights and the finished kernel (refused above
+_MAX_KERNEL_BYTES); calling it on a field runs the guards, the spline at the
+nodes and the matvec.  Every engine and `apply` build a plan and apply it once.
 
 Bessel-I kernels are evaluated through the exponentially scaled form, so
 heat-type kernels never overflow, and real kernels are applied in float64.
@@ -24,7 +31,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +52,7 @@ from .fields import (
     Grid1D,
     GridKind,
     Linear,
-    Radial,
     RadialDim,
-    RadialType,
     SampledField,
 )
 from .symplectic import (
@@ -61,6 +69,8 @@ GEOMETRIC_B_TOL = 1e-10
 EDGE_WARN_LEVEL = 1e-6
 MAX_EXPONENT = 700.0
 _MAX_PANELS = 3000
+_MAX_KERNEL_BYTES = 1 << 30  # a plan refuses a larger kernel before it allocates it
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 @dataclass(frozen=True)
@@ -142,17 +152,19 @@ class FrHankel:
     alpha: float
 
 
+def _check_kind_and_order(spec):
+    if spec.kind not in (1, 2):
+        raise ValueError("kind must be 1 or 2")
+    if spec.nu < -0.5:
+        raise ValueError("nu must be >= -1/2")
+
+
 @dataclass(frozen=True)
 class HankelType:
     kind: int
     nu: float
     nu_prime: float
-
-    def __post_init__(self):
-        if self.kind not in (1, 2):
-            raise ValueError("kind must be 1 or 2")
-        if self.nu < -0.5:
-            raise ValueError("nu must be >= -1/2")
+    __post_init__ = _check_kind_and_order
 
 
 @dataclass(frozen=True)
@@ -160,12 +172,7 @@ class RadialLaplace:
     kind: int
     nu: float
     nu_prime: float
-
-    def __post_init__(self):
-        if self.kind not in (1, 2):
-            raise ValueError("kind must be 1 or 2")
-        if self.nu < -0.5:
-            raise ValueError("nu must be >= -1/2")
+    __post_init__ = _check_kind_and_order
 
 
 @dataclass(frozen=True)
@@ -222,8 +229,41 @@ TransformSpec = (
 )
 
 
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """A transform built for one input grid (None: a callable f(y)) and one
+    output grid; call it on a field.  A field on another grid is rejected.
+    `nbytes` is the size of the kernel (FFT'd chirp, point-map factor) it holds."""
+
+    in_grid: Grid1D | None
+    out_grid: Grid1D
+    nbytes: int
+    run: Callable  # field -> output values
+    evol_shift: float = 0.0
+    geometry: object = None  # of the output of a callable input
+    guards: tuple = ()  # field -> None, run first
+
+    def __call__(self, field) -> SampledField:
+        grid = field.grid if isinstance(field, SampledField) else None
+        if grid != self.in_grid:
+            raise GeometryMismatch(f"the plan is built for input grid {self.in_grid}, not {grid}")
+        for guard in self.guards:
+            guard(field)
+        if grid is None:
+            return SampledField(self.out_grid, self.run(field), self.geometry, self.evol_shift)
+        return SampledField(self.out_grid, self.run(field), field.geometry, field.evol + self.evol_shift)
+
+
 # ---------------------------------------------------------------------------
 # quadrature plumbing
+
+def _warn(message: str):
+    """A TruncationWarning attributed to the first caller outside the package."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, TruncationWarning, stacklevel=level)
+
 
 def _real_exponent(mat: SympMat2) -> bool:
     """True for L-form matrices with imaginary B, whose kernels do not oscillate."""
@@ -255,9 +295,18 @@ def _panel_count(cfg: QuadratureConfig, mat: SympMat2, xmax: float, outmax: floa
     by_field = math.ceil(count / cfg.nodes_per_panel)
     wanted = max(by_phase, by_field, 4)
     if wanted > _MAX_PANELS:
-        warnings.warn(f"the kernel asks for {wanted} quadrature panels; {_MAX_PANELS} are used, "
-                      "which under-resolves its phase", TruncationWarning, stacklevel=4)
+        _warn(f"the kernel asks for {wanted} quadrature panels; {_MAX_PANELS} are used, "
+              "which under-resolves its phase")
     return min(wanted, _MAX_PANELS)
+
+
+def _kernel_bytes(rows: int, cols: int, real: bool) -> int:
+    """Bytes of a rows x cols kernel; ValueError above _MAX_KERNEL_BYTES."""
+    nbytes = rows * cols * (8 if real else 16)
+    if nbytes > _MAX_KERNEL_BYTES:
+        raise ValueError(f"the {rows} x {cols} kernel needs {nbytes} bytes, above the "
+                         f"{_MAX_KERNEL_BYTES} byte ceiling; use fewer output points or nodes")
+    return nbytes
 
 
 def _gl_nodes(lo: float, hi: float, panels: int, nodes: int):
@@ -288,6 +337,12 @@ def _interpolant(field: SampledField):
     return ev
 
 
+def _apodization(cfg: QuadratureConfig, x: np.ndarray, center: float):
+    """The Gaussian apodization window at x, or None when it is off."""
+    width = cfg.apodization
+    return None if width is None else np.exp(-((x - center) ** 2) / (2.0 * width**2))
+
+
 def _edge_check(field: SampledField, cfg: QuadratureConfig):
     peak = float(np.max(np.abs(field.values)))
     if peak == 0.0:
@@ -297,56 +352,57 @@ def _edge_check(field: SampledField, cfg: QuadratureConfig):
     else:
         edge = max(abs(field.values[0]), abs(field.values[-1])) / peak
     if cfg.apodization is None and edge > EDGE_WARN_LEVEL:
-        warnings.warn(
-            f"field magnitude at grid edge is {edge:.2e} of peak; "
-            "widen the grid or enable apodization",
-            TruncationWarning,
-            stacklevel=3,
-        )
+        _warn(f"field magnitude at grid edge is {edge:.2e} of peak; "
+              "widen the grid or enable apodization")
 
 
-def _kernel_nodes(field, cfg: QuadratureConfig, mat: SympMat2, out_grid: Grid1D):
-    """Quadrature nodes, weights and input values for the kernel of `mat`,
-    behind the guard the matrix calls for.
+def _kernel_nodes(cfg: QuadratureConfig, mat: SympMat2, in_grid: Grid1D | None,
+                  out_grid: Grid1D):
+    """Quadrature nodes and weights for the kernel of `mat`, and the function
+    that reads a field at the nodes behind the guard the matrix calls for.
 
-    A Gaussian convolution gets the growth guard and alone accepts a callable
-    f(y) (rule in the module docstring).  Other kernels get the edge check,
-    after the convergence and support check if L-form.  Truncation and
-    apodization are centred on the axis (half-line) or the grid midpoint.
+    A Gaussian convolution gets the growth guard and alone takes a callable
+    f(y) (in_grid None; rule in the module docstring).  Other kernels get the
+    edge check, after the convergence and support check if L-form.
+    Truncation and apodization are centred on the axis (half-line) or the
+    grid midpoint.
     """
     out_x = out_grid.points
     outmax = float(np.max(np.abs(out_x)))
     tau = _gaussian_variance(mat)
-    if not isinstance(field, SampledField):
-        if tau is None:
-            raise TypeError("only Gaussian-convolution kernels accept a callable input")
+    if in_grid is None:
         reach = 12.0 * math.sqrt(tau)
         lo = 0.0 if out_grid.kind == GridKind.HALF_LINE else out_grid.start - reach
         hi = out_grid.end + reach
         panels = _panel_count(cfg, mat, max(abs(lo), abs(hi)), outmax, out_grid.count)
         xq, wq = _gl_nodes(lo, hi, panels, cfg.nodes_per_panel)
-        return xq, wq, np.asarray(field(xq), dtype=complex)
-    lo, hi = field.grid.start, field.grid.end
+        return xq, wq, lambda f: np.asarray(f(xq), dtype=complex)
+    lo, hi = in_grid.start, in_grid.end
     xmax = max(abs(lo), abs(hi))
-    if tau is None:
-        if _real_exponent(mat):
-            _lform_support_check(mat, field, outmax, xmax)
-        _edge_check(field, cfg)
-    center = 0.0 if field.grid.kind == GridKind.HALF_LINE else 0.5 * (lo + hi)
-    panels = _panel_count(cfg, mat, xmax, outmax, field.grid.count)
+    center = 0.0 if in_grid.kind == GridKind.HALF_LINE else 0.5 * (lo + hi)
+    panels = _panel_count(cfg, mat, xmax, outmax, in_grid.count)
     if cfg.truncation_radius is not None:
         lo = max(lo, center - cfg.truncation_radius)
         hi = min(hi, center + cfg.truncation_radius)
     xq, wq = _gl_nodes(lo, hi, panels, cfg.nodes_per_panel)
-    fq = _interpolant(field)(xq)
-    if cfg.apodization is not None:
-        fq = fq * np.exp(-((xq - center) ** 2) / (2.0 * cfg.apodization**2))
-    if tau is not None:
-        # a half-line source has one tail, whose most pessimistic output point is the outer end
-        ends = ((float(np.max(out_x)),) if field.grid.kind == GridKind.HALF_LINE
-                else (float(np.min(out_x)), float(np.max(out_x))))
-        _kernel_beats_growth(field, (xq, wq, fq), tau, ends)
-    return xq, wq, fq
+    window = _apodization(cfg, xq, center)
+    # a half-line source has one tail, whose most pessimistic output point is the outer end
+    ends = ((float(np.max(out_x)),) if in_grid.kind == GridKind.HALF_LINE
+            else (float(np.min(out_x)), float(np.max(out_x))))
+
+    def values(field):
+        if tau is None:
+            if _real_exponent(mat):
+                _lform_support_check(mat, field, outmax, xmax)
+            _edge_check(field, cfg)
+        fq = _interpolant(field)(xq)
+        if window is not None:
+            fq = fq * window
+        if tau is not None:
+            _kernel_beats_growth(field, (xq, wq, fq), tau, ends)
+        return fq
+
+    return xq, wq, values
 
 
 def _kernel_exponent(mat: SympMat2, x, y, xy: float):
@@ -392,8 +448,7 @@ def _matvec(kern: np.ndarray, v: np.ndarray) -> np.ndarray:
     return kern @ v
 
 
-def _point_map(mat: SympMat2, field: SampledField, out_x: np.ndarray, power: float,
-               nu: float) -> np.ndarray:
+def _point_map(mat: SympMat2, in_grid: Grid1D, out_x: np.ndarray, power: float, nu: float):
     """The B = 0 kernel of order nu, a point map: |A|^(-power) e^{i C x^2/2A}
     f(x/A), read off the field's spline; on a half-line grid the point is x/|A|.
 
@@ -406,38 +461,36 @@ def _point_map(mat: SympMat2, field: SampledField, out_x: np.ndarray, power: flo
     mat_fourier(+-2) and mat_laplace(+-2) that is the sign of sin(+-pi),
     which is the side alpha approaches from, but a matrix composed to B ~ 0
     gets the branch its rounding lands on.
+
+    Returns the bytes held and the function of the field.
     """
     a = mat.a.real
-    pts = out_x / (abs(a) if field.grid.kind == GridKind.HALF_LINE else a)
-    vals = (abs(a) ** (-power) * np.exp(0.5j * (mat.c / mat.a) * out_x**2)
-            * _interpolant(field)(pts))
+    pts = out_x / (abs(a) if in_grid.kind == GridKind.HALF_LINE else a)
+    factor = abs(a) ** (-power) * np.exp(0.5j * (mat.c / mat.a) * out_x**2)
+    turn = None
     if a < 0:
         side = -1.0 if (mat.b.real or mat.b.imag) < 0 else 1.0
-        vals *= cmath.exp(-1j * math.pi * (nu + 1.0) * side)
-    return vals
+        turn = cmath.exp(-1j * math.pi * (nu + 1.0) * side)
+
+    def run(field):
+        vals = factor * _interpolant(field)(pts)
+        if turn is not None:
+            vals *= turn
+        return vals
+
+    return factor.nbytes, run
 
 
-def _output(field, out_grid: Grid1D, vals: np.ndarray, evol_shift: float, geometry):
-    """The output field; a callable input has no geometry of its own and evolution value 0."""
-    if isinstance(field, SampledField):
-        return SampledField(out_grid, vals, field.geometry, field.evol + evol_shift)
-    return SampledField(out_grid, vals, geometry, evol_shift)
+def _require_grid(grid: Grid1D | None, kind: str):
+    if grid is None or grid.kind != kind:
+        raise GeometryMismatch(f"the transform needs a sampled field on a {kind} grid")
 
 
-def _require_full_line(field: SampledField):
-    if field.grid.kind != GridKind.FULL_LINE or not isinstance(field.geometry, Linear):
-        raise GeometryMismatch("linear transform needs a full-line, linear-geometry field")
-
-
-def _require_half_line(field: SampledField):
-    if field.grid.kind != GridKind.HALF_LINE:
-        raise GeometryMismatch("radial transform needs a half-line field")
-
-
-def _check_radial_index(field: SampledField, m: int):
-    geo = field.geometry
-    if isinstance(geo, (Radial, RadialDim)) and geo.m != m:
-        raise GeometryMismatch(f"field azimuthal index {geo.m} != transform order {m}")
+def _check_geometry(field: SampledField, **params):
+    """Reject a field whose geometry carries other values of the transform's parameters."""
+    for key, value in params.items():
+        if abs(getattr(field.geometry, key, value) - value) > 1e-12:
+            raise GeometryMismatch(f"field {field.geometry} does not match transform {key} {value}")
 
 
 def _kernel_beats_growth(field: SampledField, nodes, tau: float, out_ends):
@@ -486,7 +539,7 @@ def _require_gaussian_decay(field: SampledField, rate: float = 0.25):
 
 
 # ---------------------------------------------------------------------------
-# linear-kernel engines
+# linear-kernel plans
 
 def _integrability(mat: SympMat2):
     if mat.is_real():
@@ -540,85 +593,101 @@ def _lform_support_check(mat: SympMat2, field: SampledField, outmax: float, xmax
     peak = outmax / abs(b * (g_est - lam))
     width = 1.0 / math.sqrt(g_est - lam)
     if peak + 2.0 * width > xmax:
-        warnings.warn(
-            f"kernel stationary point {peak:.2f} (+2 widths) exceeds the source "
-            f"support {xmax:.2f}; shrink the output window or widen the source grid",
-            TruncationWarning,
-            stacklevel=4,
-        )
+        _warn(f"kernel stationary point {peak:.2f} (+2 widths) exceeds the source "
+              f"support {xmax:.2f}; shrink the output window or widen the source grid")
 
 
-def _linear_ct_gl(mat: SympMat2, field, out_grid: Grid1D, cfg: QuadratureConfig,
-                  matching: complex) -> np.ndarray:
-    xq, wq, fq = _kernel_nodes(field, cfg, mat, out_grid)
-    kern = _guarded_exp(_kernel_exponent(mat, out_grid.points[:, None], xq[None, :], -2.0))
-    return matching / cmath.sqrt(2j * math.pi * mat.b) * _matvec(kern, wq * fq)
+def _linear_gl(mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid1D,
+               cfg: QuadratureConfig, matching: complex):
+    xq, wq, values = _kernel_nodes(cfg, mat, in_grid, out_grid)
+    out_x = out_grid.points
+    nbytes = _kernel_bytes(len(out_x), len(xq), _real_exponent(mat))
+    kern = _guarded_exp(_kernel_exponent(mat, out_x[:, None], xq[None, :], -2.0))
+    scale = matching / cmath.sqrt(2j * math.pi * mat.b)
+    return nbytes, lambda field: scale * _matvec(kern, wq * values(field))
 
 
-def _linear_ct_chirp_fft(mat: SympMat2, field: SampledField, out_grid: Grid1D,
-                         cfg: QuadratureConfig, matching: complex) -> np.ndarray:
-    h = field.grid.step
+def _chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D, cfg: QuadratureConfig,
+               matching: complex):
+    h = in_grid.step
     if abs(out_grid.step - h) > 1e-12 * h:
         raise ValueError("chirp-fft path needs matching input/output steps")
-    _edge_check(field, cfg)
-    x = field.grid.points
-    f = field.values
-    if cfg.apodization is not None:
-        center = 0.5 * (x[0] + x[-1])
-        f = f * np.exp(-((x - center) ** 2) / (2.0 * cfg.apodization**2))
+    x = in_grid.points
+    window = _apodization(cfg, x, 0.5 * (x[0] + x[-1]))
     b = mat.b
-    g = f * np.exp((0.5j / b) * (mat.a - 1.0) * x**2)
-    n, m_out = field.grid.count, out_grid.count
-    delta = out_grid.start - field.grid.start
+    chirp_in = np.exp((0.5j / b) * (mat.a - 1.0) * x**2)
+    n, m_out = in_grid.count, out_grid.count
+    delta = out_grid.start - in_grid.start
     lags = delta + h * np.arange(-(n - 1), m_out)
-    z = np.exp((0.5j / b) * lags**2)
-    size = fft.next_fast_len(n + len(z) - 1)
-    conv = fft.ifft(fft.fft(g, size) * fft.fft(z, size))[n - 1 : n - 1 + m_out]
-    pref = matching * h / cmath.sqrt(2j * math.pi * b)
-    xo = out_grid.points
-    return pref * np.exp((0.5j / b) * (mat.d - 1.0) * xo**2) * conv
+    size = fft.next_fast_len(n + len(lags) - 1)
+    z_hat = fft.fft(np.exp((0.5j / b) * lags**2), size)
+    chirp_out = (matching * h / cmath.sqrt(2j * math.pi * b)
+                 * np.exp((0.5j / b) * (mat.d - 1.0) * out_grid.points**2))
+
+    def run(field):
+        _edge_check(field, cfg)
+        f = field.values if window is None else field.values * window
+        return chirp_out * fft.ifft(fft.fft(f * chirp_in, size) * z_hat)[n - 1 : n - 1 + m_out]
+
+    return z_hat.nbytes, run
 
 
-def _use_chirp_fft(mat: SympMat2, field: SampledField, out_grid: Grid1D,
+def _use_chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D,
                    cfg: QuadratureConfig) -> bool:
-    if cfg.scheme == "chirp-fft":
-        return True
     if cfg.scheme != "auto":
-        return False
-    return (
-        mat.is_real(1e-12)
-        and field.grid.kind == GridKind.FULL_LINE
-        and out_grid.kind == GridKind.FULL_LINE
-        and abs(out_grid.step - field.grid.step) <= 1e-12 * field.grid.step
-        and cfg.truncation_radius is None
-    )
+        return cfg.scheme == "chirp-fft"
+    return (mat.is_real(1e-12) and out_grid.kind == GridKind.FULL_LINE
+            and abs(out_grid.step - in_grid.step) <= 1e-12 * in_grid.step
+            and cfg.truncation_radius is None)
+
+
+def _geometric(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D):
+    if abs(mat.b) > GEOMETRIC_B_TOL:
+        raise ValueError("geometric transform needs B = 0")
+    if abs(mat.a.imag) > 1e-12:
+        raise ValueError("geometric resampling implemented for real A only")
+    _require_grid(in_grid, GridKind.FULL_LINE)
+    return _point_map(mat, in_grid, out_grid.points, 0.5, -0.5)
+
+
+def _linear_plan(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D, cfg: QuadratureConfig,
+                 matching: complex = 1.0, evol_shift: float = 0.0) -> Plan:
+    """The kernel transform of `mat` between full-line grids."""
+    _require_grid(in_grid, GridKind.FULL_LINE)
+    if abs(mat.b) <= GEOMETRIC_B_TOL:
+        nbytes, point_map = _geometric(mat, in_grid, out_grid)
+        return Plan(in_grid, out_grid, nbytes, lambda f: matching * point_map(f), evol_shift)
+    _integrability(mat)
+    build = _chirp_fft if _use_chirp_fft(mat, in_grid, out_grid, cfg) else _linear_gl
+    return Plan(in_grid, out_grid, *build(mat, in_grid, out_grid, cfg, matching), evol_shift)
+
+
+def _fractional_plan(family, alpha: float, in_grid: Grid1D, out_grid: Grid1D,
+                     cfg: QuadratureConfig) -> Plan:
+    """Order alpha of a fractional family, 4-periodic: alpha is reduced to (-2, 2] before
+    the e^{i pi alpha/4} matching factor, which alone would flip sign under alpha + 4."""
+    alpha = reduce_order(alpha)
+    return _linear_plan(family(alpha), in_grid, out_grid, cfg, cmath.exp(0.25j * math.pi * alpha))
+
+
+def _poisson_plan(t: float, in_grid: Grid1D | None, out_grid: Grid1D,
+                  cfg: QuadratureConfig) -> Plan:
+    if in_grid is not None:
+        _require_grid(in_grid, GridKind.FULL_LINE)
+    return Plan(in_grid, out_grid, *_linear_gl(mat_poisson(t), in_grid, out_grid, cfg, 1.0),
+                t, Linear())
 
 
 def linear_ct(mat: SympMat2, field: SampledField, out_grid: Grid1D,
               cfg: QuadratureConfig = DEFAULT_CONFIG, matching: complex = 1.0,
               evol_shift: float = 0.0) -> SampledField:
     """Apply the kernel transform of `mat` to a sampled linear-geometry field."""
-    _require_full_line(field)
-    if abs(mat.b) <= GEOMETRIC_B_TOL:
-        vals = matching * geometric(mat, field, out_grid).values
-    else:
-        _integrability(mat)
-        if _use_chirp_fft(mat, field, out_grid, cfg):
-            vals = _linear_ct_chirp_fft(mat, field, out_grid, cfg, matching)
-        else:
-            vals = _linear_ct_gl(mat, field, out_grid, cfg, matching)
-    return SampledField(out_grid, vals, field.geometry, field.evol + evol_shift)
+    return _linear_plan(mat, field.grid, out_grid, cfg, matching, evol_shift)(field)
 
 
 def geometric(mat: SympMat2, field: SampledField, out_grid: Grid1D) -> SampledField:
     """Imaging-limit transform (B = 0): chirp modulation plus rescaling."""
-    if abs(mat.b) > GEOMETRIC_B_TOL:
-        raise ValueError("geometric transform needs B = 0")
-    if abs(mat.a.imag) > 1e-12:
-        raise ValueError("geometric resampling implemented for real A only")
-    _require_full_line(field)
-    vals = _point_map(mat, field, out_grid.points, 0.5, -0.5)
-    return SampledField(out_grid, vals, field.geometry, field.evol)
+    return _run(Geometric(mat), field, out_grid, DEFAULT_CONFIG)
 
 
 def fresnel_propagate(field: SampledField, zeta: float, out_grid: Grid1D,
@@ -628,14 +697,8 @@ def fresnel_propagate(field: SampledField, zeta: float, out_grid: Grid1D,
 
 def frft(field: SampledField, alpha: float, out_grid: Grid1D,
          cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
-    """Fractional Fourier transform, mathematical normalization.
-
-    4-periodic in alpha: the order is reduced to (-2, 2] first, since the
-    matching factor e^{i pi alpha/4} alone would flip sign under alpha + 4.
-    """
-    alpha = reduce_order(alpha)
-    return linear_ct(mat_fourier(alpha), field, out_grid, cfg,
-                     matching=cmath.exp(0.25j * math.pi * alpha))
+    """Fractional Fourier transform, mathematical normalization; 4-periodic in alpha."""
+    return _run(FrFT(alpha), field, out_grid, cfg)
 
 
 def fr_laplace(field: SampledField, alpha: float, out_grid: Grid1D,
@@ -644,11 +707,9 @@ def fr_laplace(field: SampledField, alpha: float, out_grid: Grid1D,
 
     Carries the i^(alpha/2) matching factor, so alpha = 1 reproduces
     (2 pi i)^(-1/2) times the bilateral Laplace integral.  4-periodic in
-    alpha, as `frft` is: the order is reduced to (-2, 2] first.
+    alpha, as `frft` is.
     """
-    alpha = reduce_order(alpha)
-    return linear_ct(mat_laplace(alpha), field, out_grid, cfg,
-                     matching=cmath.exp(0.25j * math.pi * alpha))
+    return _run(FrLaplace(alpha), field, out_grid, cfg)
 
 
 def poisson_propagate(field, t: float, out_grid: Grid1D,
@@ -659,18 +720,13 @@ def poisson_propagate(field, t: float, out_grid: Grid1D,
     A sampled field is integrated over its grid support, a callable f(y)
     over the output window widened by 12 sqrt(t).
     """
-    if t <= 0:
-        raise ValueError("diffusion time must be positive")
-    if isinstance(field, SampledField):
-        _require_full_line(field)
-    vals = _linear_ct_gl(mat_poisson(t), field, out_grid, cfg, 1.0)
-    return _output(field, out_grid, vals, t, Linear())
+    return _run(PoissonProp(t), field, out_grid, cfg)
 
 
 # ---------------------------------------------------------------------------
-# radial engines
+# radial plans
 #
-# Each radial engine is the kernel of one matrix: it names the matrix, the
+# Each radial transform is the kernel of one matrix: it names the matrix, the
 # Bessel order nu, the weight powers (cross, row, col) of r y, r and y, and a
 # matching factor (the table in the README's numerical notes).
 
@@ -685,17 +741,15 @@ def _dim_weights(n_dim: float):
 
 def _type_weights(kind: int, nu_prime: float):
     """Weight powers (cross, row, col) of the first or second Hankel-type kernel."""
-    if kind not in (1, 2):
-        raise ValueError(f"kind must be 1 or 2, got {kind!r}")
     weight = 1.0 + 2.0 * nu_prime  # on the output variable (kind 1) or the input (kind 2)
     return (-nu_prime, weight, 0.0) if kind == 1 else (-nu_prime, 0.0, weight)
 
 
-def _bessel_sum(name: str, mat: SympMat2, ro: np.ndarray, nodes, nu: float,
-                weights) -> np.ndarray:
-    """Quadrature of the radial kernel of `mat`, shared by every radial engine.
+def _bessel_sum(name: str, mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid1D,
+                cfg: QuadratureConfig, nu: float, weights):
+    """Quadrature of the radial kernel of `mat`, shared by every radial transform.
 
-    Returns (-i)^(nu+1)/B sum_j e^{i(A y_j^2 + D r^2)/2B} J_nu(r y_j/B)
+    Sums (-i)^(nu+1)/B sum_j e^{i(A y_j^2 + D r^2)/2B} J_nu(r y_j/B)
     (r y_j)^cross r^row y_j^col w_j f_j for every output point r.  Real B
     gives the Bessel-J kernel, with the J_nu parity (integer nu only) for
     B < 0.  An L-form B = i beta gives the Bessel-I kernel through
@@ -704,13 +758,24 @@ def _bessel_sum(name: str, mat: SympMat2, ro: np.ndarray, nodes, nu: float,
     r^(nu+cross+row): a positive power gives a zero row, power zero the finite
     limit (y/2|B|)^nu / Gamma(nu+1) y^cross y^col e^{expo(0, y)}, and a
     negative power has no finite value, so an r = 0 output point is rejected.
+
+    Towards the input axis the kernel behaves like y^(nu+cross+col).  A power
+    <= -1 is not integrable, so a source grid that starts on the axis with a
+    field not negligible there (above EDGE_WARN_LEVEL of its peak) is
+    rejected.  Only the axis sample is read: a field that vanishes at the
+    axis, or a grid that starts above it, is summed as given.  Callable
+    inputs (Gaussian convolutions) have power mu - 1 > 0.
+
+    Returns the kernel's bytes and the function of the field.
     """
-    xq, wq, fq = nodes
     cross, row, col = weights
+    ro = out_grid.points
     power = nu + cross + row
     axis = ro == 0.0
     if power < -1e-12 and np.any(axis):
         raise ValueError(f"{name}: output grid must start above r = 0 for these parameters")
+    source_power = nu + cross + col
+    axis_source = in_grid is not None and in_grid.start == 0.0 and source_power <= -1.0 + 1e-12
     if _real_exponent(mat):
         beta = mat.b.imag
         bessel, k, xy = specfun.bessel_i_scaled, 1.0 / abs(beta), 2.0 * math.copysign(1.0, beta)
@@ -722,10 +787,12 @@ def _bessel_sum(name: str, mat: SympMat2, ro: np.ndarray, nodes, nu: float,
             raise ValueError("negative B with non-integer Bessel order is not supported")
         bessel, k, xy = specfun.bessel_j, 1.0 / abs(b), 0.0
         pref = (-1j) ** (nu + 1.0) / b * ((-1.0) ** round(nu) if b < 0 else 1.0)
-    wf = wq * fq if col == 0.0 else wq * xq**col * fq
+    xq, wq, values = _kernel_nodes(cfg, mat, in_grid, out_grid)
+    nbytes = _kernel_bytes(len(ro), len(xq), _real_exponent(mat) or (mat.a == 0 and mat.d == 0))
+    w_col = wq if col == 0.0 else wq * xq**col
     rxy = ro[:, None] * xq[None, :]
     kern = bessel(nu, rxy if k == 1.0 else k * rxy)
-    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows are set below
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows are set on apply
         if cross != 0.0:
             kern *= rxy**cross
         expo = _kernel_exponent(mat, ro[:, None], xq[None, :], xy)
@@ -733,70 +800,72 @@ def _bessel_sum(name: str, mat: SympMat2, ro: np.ndarray, nodes, nu: float,
             ekern = _guarded_exp(expo)
             ekern *= kern
             kern = ekern
-        vals = _matvec(kern, wf)
-        if row != 0.0:
-            vals *= ro**row
-    if np.any(axis):
-        if abs(power) <= 1e-12:
-            limit = (0.5 * k * xq) ** nu / math.gamma(nu + 1.0) * xq**cross
-            expo = _kernel_exponent(mat, 0.0, xq, xy)
-            if expo is not None:
-                limit = limit * _guarded_exp(expo)
-            vals[axis] = limit @ wf
-        else:
-            vals[axis] = 0.0
-    return pref * vals
+        r_row = ro**row if row != 0.0 else None
+    limit = None
+    if np.any(axis) and abs(power) <= 1e-12:
+        limit = (0.5 * k * xq) ** nu / math.gamma(nu + 1.0) * xq**cross
+        expo = _kernel_exponent(mat, 0.0, xq, xy)
+        if expo is not None:
+            limit = limit * _guarded_exp(expo)
+
+    def run(field):
+        if axis_source and abs(field.values[0]) > EDGE_WARN_LEVEL * np.max(np.abs(field.values)):
+            raise ValueError(f"{name}: the kernel ~ y^{source_power:g} is not integrable at y = 0")
+        wf = w_col * values(field)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = _matvec(kern, wf)
+            if r_row is not None:
+                vals *= r_row
+        if np.any(axis):
+            vals[axis] = 0.0 if limit is None else limit @ wf
+        return pref * vals
+
+    return nbytes, run
 
 
-def _radial(name: str, field, mat: SympMat2, out_grid: Grid1D, cfg: QuadratureConfig,
-            nu: float, weights, matching: complex = 1.0, evol_shift: float = 0.0,
-            geometry=None) -> SampledField:
-    """Matching factor times the radial kernel of `mat` applied to a half-line
-    field, or to a callable of the given `geometry` (Gaussian convolutions only).
+def _radial_plan(name: str, mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid1D,
+                 cfg: QuadratureConfig, nu: float, weights, matching: complex = 1.0,
+                 evol_shift: float = 0.0, geometry=None, guards=()) -> Plan:
+    """Matching factor times the radial kernel of `mat`, from a half-line
+    grid, or from a callable of the given output `geometry` (Gaussian
+    convolutions only); `guards` check each field first.
 
     At B = 0 the kernel is the point map r -> r/|A|: |A|^(-cross-col)
     e^{i C r^2/2A} f(r/|A|), times e^{-i pi (nu+1)} for A < 0 (`_point_map`
     has the sign of the phase), where the stationary point comes from the
     other half of J_nu.  This form needs
     2 cross + row + col = 1, which holds for every engine that reaches B = 0.
-
-    Towards the input axis the kernel behaves like y^(nu+cross+col).  A power
-    <= -1 is not integrable, so a source grid that starts on the axis with a
-    field not negligible there (above EDGE_WARN_LEVEL of its peak) is
-    rejected.  Only the axis sample is read: a field that vanishes at the
-    axis, or a grid that starts above it, is summed as given.  Callable
-    inputs (Gaussian convolutions) have power mu - 1 > 0.
     """
-    ro = out_grid.points
+    if in_grid is not None or geometry is None:  # only a kernel given `geometry` takes callables
+        _require_grid(in_grid, GridKind.HALF_LINE)
     if abs(mat.b) <= GEOMETRIC_B_TOL:
         cross, _, col = weights
-        vals = _point_map(mat, field, ro, cross + col, nu)
+        nbytes, run = _point_map(mat, in_grid, out_grid.points, cross + col, nu)
     else:
-        power = nu + weights[0] + weights[2]
-        if (power <= -1.0 + 1e-12 and isinstance(field, SampledField)
-                and field.grid.start == 0.0
-                and abs(field.values[0]) > EDGE_WARN_LEVEL * np.max(np.abs(field.values))):
-            raise ValueError(f"{name}: the kernel ~ y^{power:g} is not integrable at y = 0")
-        vals = _bessel_sum(name, mat, ro, _kernel_nodes(field, cfg, mat, out_grid), nu, weights)
-    return _output(field, out_grid, matching * vals, evol_shift, geometry)
+        nbytes, run = _bessel_sum(name, mat, in_grid, out_grid, cfg, nu, weights)
+    return Plan(in_grid, out_grid, nbytes, lambda f: matching * run(f), evol_shift, geometry,
+                guards)
+
+
+def _radial_ct_plan(mat: SympMat2, n_dim: float, m_idx: int, in_grid: Grid1D, out_grid: Grid1D,
+                    cfg: QuadratureConfig, evol_shift: float = 0.0) -> Plan:
+    if not mat.is_real(1e-12):
+        raise ValueError("radial_ct handles real matrices; use the Laplace-type kernels otherwise")
+    return _radial_plan("radial_ct", mat, in_grid, out_grid, cfg, n_dim / 2.0 + m_idx - 1.0,
+                        _dim_weights(n_dim), evol_shift=evol_shift,
+                        guards=(lambda f: _check_geometry(f, m=m_idx),))
 
 
 def hankel(field: SampledField, m: int, out_grid: Grid1D,
            cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
     """Hankel transform of order m with the r' dr' measure."""
-    _require_half_line(field)
-    _check_radial_index(field, m)
-    return _radial("hankel", field, _HANKEL_MAT, out_grid, cfg, m, _dim_weights(2.0),
-                   1j ** (m + 1))
+    return _run(Hankel(m), field, out_grid, cfg)
 
 
 def fr_hankel(field: SampledField, m: int, alpha: float, out_grid: Grid1D,
               cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
     """Fractional Hankel transform of order m (2-periodic in alpha)."""
-    _require_half_line(field)
-    _check_radial_index(field, m)
-    return _radial("fr_hankel", field, mat_fourier(alpha), out_grid, cfg, m, _dim_weights(2.0),
-                   cmath.exp(0.5j * math.pi * (m + 1) * alpha))
+    return _run(FrHankel(m, alpha), field, out_grid, cfg)
 
 
 def radial_ct(field: SampledField, mat: SympMat2, n_dim: float, m_idx: int,
@@ -808,12 +877,7 @@ def radial_ct(field: SampledField, mat: SympMat2, n_dim: float, m_idx: int,
     J_{n/2+m-1}(r r'/B) against the r'^(n-1) dr' measure; A acts on the
     input variable, matching the radial diffraction-integral convention.
     """
-    _require_half_line(field)
-    _check_radial_index(field, m_idx)
-    if not mat.is_real(1e-12):
-        raise ValueError("radial_ct handles real matrices; use the Laplace-type kernels otherwise")
-    return _radial("radial_ct", field, mat, out_grid, cfg, n_dim / 2.0 + m_idx - 1.0,
-                   _dim_weights(n_dim), evol_shift=evol_shift)
+    return _radial_ct_plan(mat, n_dim, m_idx, field.grid, out_grid, cfg, evol_shift)(field)
 
 
 def radial_propagate(field: SampledField, zeta: float, m_idx: int, out_grid: Grid1D,
@@ -825,21 +889,13 @@ def radial_propagate(field: SampledField, zeta: float, m_idx: int, out_grid: Gri
 def hankel_type(field: SampledField, kind: int, nu: float, nu_prime: float,
                 out_grid: Grid1D, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
     """First or second Hankel-type transform of order nu, parameter nu'."""
-    weights = _type_weights(kind, nu_prime)
-    _require_half_line(field)
-    geo = field.geometry
-    if isinstance(geo, RadialType) and (abs(geo.nu - nu) > 1e-12 or abs(geo.nu_prime - nu_prime) > 1e-12):
-        raise GeometryMismatch("field radial-type parameters do not match the transform")
-    return _radial("hankel_type", field, _HANKEL_MAT, out_grid, cfg, nu, weights, 1j ** (nu + 1.0))
+    return _run(HankelType(kind, nu, nu_prime), field, out_grid, cfg)
 
 
 def radial_laplace(field: SampledField, kind: int, nu: float, nu_prime: float,
                    out_grid: Grid1D, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
     """Radial-Laplace-type transform (Bessel-I kernel, phase exp(-i pi (1+nu)))."""
-    weights = _type_weights(kind, nu_prime)
-    _require_half_line(field)
-    _require_gaussian_decay(field)
-    return _radial("radial_laplace", field, _RADIAL_LAPLACE_MAT, out_grid, cfg, nu, weights)
+    return _run(RadialLaplace(kind, nu, nu_prime), field, out_grid, cfg)
 
 
 def fr_radial_laplace(field: SampledField, alpha: float, nu: float, nu_prime: float,
@@ -850,20 +906,13 @@ def fr_radial_laplace(field: SampledField, alpha: float, nu: float, nu_prime: fl
     [[cos phi, i sin phi], [i sin phi, cos phi]]; alpha = 1 coincides with
     radial_laplace(kind=1).
     """
-    _require_half_line(field)
-    _require_gaussian_decay(field)
-    return _radial("fr_radial_laplace", field, mat_laplace(alpha), out_grid, cfg, nu,
-                   _type_weights(1, nu_prime))
+    return _run(FrRadialLaplace(alpha, nu, nu_prime), field, out_grid, cfg)
 
 
 def bessel_exp(field: SampledField, beta: float, nu: float, nu_prime: float,
                out_grid: Grid1D, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
     """Functional form of exp(beta B^dagger): Gaussian-I kernel, beta > 0."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    _require_half_line(field)
-    return _radial("bessel_exp", field, mat_poisson(2.0 * beta), out_grid, cfg, nu,
-                   _type_weights(1, nu_prime))
+    return _run(BesselExp(beta, nu, nu_prime), field, out_grid, cfg)
 
 
 def bessel_exp_quarter_turn(field: SampledField, nu: float, nu_prime: float,
@@ -875,9 +924,7 @@ def bessel_exp_quarter_turn(field: SampledField, nu: float, nu_prime: float,
     sandwiching it between e^{-i x^2/2} modulations and the i^{nu+1} factor
     reproduces the first Hankel-type transform.
     """
-    _require_half_line(field)
-    return _radial("bessel_exp_quarter_turn", field, mat_free(1.0), out_grid, cfg, nu,
-                   _type_weights(1, nu_prime))
+    return _run(BesselExp("i/2", nu, nu_prime), field, out_grid, cfg)
 
 
 def radial_heat_propagate(field, t: float, mu: float, out_grid: Grid1D,
@@ -887,60 +934,73 @@ def radial_heat_propagate(field, t: float, mu: float, out_grid: Grid1D,
     A sampled field is integrated over its grid support, a callable f(r)
     over [0, r_max + 12 sqrt(t)].
     """
-    if t <= 0:
-        raise ValueError("diffusion time must be positive")
-    if mu <= 1:
-        raise ValueError("mu must exceed 1")
-    if isinstance(field, SampledField):
-        _require_half_line(field)
-    return _radial("radial_heat_propagate", field, mat_poisson(t), out_grid, cfg, mu / 2.0 - 1.0,
-                   _dim_weights(mu), evol_shift=t, geometry=RadialDim(mu, 0))
+    return _run(RadialHeatProp(t, mu), field, out_grid, cfg)
 
 
 def barut_girardello(field: SampledField, n_dim: float, m_idx: int, out_grid: Grid1D,
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
     """Bessel-I radial transform built on the Bargmann matrix, forward direction."""
-    _require_half_line(field)
-    _require_gaussian_decay(field)
-    return _radial("barut_girardello", field, mat_bargmann(), out_grid, cfg,
-                   n_dim / 2.0 + m_idx - 1.0, (1.0 - n_dim / 2.0, 0.0, 0.0))
+    return _run(BarutGirardello(n_dim, m_idx), field, out_grid, cfg)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
-# CLI name -> (spec class, engine call).  Each call looks its engine up by the
-# module-global name when it runs, so a rebound engine is what apply reaches.
+# CLI name -> (spec class, plan builder (spec, in_grid, out_grid, cfg) -> Plan)
 TRANSFORMS = {
-    "linear-ct": (LinearCT, lambda s, f, g, c: linear_ct(s.matrix, f, g, c)),
-    "geometric": (Geometric, lambda s, f, g, c: geometric(s.matrix, f, g)),
-    "fresnel-prop": (FresnelProp, lambda s, f, g, c: fresnel_propagate(f, s.zeta, g, c)),
-    "frft": (FrFT, lambda s, f, g, c: frft(f, s.alpha, g, c)),
-    "fr-laplace": (FrLaplace, lambda s, f, g, c: fr_laplace(f, s.alpha, g, c)),
-    "poisson-prop": (PoissonProp, lambda s, f, g, c: poisson_propagate(f, s.t, g, c)),
-    "radial-ct": (RadialCT, lambda s, f, g, c: radial_ct(f, s.matrix, s.n_dim, s.m, g, c)),
-    "hankel": (Hankel, lambda s, f, g, c: hankel(f, s.m, g, c)),
-    "fr-hankel": (FrHankel, lambda s, f, g, c: fr_hankel(f, s.m, s.alpha, g, c)),
-    "hankel-type": (HankelType,
-                    lambda s, f, g, c: hankel_type(f, s.kind, s.nu, s.nu_prime, g, c)),
-    "radial-laplace": (RadialLaplace,
-                       lambda s, f, g, c: radial_laplace(f, s.kind, s.nu, s.nu_prime, g, c)),
-    "fr-radial-laplace": (FrRadialLaplace, lambda s, f, g, c: fr_radial_laplace(
-        f, s.alpha, s.nu, s.nu_prime, g, c)),
-    "bessel-exp": (BesselExp, lambda s, f, g, c: (
-        bessel_exp_quarter_turn(f, s.nu, s.nu_prime, g, c) if s.beta == "i/2"
-        else bessel_exp(f, s.beta, s.nu, s.nu_prime, g, c))),
-    "radial-heat-prop": (RadialHeatProp,
-                         lambda s, f, g, c: radial_heat_propagate(f, s.t, s.mu, g, c)),
-    "barut-girardello": (BarutGirardello,
-                         lambda s, f, g, c: barut_girardello(f, s.n_dim, s.m, g, c)),
+    "linear-ct": (LinearCT, lambda s, i, o, c: _linear_plan(s.matrix, i, o, c)),
+    "geometric": (Geometric, lambda s, i, o, c: Plan(i, o, *_geometric(s.matrix, i, o))),
+    "fresnel-prop": (FresnelProp, lambda s, i, o, c: _linear_plan(
+        mat_free(s.zeta), i, o, c, evol_shift=s.zeta)),
+    "frft": (FrFT, lambda s, i, o, c: _fractional_plan(mat_fourier, s.alpha, i, o, c)),
+    "fr-laplace": (FrLaplace, lambda s, i, o, c: _fractional_plan(mat_laplace, s.alpha, i, o, c)),
+    "poisson-prop": (PoissonProp, lambda s, i, o, c: _poisson_plan(s.t, i, o, c)),
+    "radial-ct": (RadialCT, lambda s, i, o, c: _radial_ct_plan(s.matrix, s.n_dim, s.m, i, o, c)),
+    "hankel": (Hankel, lambda s, i, o, c: _radial_plan(
+        "hankel", _HANKEL_MAT, i, o, c, s.m, _dim_weights(2.0), 1j ** (s.m + 1),
+        guards=(lambda f: _check_geometry(f, m=s.m),))),
+    "fr-hankel": (FrHankel, lambda s, i, o, c: _radial_plan(
+        "fr_hankel", mat_fourier(s.alpha), i, o, c, s.m, _dim_weights(2.0),
+        cmath.exp(0.5j * math.pi * (s.m + 1) * s.alpha),
+        guards=(lambda f: _check_geometry(f, m=s.m),))),
+    "hankel-type": (HankelType, lambda s, i, o, c: _radial_plan(
+        "hankel_type", _HANKEL_MAT, i, o, c, s.nu, _type_weights(s.kind, s.nu_prime),
+        1j ** (s.nu + 1.0), guards=(lambda f: _check_geometry(f, nu=s.nu, nu_prime=s.nu_prime),))),
+    "radial-laplace": (RadialLaplace, lambda s, i, o, c: _radial_plan(
+        "radial_laplace", _RADIAL_LAPLACE_MAT, i, o, c, s.nu, _type_weights(s.kind, s.nu_prime),
+        guards=(_require_gaussian_decay,))),
+    "fr-radial-laplace": (FrRadialLaplace, lambda s, i, o, c: _radial_plan(
+        "fr_radial_laplace", mat_laplace(s.alpha), i, o, c, s.nu, _type_weights(1, s.nu_prime),
+        guards=(_require_gaussian_decay,))),
+    "bessel-exp": (BesselExp, lambda s, i, o, c: _radial_plan(
+        "bessel_exp_quarter_turn" if s.beta == "i/2" else "bessel_exp",
+        mat_free(1.0) if s.beta == "i/2" else mat_poisson(2.0 * s.beta), i, o, c, s.nu,
+        _type_weights(1, s.nu_prime))),
+    "radial-heat-prop": (RadialHeatProp, lambda s, i, o, c: _radial_plan(
+        "radial_heat_propagate", mat_poisson(s.t), i, o, c, s.mu / 2.0 - 1.0,
+        _dim_weights(s.mu), evol_shift=s.t, geometry=RadialDim(s.mu, 0))),
+    "barut-girardello": (BarutGirardello, lambda s, i, o, c: _radial_plan(
+        "barut_girardello", mat_bargmann(), i, o, c, s.n_dim / 2.0 + s.m - 1.0,
+        (1.0 - s.n_dim / 2.0, 0.0, 0.0), guards=(_require_gaussian_decay,))),
 }
 
 
-def apply(spec: TransformSpec, field: SampledField, out_grid: Grid1D,
-          cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
-    """Apply a transform specification to a sampled field."""
-    for spec_cls, run in TRANSFORMS.values():
+def plan(spec: TransformSpec, in_grid: Grid1D | None, out_grid: Grid1D,
+         cfg: QuadratureConfig = DEFAULT_CONFIG) -> Plan:
+    """Build the transform of `spec` from `in_grid` (None: a callable input,
+    Gaussian convolutions only) to `out_grid`, to apply to any number of fields."""
+    for spec_cls, build in TRANSFORMS.values():
         if type(spec) is spec_cls:
-            return run(spec, field, out_grid, cfg)
+            return build(spec, in_grid, out_grid, cfg)
     raise TypeError(f"unknown transform spec {spec!r}")
+
+
+def _run(spec: TransformSpec, field, out_grid: Grid1D, cfg: QuadratureConfig) -> SampledField:
+    """Build the plan of `spec` for the field's grid, then apply it to the field."""
+    return plan(spec, field.grid if isinstance(field, SampledField) else None, out_grid, cfg)(field)
+
+
+def apply(spec: TransformSpec, field, out_grid: Grid1D,
+          cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
+    """Apply a transform specification to a field: build its plan, then apply it."""
+    return _run(spec, field, out_grid, cfg)

@@ -222,7 +222,21 @@ def commutator_order(pair: str, make_field, hs, **kw) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # symmetry-pair identities
 
-APPELL_PAIRS = ("chirp-point", "airy-km-bb", "bessel-bg", "heat-vw", "radial-rr")
+# pair -> (lam, n, m, mu) -> (left field, map, right field, convention factor)
+_PAIR_FIELDS = {
+    "chirp-point": lambda lam, n, m, mu: (
+        PlaneChirp(lam), AppellSpec(EquationKind.PWE), PointSource(lam), 1.0),
+    "airy-km-bb": lambda lam, n, m, mu: (
+        AiryKM(lam), AppellSpec(EquationKind.PWE), AiryBB(lam), 1.0),
+    "bessel-bg": lambda lam, n, m, mu: (
+        BesselBeam(lam, m), AppellSpec(EquationKind.RADIAL_PWE, m=m), BesselGauss(lam, m), 1.0),
+    "heat-vw": lambda lam, n, m, mu: (
+        HeatPoly(n), AppellSpec(EquationKind.HEAT), HeatAssoc(n), math.sqrt(2.0 * math.pi)),
+    "radial-rr": lambda lam, n, m, mu: (
+        RadialHeatPoly(n, mu), AppellSpec(EquationKind.RADIAL_HEAT, mu=mu),
+        RadialHeatAppell(n, mu), (2.0 * math.pi) ** (mu / 2.0)),
+}
+APPELL_PAIRS = tuple(_PAIR_FIELDS)
 
 
 def appell_pair_check(pair: str, evol: float, grid: Grid1D, lam: float = 2.0,
@@ -233,30 +247,11 @@ def appell_pair_check(pair: str, evol: float, grid: Grid1D, lam: float = 2.0,
     sqrt(2 pi) and (2 pi)^(mu/2) relating the operator to the classical
     associated functions.
     """
-    pts = grid.points
-    if pair == "chirp-point":
-        image = appell_analytic(PlaneChirp(lam), AppellSpec(EquationKind.PWE))
-        target = PointSource(lam)
-        factor = 1.0
-    elif pair == "airy-km-bb":
-        image = appell_analytic(AiryKM(lam), AppellSpec(EquationKind.PWE))
-        target = AiryBB(lam)
-        factor = 1.0
-    elif pair == "bessel-bg":
-        image = appell_analytic(BesselBeam(lam, m), AppellSpec(EquationKind.RADIAL_PWE, m=m))
-        target = BesselGauss(lam, m)
-        factor = 1.0
-    elif pair == "heat-vw":
-        image = appell_analytic(HeatPoly(n), AppellSpec(EquationKind.HEAT))
-        target = HeatAssoc(n)
-        factor = math.sqrt(2.0 * math.pi)
-    elif pair == "radial-rr":
-        image = appell_analytic(RadialHeatPoly(n, mu), AppellSpec(EquationKind.RADIAL_HEAT, mu=mu))
-        target = RadialHeatAppell(n, mu)
-        factor = (2.0 * math.pi) ** (mu / 2.0)
-    else:
+    if pair not in _PAIR_FIELDS:
         raise ValueError(f"unknown pair {pair!r}")
-    dev = image.eval(pts, evol) - factor * np.asarray(target.eval(pts, evol))
+    left, spec, right, factor = _PAIR_FIELDS[pair](lam, n, m, mu)
+    pts = grid.points
+    dev = appell_analytic(left, spec).eval(pts, evol) - factor * np.asarray(right.eval(pts, evol))
     return float(np.max(np.abs(dev)))
 
 
@@ -325,18 +320,13 @@ def disentanglement_check(beta: float) -> dict:
     kp, km, k3 = _gen_matrices()
     tb, sb = math.tan(beta / 2.0), math.sin(beta)
     devs = {}
-    # elliptic: exp(i b (K- + K+)) split with K- or K+ outermost
-    target = _expm2(1j * (km + kp), beta)
-    split1 = _expm2(1j * km, tb) @ _expm2(1j * kp, sb) @ _expm2(1j * km, tb)
-    split2 = _expm2(1j * kp, tb) @ _expm2(1j * km, sb) @ _expm2(1j * kp, tb)
-    devs["elliptic_free_first"] = float(np.max(np.abs(split1 - target)))
-    devs["elliptic_lens_first"] = float(np.max(np.abs(split2 - target)))
-    # hyperbolic: exp(b (K- - K+)) split
-    target = _expm2(km - kp, beta)
-    split1 = _expm2(km, tb) @ _expm2(-kp, sb) @ _expm2(km, tb)
-    split2 = _expm2(-kp, tb) @ _expm2(km, sb) @ _expm2(-kp, tb)
-    devs["hyperbolic_free_first"] = float(np.max(np.abs(split1 - target)))
-    devs["hyperbolic_lens_first"] = float(np.max(np.abs(split2 - target)))
+    # elliptic exp(i b (K- + K+)) and hyperbolic exp(b (K- - K+)), K- or K+ outermost
+    for name, free, lens in (("elliptic", 1j * km, 1j * kp), ("hyperbolic", km, -kp)):
+        target = _expm2(free + lens, beta)
+        split1 = _expm2(free, tb) @ _expm2(lens, sb) @ _expm2(free, tb)
+        split2 = _expm2(lens, tb) @ _expm2(free, sb) @ _expm2(lens, tb)
+        devs[f"{name}_free_first"] = float(np.max(np.abs(split1 - target)))
+        devs[f"{name}_lens_first"] = float(np.max(np.abs(split2 - target)))
     devs["max"] = max(devs.values())
     return devs
 
@@ -344,22 +334,21 @@ def disentanglement_check(beta: float) -> dict:
 # ---------------------------------------------------------------------------
 # named check registry (one criterion id per check)
 
+# matrix families drawn by `_random_constructor`, from u uniform in [-2, 2)
+_CONSTRUCTORS = (
+    lambda u, rng: mat_free(u),
+    lambda u, rng: mat_lens(u),
+    lambda u, rng: mat_scale(complex(rng.uniform(0.3, 2.0), rng.uniform(-0.5, 0.5))),
+    lambda u, rng: mat_fourier(u),
+    lambda u, rng: mat_laplace(u),
+    lambda u, rng: mat_poisson(abs(u) + 0.1),
+    lambda u, rng: mat_gauss_aperture(abs(u) + 0.1),
+)
+
+
 def _random_constructor(rng) -> SympMat2:
-    kind = rng.integers(0, 7)
-    u = float(rng.uniform(-2.0, 2.0))
-    if kind == 0:
-        return mat_free(u)
-    if kind == 1:
-        return mat_lens(u)
-    if kind == 2:
-        return mat_scale(complex(rng.uniform(0.3, 2.0), rng.uniform(-0.5, 0.5)))
-    if kind == 3:
-        return mat_fourier(u)
-    if kind == 4:
-        return mat_laplace(u)
-    if kind == 5:
-        return mat_poisson(abs(u) + 0.1)
-    return mat_gauss_aperture(abs(u) + 0.1)
+    kind = rng.integers(0, len(_CONSTRUCTORS))
+    return _CONSTRUCTORS[kind](float(rng.uniform(-2.0, 2.0)), rng)
 
 
 def _check_det_random():
@@ -377,10 +366,9 @@ def _check_appell_matrix_closed_form():
         m = mat_appell(EquationKind.PWE, 1.0, zeta)
         closed = SympMat2(-zeta, 1.0 + zeta**2, -1.0, zeta)
         worst = max(worst, _mat_dev(m, closed))
-        mh = mat_appell(EquationKind.HEAT, 1.0, zeta) if zeta > 0 else None
-        if mh is not None:
+        if zeta > 0:
             closed_h = SympMat2(zeta, 1j * (1.0 + zeta**2), 1j, -zeta)
-            worst = max(worst, _mat_dev(mh, closed_h))
+            worst = max(worst, _mat_dev(mat_appell(EquationKind.HEAT, 1.0, zeta), closed_h))
     return {"max_abs": worst, "tolerance": 1e-14}
 
 
@@ -423,21 +411,17 @@ _PAIR_TOL = {"chirp-point": 1e-12, "heat-vw": 1e-10, "radial-rr": 1e-9,
              "airy-km-bb": 1e-9, "bessel-bg": 1e-9}
 
 
+_PAIR_SWEEPS = {"heat-vw": [{"n": n} for n in range(7)],
+                "radial-rr": [{"n": n, "mu": 3.0} for n in range(5)],
+                "bessel-bg": [{"m": m} for m in range(4)]}
+
+
 def _check_pair(pair):
     grid = _PAIR_GRIDS[pair]
     worst = 0.0
     for evol in (0.5, 0.7, 1.3):
-        if pair == "heat-vw":
-            for n in range(7):
-                worst = max(worst, appell_pair_check(pair, evol, grid, n=n))
-        elif pair == "radial-rr":
-            for n in range(5):
-                worst = max(worst, appell_pair_check(pair, evol, grid, n=n, mu=3.0))
-        elif pair == "bessel-bg":
-            for m in range(4):
-                worst = max(worst, appell_pair_check(pair, evol, grid, m=m))
-        else:
-            worst = max(worst, appell_pair_check(pair, evol, grid))
+        for kw in _PAIR_SWEEPS.get(pair, [{}]):
+            worst = max(worst, appell_pair_check(pair, evol, grid, **kw))
     return {"max_abs": worst, "tolerance": _PAIR_TOL[pair]}
 
 
@@ -445,25 +429,14 @@ def _compose_maps(field, spec1, spec2):
     return appell_analytic(appell_analytic(field, spec1), spec2)
 
 
-def _check_group_law_pwe():
+def _check_group_law(eq, field):
     grid = np.linspace(-3.0, 3.0, 41)
     worst = 0.0
-    for zeta in (0.4, 1.1):
-        inner = appell_analytic(Gauss(1.0), AppellSpec(EquationKind.PWE, alpha=0.3))
-        outer = appell_analytic(inner, AppellSpec(EquationKind.PWE, alpha=0.4))
-        direct = appell_analytic(Gauss(1.0), AppellSpec(EquationKind.PWE, alpha=0.7))
-        worst = max(worst, float(np.max(np.abs(outer.eval(grid, zeta) - direct.eval(grid, zeta)))))
-    return {"max_abs": worst, "tolerance": 1e-10}
-
-
-def _check_group_law_heat():
-    grid = np.linspace(-3.0, 3.0, 41)
-    worst = 0.0
-    for t in (0.4, 1.1):
-        inner = appell_analytic(HeatPoly(3), AppellSpec(EquationKind.HEAT, alpha=0.3))
-        outer = appell_analytic(inner, AppellSpec(EquationKind.HEAT, alpha=0.4))
-        direct = appell_analytic(HeatPoly(3), AppellSpec(EquationKind.HEAT, alpha=0.7))
-        worst = max(worst, float(np.max(np.abs(outer.eval(grid, t) - direct.eval(grid, t)))))
+    for evol in (0.4, 1.1):
+        inner = appell_analytic(field, AppellSpec(eq, alpha=0.3))
+        outer = appell_analytic(inner, AppellSpec(eq, alpha=0.4))
+        direct = appell_analytic(field, AppellSpec(eq, alpha=0.7))
+        worst = max(worst, float(np.max(np.abs(outer.eval(grid, evol) - direct.eval(grid, evol)))))
     return {"max_abs": worst, "tolerance": 1e-10}
 
 
@@ -527,15 +500,15 @@ def _rel_l2(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-def _check_cross_gauss():
+def _check_cross(field, half_width):
+    """Numeric against analytic Fourier map of `field` on +-half_width, over |x| <= 10."""
     from .appell import appell_numeric
     from .fields import sample
 
-    grid = Grid1D(GridKind.FULL_LINE, -20.0, 40.0 / 4095, 4096)
-    src = sample(Gauss(1.0), grid, 0.0)
+    grid = Grid1D(GridKind.FULL_LINE, -half_width, 2.0 * half_width / 4095, 4096)
     spec = AppellSpec(EquationKind.PWE, alpha=1.0, evol=0.7)
-    num = appell_numeric(src, spec, grid)
-    ana = appell_analytic(Gauss(1.0), spec).eval(grid.points, 0.7)
+    num = appell_numeric(sample(field, grid, 0.0), spec, grid)
+    ana = appell_analytic(field, spec).eval(grid.points, 0.7)
     mask = np.abs(grid.points) <= 10.0
     return {"max_abs": _rel_l2(num.values[mask], np.asarray(ana)[mask]), "tolerance": 1e-5}
 
@@ -573,21 +546,6 @@ class ApodizedAiry(AnalyticField):
                 * cmath.exp(-2.0 * p**3 / 3.0) * np.exp(1j * r * p) * _airy(z)[0])
 
 
-def _check_cross_airy():
-    from .appell import appell_analytic, appell_numeric
-    from .fields import sample
-    from .transforms import QuadratureConfig
-
-    grid = Grid1D(GridKind.FULL_LINE, -30.0, 60.0 / 4095, 4096)
-    helper = ApodizedAiry(1.0, 5.0)
-    src = sample(helper, grid, 0.0)
-    spec = AppellSpec(EquationKind.PWE, alpha=1.0, evol=0.7)
-    num = appell_numeric(src, spec, grid, QuadratureConfig())
-    ana = appell_analytic(helper, spec).eval(grid.points, 0.7)
-    mask = np.abs(grid.points) <= 10.0
-    return {"max_abs": _rel_l2(num.values[mask], np.asarray(ana)[mask]), "tolerance": 1e-5}
-
-
 def _check_frft_eigen():
     from .fields import sample
     from .transforms import frft
@@ -610,7 +568,7 @@ def _check_frft_group():
 
 
 def _check_hankel_selfrec():
-    from .transforms import QuadratureConfig, hankel
+    from .transforms import Hankel, QuadratureConfig, plan
 
     grid = Grid1D(GridKind.HALF_LINE, 0.0, 12.0 / 383, 384)
     cfg = QuadratureConfig(nodes_per_panel=16)
@@ -619,13 +577,15 @@ def _check_hankel_selfrec():
     for m in range(4):
         vals = r**m * np.exp(-(r**2) / 2.0) * (1.0 + 0.3 * r**2)
         field = SampledField(grid, vals.astype(complex), Radial(m))
-        back = hankel(hankel(field, m, grid, cfg), m, grid, cfg)
+        transform = plan(Hankel(m), grid, grid, cfg)
+        back = transform(transform(field))
+        del transform  # one kernel alive at a time
         worst = max(worst, _rel_l2(back.values, field.values))
     return {"max_abs": worst, "tolerance": 1e-6}
 
 
 def _check_hankel_type_selfrec():
-    from .transforms import QuadratureConfig, hankel_type
+    from .transforms import HankelType, QuadratureConfig, plan
 
     grid = Grid1D(GridKind.HALF_LINE, 1e-3, (12.0 - 1e-3) / 383, 384)
     cfg = QuadratureConfig(nodes_per_panel=16)
@@ -635,9 +595,10 @@ def _check_hankel_type_selfrec():
     # each kind keeps its own weight class Gaussian-decaying on both sides
     for kind, weight in ((1, 1.0 + nu + nu_prime), (2, nu - nu_prime)):
         vals = (r**weight * (1.0 + 0.2 * r**2) * np.exp(-(r**2) / 2.0)).astype(complex)
+        transform = plan(HankelType(kind, nu, nu_prime), grid, grid, cfg)
         field = SampledField(grid, vals)
-        back = hankel_type(hankel_type(field, kind, nu, nu_prime, grid, cfg),
-                           kind, nu, nu_prime, grid, cfg)
+        back = transform(transform(field))
+        del transform  # one kernel alive at a time
         worst = max(worst, _rel_l2(back.values, field.values))
     return {"max_abs": worst, "tolerance": 1e-5}
 
@@ -645,26 +606,27 @@ def _check_hankel_type_selfrec():
 def _check_parseval():
     from scipy.integrate import simpson
 
-    from .transforms import QuadratureConfig, hankel_type
+    from .transforms import HankelType, QuadratureConfig, plan
 
     grid = Grid1D(GridKind.HALF_LINE, 1e-3, (12.0 - 1e-3) / 768, 769)
     cfg = QuadratureConfig(nodes_per_panel=16)
     r = grid.points
     nu, nu_prime = 1.0, -0.6
-    w1p, w2p = 1.0 + nu + nu_prime, nu - nu_prime
     shapes = [np.exp(-(r**2) / 2.0), r**2 * np.exp(-(r**2) / 2.0),
               (1.0 + r**4) * np.exp(-(r**2))]
+    pairs = []  # per kind, (input, image) values for each shape
+    for kind, weight in ((1, 1.0 + nu + nu_prime), (2, nu - nu_prime)):
+        transform = plan(HankelType(kind, nu, nu_prime), grid, grid, cfg)
+        fields = [SampledField(grid, (r**weight * shape).astype(complex)) for shape in shapes]
+        pairs.append([(f.values, transform(f).values) for f in fields])
+        del transform  # one kernel alive at a time
     worst = 0.0
-    for shape in shapes:
-        f1 = SampledField(grid, (r**w1p * shape).astype(complex))
-        f2 = SampledField(grid, (r**w2p * shape).astype(complex))
-        t1 = hankel_type(f1, 1, nu, nu_prime, grid, cfg).values
-        t2 = hankel_type(f2, 2, nu, nu_prime, grid, cfg).values
-        n1 = simpson(np.abs(f1.values) ** 2 * r ** (-1.0 - 2.0 * nu_prime), x=r)
+    for (f1, t1), (f2, t2) in zip(*pairs):
+        n1 = simpson(np.abs(f1) ** 2 * r ** (-1.0 - 2.0 * nu_prime), x=r)
         n1t = simpson(np.abs(t1) ** 2 * r ** (-1.0 - 2.0 * nu_prime), x=r)
-        n2 = simpson(np.abs(f2.values) ** 2 * r ** (1.0 + 2.0 * nu_prime), x=r)
+        n2 = simpson(np.abs(f2) ** 2 * r ** (1.0 + 2.0 * nu_prime), x=r)
         n2t = simpson(np.abs(t2) ** 2 * r ** (1.0 + 2.0 * nu_prime), x=r)
-        mixed = simpson((np.conj(f1.values) * f2.values).real, x=r)
+        mixed = simpson((np.conj(f1) * f2).real, x=r)
         mixedt = simpson((np.conj(t1) * t2).real, x=r)
         worst = max(worst, abs(n1t / n1 - 1.0), abs(n2t / n2 - 1.0), abs(mixedt / mixed - 1.0))
     return {"max_abs": worst, "tolerance": 1e-5}
@@ -710,27 +672,16 @@ def _gauss_field(h, half=False):
 
 def _check_commutators(which):
     hs = (0.02, 0.01, 0.005)
-    worst_lo, worst_hi = 2.0, 2.0
-    if which == "linear":
-        pairs = ("x_p", "kp_km", "kpm_k3")
-        half = False
-    elif which == "radial":
-        pairs = ("radial_kp_km", "radial_kpm_k3")
-        half = True
-    else:
-        pairs = ("type1_kp_km", "type1_kpm_k3")
-        half = True
-    orders = []
-    for pair in pairs:
-        _, order = commutator_order(pair, lambda h: _gauss_field(h, half), hs, m=1,
-                                    nu=1.0, nu_prime=-1.0, min_coord=0.5 if half else 0.0)
-        orders.append(order)
+    half = which != "linear"
+    pairs = ("x_p", "kp_km", "kpm_k3") if not half else (f"{which}_kp_km", f"{which}_kpm_k3")
+    orders = [commutator_order(pair, lambda h: _gauss_field(h, half), hs, m=1, nu=1.0,
+                               nu_prime=-1.0, min_coord=0.5 if half else 0.0)[1] for pair in pairs]
     return {"max_abs": max(abs(o - 2.0) for o in orders), "observed_order": min(orders),
             "tolerance": 0.2, "passed": all(1.8 <= o <= 2.2 for o in orders)}
 
 
 def _check_eveq():
-    from .transforms import QuadratureConfig, hankel_type
+    from .transforms import HankelType, QuadratureConfig, plan
 
     nu, nu_prime = 1.0, -1.0
     out_grid = Grid1D(GridKind.HALF_LINE, 0.2, 5.8 / 63, 64)
@@ -748,9 +699,10 @@ def _check_eveq():
             bf = np.zeros_like(f)
             with np.errstate(divide="ignore", invalid="ignore"):
                 bf[1:-1] = bessel_type_op(r, f, h, nu, nu_prime, adjoint=adjoint)[1:-1]
-            bfld = SampledField(grid, bf)
-            lhs = hankel_type(bfld, kind, nu, nu_prime, out_grid, cfg).values
-            rhs = -out_grid.points**2 * hankel_type(fld, kind, nu, nu_prime, out_grid, cfg).values
+            transform = plan(HankelType(kind, nu, nu_prime), grid, out_grid, cfg)
+            lhs = transform(SampledField(grid, bf)).values
+            rhs = -out_grid.points**2 * transform(fld).values
+            del transform  # one kernel alive at a time
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         devs.append(worst)
     order = float(np.polyfit(np.log(hs), np.log(devs), 1)[0])
@@ -796,8 +748,8 @@ CHECKS = [
     ("a2-pair-radial-rr", 2, lambda: _check_pair("radial-rr")),
     ("a2-pair-airy-km-bb", 2, lambda: _check_pair("airy-km-bb")),
     ("a2-pair-bessel-bg", 2, lambda: _check_pair("bessel-bg")),
-    ("a3-group-law-pwe", 3, _check_group_law_pwe),
-    ("a3-group-law-heat", 3, _check_group_law_heat),
+    ("a3-group-law-pwe", 3, lambda: _check_group_law(EquationKind.PWE, Gauss(1.0))),
+    ("a3-group-law-heat", 3, lambda: _check_group_law(EquationKind.HEAT, HeatPoly(3))),
     ("a3-radial-involution", 3, _check_radial_involution),
     ("a4-self-appell-hg", 4, lambda: _check_self_appell("hg")),
     ("a4-self-appell-lg", 4, lambda: _check_self_appell("lg")),
@@ -807,8 +759,8 @@ CHECKS = [
     ("r5-residual-heat-vw", 5, lambda: _check_residual("heat-vw")),
     ("r5-residual-radial-rr", 5, lambda: _check_residual("radial-rr")),
     ("r5-residual-fractional-gauss", 5, lambda: _check_residual("fractional-gauss")),
-    ("n6-cross-gauss", 6, _check_cross_gauss),
-    ("n6-cross-airy", 6, _check_cross_airy),
+    ("n6-cross-gauss", 6, lambda: _check_cross(Gauss(1.0), 20.0)),
+    ("n6-cross-airy", 6, lambda: _check_cross(ApodizedAiry(1.0, 5.0), 30.0)),
     ("t7-frft-eigen", 7, _check_frft_eigen),
     ("t7-frft-group", 7, _check_frft_group),
     ("t7-hankel-selfrec", 7, _check_hankel_selfrec),

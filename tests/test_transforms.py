@@ -1,5 +1,7 @@
 import cmath
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +22,11 @@ from canonica.fields import (
     PlaneChirp,
     Radial,
     RadialDim,
+    RadialType,
     SampledField,
     StdHG,
     sample,
+    write_field,
 )
 from canonica.symplectic import (
     SympMat2,
@@ -36,6 +40,7 @@ from canonica.symplectic import (
     mat_scale,
 )
 from canonica import transforms
+from canonica.cli import main
 from canonica.transforms import (
     FrFT,
     FresnelProp,
@@ -623,3 +628,131 @@ def test_kernel_singular_at_the_input_axis_runs_where_the_integrand_is_integrabl
     fld = SampledField(above, np.exp(-(above.points - 3.0) ** 2) + 0j)
     out = transforms.bessel_exp_quarter_turn(fld, -0.5, 0.75, above, CFG16)
     assert np.all(np.isfinite(out.values)) and np.max(np.abs(out.values)) > 0.1
+
+
+# engine calls with the parameters of LINEARITY_SPECS
+ENGINE_CALLS = {
+    "linear-ct": lambda f, g: linear_ct(compose(mat_free(0.4), mat_lens(0.8)), f, g, CFG16),
+    "geometric": lambda f, g: geometric(mat_scale(1.5), f, g),
+    "fresnel-prop": lambda f, g: fresnel_propagate(f, 0.3, g, CFG16),
+    "frft": lambda f, g: frft(f, 0.5, g, CFG16),
+    "fr-laplace": lambda f, g: fr_laplace(f, 1.0, g, CFG16),
+    "poisson-prop": lambda f, g: poisson_propagate(f, 0.5, g, CFG16),
+    "radial-ct": lambda f, g: transforms.radial_ct(f, mat_fourier(0.5), 3.0, 1, g, CFG16),
+    "hankel": lambda f, g: hankel(f, 1, g, CFG16),
+    "fr-hankel": lambda f, g: fr_hankel(f, 1, 0.5, g, CFG16),
+    "hankel-type": lambda f, g: hankel_type(f, 2, 1.0, -0.6, g, CFG16),
+    "radial-laplace": lambda f, g: radial_laplace(f, 2, 0.5, 0.5, g, CFG16),
+    "fr-radial-laplace": lambda f, g: transforms.fr_radial_laplace(f, 0.5, 0.5, -1.5, g, CFG16),
+    "bessel-exp": lambda f, g: bessel_exp(f, 0.25, 0.5, -1.5, g, CFG16),
+    "radial-heat-prop": lambda f, g: radial_heat_propagate(f, 0.5, 3.0, g, CFG16),
+    "barut-girardello": lambda f, g: barut_girardello(f, 3.0, 0, g, CFG16),
+}
+
+
+@pytest.mark.filterwarnings("ignore::canonica.common.TruncationWarning")
+@pytest.mark.parametrize("name", sorted(transforms.TRANSFORMS))
+def test_plan_is_bit_identical_to_the_engine(name):
+    radial = name not in ("linear-ct", "geometric", "fresnel-prop", "frft", "fr-laplace",
+                          "poisson-prop")
+    grid = (Grid1D.from_span(GridKind.HALF_LINE, 0.0, 6.0, 64) if radial
+            else Grid1D.from_span(GridKind.FULL_LINE, -6.0, 6.0, 96))
+    out = Grid1D.from_span(grid.kind, grid.start + 0.5, grid.end - 0.5, 40)
+    x = grid.points
+    fields = [SampledField(grid, np.exp(-x**2) * (1.0 + 0.3 * x) + 0j),
+              SampledField(grid, x**2 * np.exp(-x**2 + 0.5j * x), evol=0.25)]
+    transform = transforms.plan(LINEARITY_SPECS[name], grid, out, CFG16)
+    assert isinstance(transform, transforms.Plan) and transform.nbytes > 0
+    for f in fields:
+        got, want = transform(f), ENGINE_CALLS[name](f, out)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.grid, got.geometry, got.evol) == (want.grid, want.geometry, want.evol)
+
+
+def test_a_reused_plan_still_guards_each_field():
+    r = HALF.points
+    transform = transforms.plan(Hankel(0), HALF, HALF, CFG16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        transform(SampledField(HALF, np.exp(-r**2 / 2) + 0j))
+    with pytest.warns(TruncationWarning, match="grid edge"):
+        transform(SampledField(HALF, np.exp(-r**2 / 50) + 0j))
+    # the first-kind kernel ~ y^(nu - nu') = y^-1 near the axis
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 8.0, 256)
+    y = grid.points
+    transform = transforms.plan(transforms.HankelType(1, 0.0, 1.0), grid, grid, CFG16)
+    assert np.all(np.isfinite(transform(SampledField(grid, y**2 * np.exp(-y**2) + 0j)).values))
+    with pytest.raises(ValueError, match="not integrable"):
+        transform(SampledField(grid, np.exp(-y**2) + 0j))
+    transform = transforms.plan(PoissonProp(0.5), FULL, FULL)
+    assert np.all(np.isfinite(transform(SampledField(FULL, np.exp(-FULL.points**2 / 2) + 0j))
+                              .values))
+    with pytest.raises(DivergenceRisk):
+        transform(SampledField(FULL, np.exp(FULL.points**2 / 8) + 0j))
+
+
+def test_a_plan_rejects_fields_it_was_not_built_for():
+    r = HALF.points
+    transform = transforms.plan(Hankel(0), HALF, HALF, CFG16)
+    other = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 12.0, 383)
+    with pytest.raises(GeometryMismatch):
+        transform(SampledField(other, np.exp(-other.points**2 / 2) + 0j, Radial(0)))
+    with pytest.raises(GeometryMismatch):
+        transform(SampledField(HALF, (r * np.exp(-r**2 / 2)).astype(complex), Radial(1)))
+    typed = transforms.plan(transforms.HankelType(1, 1.0, -0.6), HALF, HALF, CFG16)
+    with pytest.raises(GeometryMismatch):
+        typed(SampledField(HALF, np.exp(-r**2 / 2) + 0j, RadialType(1.0, -0.5)))
+    on_grid = transforms.plan(PoissonProp(0.5), FULL, FULL)
+    with pytest.raises(GeometryMismatch):
+        on_grid(lambda y: y + 0j)
+    for_callables = transforms.plan(PoissonProp(0.5), None, FULL)
+    with pytest.raises(GeometryMismatch):
+        for_callables(sample(Gauss(1.0), FULL, 0.0))
+    with pytest.raises(GeometryMismatch):
+        transforms.plan(Hankel(0), None, HALF, CFG16)  # only Gaussian convolutions take callables
+
+
+def test_truncation_warnings_name_the_callers_line(tmp_path):
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 3.0, 128)
+    edgy = SampledField(grid, np.exp(-grid.points**2 / 2) + 0j, Radial(0))
+    src = sample(Gauss(1.0), Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 512), 0.0)
+    out = Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 3)
+    cfg = QuadratureConfig(scheme="gauss-legendre", nodes_per_panel=2)
+    built = transforms.plan(Hankel(0), grid, grid, CFG16)
+    write_field(edgy, tmp_path / "edgy.csv")
+    calls = {
+        "engine edge": lambda: hankel(edgy, 0, grid, CFG16),
+        "apply edge": lambda: apply(Hankel(0), edgy, grid, CFG16),
+        "plan apply edge": lambda: built(edgy),
+        "engine panel cap": lambda: frft(src, 0.05, out, cfg),
+        "plan build panel cap": lambda: transforms.plan(FrFT(0.05), src.grid, out, cfg),
+        "cli edge": lambda: main(["transform", "--name", "hankel", "--in", str(tmp_path / "edgy.csv"),
+                                  "--out", str(tmp_path / "out.csv"), "--nodes", "16"]),
+    }
+    for name, call in calls.items():
+        with pytest.warns(TruncationWarning) as record:
+            call()
+        assert [w.filename for w in record] == [__file__], name
+
+
+def test_oversized_kernel_is_refused_before_it_is_allocated(tmp_path, capsys):
+    # 3000 capped panels x 16 nodes x 2001 outputs: a 1.5 GB complex kernel
+    src = sample(Gauss(1.0), Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 2001), 0.0)
+    cfg = QuadratureConfig(scheme="gauss-legendre", nodes_per_panel=16)
+    tracemalloc.start()
+    try:
+        with pytest.warns(TruncationWarning), pytest.raises(ValueError) as err:
+            frft(src, 0.05, src.grid, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "2001 x 48000 kernel needs 1536768000 bytes" in str(err.value)
+    assert peak < 8 * 2**20
+    write_field(src, tmp_path / "src.csv")
+    with pytest.warns(TruncationWarning):
+        code = main(["transform", "--name", "frft", "--alpha", "0.05", "--in",
+                     str(tmp_path / "src.csv"), "--out", str(tmp_path / "out.csv"),
+                     "--scheme", "gauss-legendre", "--nodes", "16"])
+    err = capsys.readouterr().err
+    assert code == 2 and "2001 x 48000 kernel needs 1536768000 bytes" in err
+    assert "Traceback" not in err and not (tmp_path / "out.csv").exists()

@@ -155,3 +155,17 @@ def test_suite_is_deterministic_in_process():
 def test_check_registry_covers_every_criterion():
     crits = {c[1] for c in CHECKS}
     assert crits == set(range(1, 11))
+
+
+@pytest.mark.parametrize("check, kernels", [("t7-parseval", 2), ("t7-hankel-selfrec", 4),
+                                            ("t7-hankel-type-selfrec", 2),
+                                            ("o8-eveq-identities", 6)])
+def test_checks_build_each_distinct_kernel_once(monkeypatch, check, kernels):
+    # each check applies one Bessel kernel per (order, kind, grid) to all its fields
+    from canonica import specfun
+
+    orders = []
+    bessel_j = specfun.bessel_j
+    monkeypatch.setattr(specfun, "bessel_j", lambda nu, x: orders.append(nu) or bessel_j(nu, x))
+    assert run_suite([check])["all_pass"]
+    assert len(orders) == kernels
