@@ -504,39 +504,112 @@ FAMILIES = {
 # field file format (bit-stable CSV)
 
 _MAGIC = "# canonica-field v1 "
+_ROW = "%.16e,%.16e,%.16e\n"  # coord,re,im
+_ROWS_PER_BLOCK = 32768  # rows formatted per write, the block size of specfun
+_COORD_TOL = 1e-6  # in grid steps: how far a row's coordinate may sit from its grid point
+_HEADER_KEYS = {
+    "kind": (str, "a string"),
+    "start": ((int, float), "a number"),
+    "step": ((int, float), "a number"),
+    "count": (int, "an integer"),
+    "geometry": (dict, "an object"),
+    "evol": ((int, float), "a number"),
+}
 
 
 def write_field(field: SampledField, path) -> None:
     header = field.grid.to_header()
     header["geometry"] = field.geometry.to_json()
     header["evol"] = field.evol
-    lines = [_MAGIC + json.dumps(header, sort_keys=True)]
-    for x, v in zip(field.grid.points, field.values):
-        lines.append(f"{x:.16e},{v.real:.16e},{v.imag:.16e}")
+    points, values = field.grid.points, field.values
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_MAGIC + json.dumps(header, sort_keys=True) + "\n")
+        for lo in range(0, len(values), _ROWS_PER_BLOCK):
+            hi = lo + _ROWS_PER_BLOCK
+            block = np.column_stack((points[lo:hi], values[lo:hi].real, values[lo:hi].imag))
+            fh.write((_ROW * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_field(path) -> SampledField:
+    """Read a field file; the grid, geometry and every row's coordinate are checked.
+
+    The body is parsed by one np.loadtxt call.  Whatever that rejects (or a
+    row off the header's grid) is re-read row by row, which accepts what
+    float() accepts and names the first bad line."""
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith(_MAGIC):
             raise ValueError(f"{path}: not a canonica-field v1 file")
-        header = json.loads(first[len(_MAGIC):])
-        values = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'coord,re,im'")
-            try:
-                values.append(complex(float(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    grid = Grid1D(header["kind"], header["start"], header["step"], header["count"])
+        grid, geometry, evol = _read_header(path, first[len(_MAGIC):])
+        body = fh.tell()
+        values = None
+        if fh.readline().strip():  # an empty body would make loadtxt warn
+            fh.seek(body)
+            values = _load_rows(fh, grid)
+        if values is None:
+            fh.seek(body)
+            values = _read_rows(fh, path, grid)
+    return SampledField(grid, values, geometry, evol)
+
+
+def _read_header(path, text: str) -> tuple[Grid1D, Geometry, float]:
+    try:
+        header = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: header is not JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    for key, (types, what) in _HEADER_KEYS.items():
+        if key not in header:
+            raise ValueError(f"{path}: header has no {key!r}")
+        if not isinstance(header[key], types) or isinstance(header[key], bool):
+            raise ValueError(f"{path}: header {key!r} must be {what}, got {header[key]!r}")
+    try:
+        grid = Grid1D(header["kind"], header["start"], header["step"], header["count"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: header: {exc}") from None
+    try:
+        geometry = geometry_from_json(header["geometry"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: header 'geometry' has no {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: header 'geometry': {exc}") from None
+    return grid, geometry, float(header["evol"])
+
+
+def _load_rows(fh, grid: Grid1D) -> np.ndarray | None:
+    """The values of the whole body in one np.loadtxt call, or None if it
+    does not parse into grid.count rows on the grid."""
+    try:
+        rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape != (grid.count, 3) or \
+            not np.all(np.abs(rows[:, 0] - grid.points) <= _COORD_TOL * grid.step):
+        return None
+    # a view keeps the sign of a zero real part, which re + 1j*im loses
+    return np.ascontiguousarray(rows[:, 1:]).view(complex)[:, 0]
+
+
+def _read_rows(fh, path, grid: Grid1D) -> np.ndarray:
+    points, tol = grid.points, _COORD_TOL * grid.step
+    values = []
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 'coord,re,im'")
+        try:
+            coord = float(parts[0])
+            values.append(complex(float(parts[1]), float(parts[2])))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        row = len(values) - 1
+        if row < grid.count and not abs(coord - points[row]) <= tol:
+            raise ValueError(f"{path}:{lineno}: coordinate {coord!r} is not grid point "
+                             f"{row} ({float(points[row])!r})")
     if len(values) != grid.count:
         raise ValueError(f"{path}: row count {len(values)} != declared {grid.count}")
-    geometry = geometry_from_json(header["geometry"])
-    return SampledField(grid, np.array(values), geometry, float(header["evol"]))
+    return np.array(values)

@@ -265,3 +265,23 @@ def test_import_leaves_scipy_interpolate_unloaded():
     code = "import sys, canonica; print('scipy.interpolate' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
+
+
+_HEADER = {"kind": "full-line", "start": 0.0, "step": 0.5, "count": 3,
+           "geometry": {"type": "linear"}, "evol": 0.0}
+
+
+@pytest.mark.parametrize("header, key", [
+    *(({k: v for k, v in _HEADER.items() if k != key}, key) for key in _HEADER),
+    ({**_HEADER, "count": 2.5}, "count"),
+], ids=[*(f"no-{key}" for key in _HEADER), "float-count"])
+def test_malformed_header_exits_with_one_line(tmp_path, capsys, header, key):
+    src = tmp_path / "bad.csv"
+    src.write_text("# canonica-field v1 " + json.dumps(header) + "\n"
+                   "0.0,1.0,0.0\n0.5,1.0,0.0\n1.0,1.0,0.0\n")
+    code = run_cli("propagate", "--eq", "pwe", "--evol", "0.5",
+                   "--in", str(src), "--out", str(tmp_path / "out.csv"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bad.csv: header" in err and repr(key) in err
+    assert "Traceback" not in err and err.count("\n") == 1

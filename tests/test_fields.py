@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from canonica.fields import (
     HeatPoly,
     PlaneChirp,
     PointSource,
+    RadialType,
     RadialHeatPoly,
     SampledField,
     StdHG,
@@ -220,3 +225,166 @@ def test_field_io_errors(tmp_path):
                     "0.0,1.0\n")
     with pytest.raises(ValueError, match="bad.csv:2"):
         read_field(path)
+
+
+# ---------------------------------------------------------------------------
+# field-file format: the per-row reference writer and reader below are the
+# original implementation, kept as the definition of the format
+
+def _reference_bytes(fld):
+    header = fld.grid.to_header()
+    header["geometry"] = fld.geometry.to_json()
+    header["evol"] = fld.evol
+    lines = ["# canonica-field v1 " + json.dumps(header, sort_keys=True)]
+    for x, v in zip(fld.grid.points, fld.values):
+        lines.append(f"{x:.16e},{v.real:.16e},{v.imag:.16e}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _reference_read(path):
+    """Values of a field file by the per-row loop (the coordinate is not read)."""
+    with open(path) as fh:
+        header = json.loads(fh.readline()[len("# canonica-field v1 "):])
+        values = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 'coord,re,im'")
+            try:
+                values.append(complex(float(parts[1]), float(parts[2])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if len(values) != header["count"]:
+        raise ValueError(f"{path}: row count {len(values)} != declared {header['count']}")
+    return np.array(values)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+_EDGE_VALUES = [complex(-0.0, 1.0), 5e-324, 1e300, -1e-300, 0.1 + 0.2,
+                complex(2.5, -0.0), complex(-0.0, -0.0)]
+
+
+@pytest.mark.parametrize("fld", [
+    SampledField(Grid1D(GridKind.FULL_LINE, -3.25, 0.1, 7), _EDGE_VALUES, evol=-0.7),
+    SampledField(Grid1D(GridKind.HALF_LINE, 0.0, 0.37, 7), _EDGE_VALUES,
+                 RadialType(0.5, -0.25), 1.5),
+    # more rows than one formatted block
+    SampledField(Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 70001),
+                 np.random.default_rng(3).standard_normal((70001, 2)) @ [1, 1j]),
+], ids=["negative-start", "radial-type", "three-blocks"])
+def test_write_field_golden_bytes(tmp_path, fld):
+    path = tmp_path / "f.csv"
+    write_field(fld, path)
+    assert path.read_bytes() == _reference_bytes(fld)
+    back = read_field(path)
+    assert np.array_equal(_bits(back.values), _bits(fld.values))  # sign of zero included
+    assert (back.grid, back.geometry, back.evol) == (fld.grid, fld.geometry, fld.evol)
+
+
+def _edge_file(tmp_path):
+    fld = SampledField(Grid1D(GridKind.FULL_LINE, -3.25, 0.1, 7), _EDGE_VALUES)
+    path = tmp_path / "f.csv"
+    write_field(fld, path)
+    head, *rows = path.read_text().splitlines()
+    return path, head, rows
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: [rows[0], "", rows[1], "", "", *rows[2:], ""],
+    lambda rows: [rows[0], "   ", *rows[1:3], "\t \t", *rows[3:]],
+    lambda rows: ["  " + r.replace(",", " ,\t") + "  " for r in rows],
+    lambda rows: [r + "\r" for r in rows],
+], ids=["blank-lines", "whitespace-lines", "padded-fields", "crlf"])
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_read_field_matches_row_loop(tmp_path, edit, final_newline):
+    path, head, rows = _edge_file(tmp_path)
+    path.write_bytes(("\n".join([head, *edit(rows)]) + "\n" * final_newline).encode())
+    assert np.array_equal(_bits(read_field(path).values), _bits(_reference_read(path)))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: [rows[0], "1.0,2.0", *rows[2:]],
+    lambda rows: [rows[0], rows[1].rsplit(",", 1)[0] + ",abc", *rows[2:]],
+    lambda rows: [rows[0], "# a comment", *rows[1:]],
+    lambda rows: [],
+    lambda rows: ["", "  "],
+], ids=["two-columns", "non-numeric", "comment-row", "empty-body", "blank-body"])
+def test_read_field_errors_match_row_loop(tmp_path, edit):
+    path, head, rows = _edge_file(tmp_path)
+    path.write_text("\n".join([head, *edit(rows)]) + "\n")
+    with pytest.raises(ValueError) as expected:
+        _reference_read(path)
+    with pytest.raises(ValueError) as got:
+        read_field(path)
+    assert str(got.value) == str(expected.value)
+
+
+def test_write_field_memory_is_bounded():
+    fld = sample(Gauss(1.0), Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 400_000), 0.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        tracemalloc.start()
+        try:
+            write_field(fld, os.path.join(tmp, "f.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"write_field peak {peak / 2**20:.1f} MiB"
+
+
+_HEADER = {"kind": "full-line", "start": 0.0, "step": 0.5, "count": 3,
+           "geometry": {"type": "linear"}, "evol": 0.0}
+
+
+def _write_raw(path, header, rows):
+    path.write_text("# canonica-field v1 " + json.dumps(header) + "\n"
+                    + "".join(f"{x!r},{x + 1!r},0.0\n" for x in rows))
+
+
+@pytest.mark.parametrize("key", list(_HEADER))
+def test_read_field_names_a_missing_header_key(tmp_path, key):
+    path = tmp_path / "bad.csv"
+    _write_raw(path, {k: v for k, v in _HEADER.items() if k != key}, [0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match=f"bad.csv: header has no '{key}'"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    ({**_HEADER, "count": "3"}, "header 'count' must be an integer"),
+    ({**_HEADER, "count": 3.0}, "header 'count' must be an integer"),
+    ({**_HEADER, "step": True}, "header 'step' must be a number"),
+    ({**_HEADER, "step": -0.5}, "header: grid step must be positive"),
+    ({**_HEADER, "geometry": {"type": "radial"}}, "header 'geometry' has no 'm'"),
+    ([0.0, 0.5], "header is not a JSON object"),
+])
+def test_read_field_rejects_a_malformed_header(tmp_path, header, message):
+    path = tmp_path / "bad.csv"
+    _write_raw(path, header, [0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match=f"bad.csv: {message}"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("pad", ["", "\n \n"], ids=["one-call", "row-loop"])
+@pytest.mark.parametrize("rows, lineno", [
+    ([0.0, 0.5, 1.5], 4),  # last row shifted by two steps
+    ([0.0, 1.0, 2.0], 3),  # the rows' step is twice the header's
+    ([0.5, 1.0, 1.5], 2),  # every row shifted by a step
+])
+def test_read_field_checks_the_coordinates(tmp_path, pad, rows, lineno):
+    path = tmp_path / "bad.csv"
+    _write_raw(path, _HEADER, rows)
+    path.write_text(path.read_text() + pad)
+    with pytest.raises(ValueError, match=f"bad.csv:{lineno}: coordinate"):
+        read_field(path)
+
+
+def test_read_field_accepts_coordinates_within_the_tolerance(tmp_path):
+    path = tmp_path / "f.csv"
+    rows = [0.0, 0.1 + 1e-9, 0.2 - 1e-9]
+    _write_raw(path, {**_HEADER, "step": 0.1}, rows)
+    assert np.array_equal(read_field(path).values, np.add(rows, 1))
