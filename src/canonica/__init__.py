@@ -7,6 +7,7 @@ from .common import (
     DomainError,
     EquationKind,
     EquationMismatch,
+    FieldFileError,
     GeometryMismatch,
     ImagingSingular,
     IntegrabilityViolation,

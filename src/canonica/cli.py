@@ -22,6 +22,7 @@ from .common import (
     Direction,
     DivergenceRisk,
     EquationKind,
+    FieldFileError,
     ImagingSingular,
     IntegrabilityViolation,
     LaplaceSingular,
@@ -380,7 +381,14 @@ def main(argv=None) -> int:
     except CanonicaError as exc:
         print(f"canonica: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except FieldFileError as exc:
+        print(f"canonica: bad field file: {exc}", file=sys.stderr)
+        return NUMERIC_EXIT
+    except OSError as exc:
+        target = f" {exc.filename}" if exc.filename else ""
+        print(f"canonica: cannot read/write{target}: {exc.strerror or exc}", file=sys.stderr)
+        return NUMERIC_EXIT
+    except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"canonica: numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
 

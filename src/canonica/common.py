@@ -63,5 +63,9 @@ class LaplaceSingular(CanonicaError):
     """Gauss/scale/shift factorization requested for an A = 0 matrix."""
 
 
+class FieldFileError(ValueError):
+    """A field file whose header or rows cannot be read as a field."""
+
+
 class TruncationWarning(UserWarning):
     """Field magnitude at the grid edge is large enough to bias a transform."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .common import DomainError, EquationKind, GeometryMismatch
+from .common import DomainError, EquationKind, FieldFileError, GeometryMismatch
 from . import specfun
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -42,6 +42,9 @@ class Grid1D:
     def __post_init__(self):
         if self.kind not in (GridKind.FULL_LINE, GridKind.HALF_LINE):
             raise ValueError(f"unknown grid kind {self.kind!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.step)):
+            raise ValueError(f"grid start and step must be finite, "
+                             f"got {self.start!r}, {self.step!r}")
         if self.step <= 0:
             raise ValueError("grid step must be positive")
         if self.count < 2:
@@ -535,20 +538,24 @@ def read_field(path) -> SampledField:
 
     The body is parsed by one np.loadtxt call.  Whatever that rejects (or a
     row off the header's grid) is re-read row by row, which accepts what
-    float() accepts and names the first bad line."""
+    float() accepts and names the first bad line.  A bad header or row raises
+    FieldFileError, a ValueError that names the key or the line."""
     with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith(_MAGIC):
-            raise ValueError(f"{path}: not a canonica-field v1 file")
-        grid, geometry, evol = _read_header(path, first[len(_MAGIC):])
-        body = fh.tell()
-        values = None
-        if fh.readline().strip():  # an empty body would make loadtxt warn
-            fh.seek(body)
-            values = _load_rows(fh, grid)
-        if values is None:
-            fh.seek(body)
-            values = _read_rows(fh, path, grid)
+        try:
+            first = fh.readline()
+            if not first.startswith(_MAGIC):
+                raise FieldFileError(f"{path}: not a canonica-field v1 file")
+            grid, geometry, evol = _read_header(path, first[len(_MAGIC):])
+            body = fh.tell()
+            values = None
+            if fh.readline().strip():  # an empty body would make loadtxt warn
+                fh.seek(body)
+                values = _load_rows(fh, grid)
+            if values is None:
+                fh.seek(body)
+                values = _read_rows(fh, path, grid)
+        except UnicodeDecodeError as exc:
+            raise FieldFileError(f"{path}: not a text file: {exc}") from None
     return SampledField(grid, values, geometry, evol)
 
 
@@ -556,24 +563,27 @@ def _read_header(path, text: str) -> tuple[Grid1D, Geometry, float]:
     try:
         header = json.loads(text)
     except ValueError as exc:
-        raise ValueError(f"{path}: header is not JSON: {exc}") from None
+        raise FieldFileError(f"{path}: header is not JSON: {exc}") from None
     if not isinstance(header, dict):
-        raise ValueError(f"{path}: header is not a JSON object")
+        raise FieldFileError(f"{path}: header is not a JSON object")
     for key, (types, what) in _HEADER_KEYS.items():
         if key not in header:
-            raise ValueError(f"{path}: header has no {key!r}")
-        if not isinstance(header[key], types) or isinstance(header[key], bool):
-            raise ValueError(f"{path}: header {key!r} must be {what}, got {header[key]!r}")
+            raise FieldFileError(f"{path}: header has no {key!r}")
+        value = header[key]
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise FieldFileError(f"{path}: header {key!r} must be {what}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise FieldFileError(f"{path}: header {key!r} must be finite, got {value!r}")
     try:
         grid = Grid1D(header["kind"], header["start"], header["step"], header["count"])
     except ValueError as exc:
-        raise ValueError(f"{path}: header: {exc}") from None
+        raise FieldFileError(f"{path}: header: {exc}") from None
     try:
         geometry = geometry_from_json(header["geometry"])
     except KeyError as exc:
-        raise ValueError(f"{path}: header 'geometry' has no {exc}") from None
+        raise FieldFileError(f"{path}: header 'geometry' has no {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: header 'geometry': {exc}") from None
+        raise FieldFileError(f"{path}: header 'geometry': {exc}") from None
     return grid, geometry, float(header["evol"])
 
 
@@ -600,16 +610,16 @@ def _read_rows(fh, path, grid: Grid1D) -> np.ndarray:
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'coord,re,im'")
+            raise FieldFileError(f"{path}:{lineno}: expected 'coord,re,im'")
         try:
             coord = float(parts[0])
             values.append(complex(float(parts[1]), float(parts[2])))
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+            raise FieldFileError(f"{path}:{lineno}: {exc}") from None
         row = len(values) - 1
         if row < grid.count and not abs(coord - points[row]) <= tol:
-            raise ValueError(f"{path}:{lineno}: coordinate {coord!r} is not grid point "
+            raise FieldFileError(f"{path}:{lineno}: coordinate {coord!r} is not grid point "
                              f"{row} ({float(points[row])!r})")
     if len(values) != grid.count:
-        raise ValueError(f"{path}: row count {len(values)} != declared {grid.count}")
+        raise FieldFileError(f"{path}: row count {len(values)} != declared {grid.count}")
     return np.array(values)

@@ -24,7 +24,9 @@ _MAX_KERNEL_BYTES); calling it on a field runs the guards, the spline at the
 nodes and the matvec.  Every engine and `apply` build a plan and apply it once.
 
 Bessel-I kernels are evaluated through the exponentially scaled form, so
-heat-type kernels never overflow, and real kernels are applied in float64.
+heat-type kernels never overflow.  Bessel-J kernels apply their chirps as a
+column and a row vector, so every radial kernel is real and is applied in
+float64.
 """
 
 from __future__ import annotations
@@ -406,12 +408,12 @@ def _kernel_nodes(cfg: QuadratureConfig, mat: SympMat2, in_grid: Grid1D | None,
 
 
 def _kernel_exponent(mat: SympMat2, x, y, xy: float):
-    """Exponent i (A y^2 + D x^2 + xy x y) / 2B of a kernel of `mat`, or None when it is 0.
+    """Exponent i (A y^2 + D x^2 + xy x y) / 2B of a kernel of `mat`.
 
-    The linear kernel has xy = -2.  The radial kernel leaves the x y term to
-    its Bessel function (xy = 0), except that an L-form B = i beta restores
-    the e^{x y/|beta|} the scaled I_nu leaves out (xy = 2 sgn beta).  The
-    real L-form exponent (|xy| = 2) is computed as
+    The linear kernel has xy = -2.  The radial Bessel-I kernel (L-form
+    B = i beta) restores the e^{x y/|beta|} the scaled I_nu leaves out
+    (xy = 2 sgn beta); the Bessel-J kernel applies its chirps as vectors and
+    never calls this.  The real L-form exponent is computed as
     ((y + xy x/2)^2 + (A - 1) y^2 + (D - 1) x^2)/(2 beta), so that a Gaussian
     convolution (A = D = 1) gets -(y - x)^2/(2 tau) without cancellation.
     """
@@ -424,11 +426,8 @@ def _kernel_exponent(mat: SympMat2, x, y, xy: float):
             expo += (d - 1.0) * x**2
         expo /= 2.0 * beta
         return expo
-    if mat.a == 0 and mat.d == 0 and xy == 0.0:
-        return None
     expo = mat.a * y**2 + mat.d * x**2
-    if xy:
-        expo += xy * x * y
+    expo += xy * x * y
     expo *= 0.5j / mat.b
     return expo
 
@@ -752,12 +751,16 @@ def _bessel_sum(name: str, mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid
     Sums (-i)^(nu+1)/B sum_j e^{i(A y_j^2 + D r^2)/2B} J_nu(r y_j/B)
     (r y_j)^cross r^row y_j^col w_j f_j for every output point r.  Real B
     gives the Bessel-J kernel, with the J_nu parity (integer nu only) for
-    B < 0.  An L-form B = i beta gives the Bessel-I kernel through
+    B < 0; its chirp has no r y term, so it is applied as two vectors,
+    e^{iA y^2/2B} in the weights and e^{iD r^2/2B} on the output, around a
+    float64 kernel.  An L-form B = i beta gives the Bessel-I kernel through
     J_nu(r y/(i beta)) = e^{-i pi nu sgn(beta)/2} I_nu(r y/|beta|), evaluated
-    as the exponentially scaled I_nu.  On the axis the kernel behaves like
+    as the exponentially scaled I_nu times the whole real exponent, whose two
+    chirps could overflow apart.  On the axis the kernel behaves like
     r^(nu+cross+row): a positive power gives a zero row, power zero the finite
-    limit (y/2|B|)^nu / Gamma(nu+1) y^cross y^col e^{expo(0, y)}, and a
-    negative power has no finite value, so an r = 0 output point is rejected.
+    limit (y/2|B|)^nu / Gamma(nu+1) y^cross y^col (times e^{expo(0, y)} for
+    Bessel-I), and a negative power has no finite value, so an r = 0 output
+    point is rejected.
 
     Towards the input axis the kernel behaves like y^(nu+cross+col).  A power
     <= -1 is not integrable, so a source grid that starts on the axis with a
@@ -776,7 +779,8 @@ def _bessel_sum(name: str, mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid
         raise ValueError(f"{name}: output grid must start above r = 0 for these parameters")
     source_power = nu + cross + col
     axis_source = in_grid is not None and in_grid.start == 0.0 and source_power <= -1.0 + 1e-12
-    if _real_exponent(mat):
+    lform = _real_exponent(mat)
+    if lform:
         beta = mat.b.imag
         bessel, k, xy = specfun.bessel_i_scaled, 1.0 / abs(beta), 2.0 * math.copysign(1.0, beta)
         rotation = cmath.exp(-0.5j * math.pi * nu * math.copysign(1.0, beta))
@@ -785,28 +789,34 @@ def _bessel_sum(name: str, mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid
         b = mat.b.real
         if b < 0 and abs(nu - round(nu)) > 1e-9:
             raise ValueError("negative B with non-integer Bessel order is not supported")
-        bessel, k, xy = specfun.bessel_j, 1.0 / abs(b), 0.0
+        bessel, k = specfun.bessel_j, 1.0 / abs(b)
         pref = (-1j) ** (nu + 1.0) / b * ((-1.0) ** round(nu) if b < 0 else 1.0)
     xq, wq, values = _kernel_nodes(cfg, mat, in_grid, out_grid)
-    nbytes = _kernel_bytes(len(ro), len(xq), _real_exponent(mat) or (mat.a == 0 and mat.d == 0))
+    nbytes = _kernel_bytes(len(ro), len(xq), True)
     w_col = wq if col == 0.0 else wq * xq**col
-    rxy = ro[:, None] * xq[None, :]
-    kern = bessel(nu, rxy if k == 1.0 else k * rxy)
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows are set on apply
+        row_factor = ro**row if row != 0.0 else 1.0
+        if not lform:  # the Bessel-J chirp, as a column and a row vector
+            if mat.a != 0:
+                w_col = w_col * np.exp((0.5j / mat.b) * mat.a * xq**2)
+            if mat.d != 0:
+                row_factor = row_factor * np.exp((0.5j / mat.b) * mat.d * ro**2)
+        # one scratch array of the kernel's size: the Bessel argument k r y, then (r y)^cross
+        arg = np.multiply(ro[:, None], xq[None, :])
+        if k != 1.0:
+            arg *= k
+        kern = bessel(nu, arg)
         if cross != 0.0:
-            kern *= rxy**cross
-        expo = _kernel_exponent(mat, ro[:, None], xq[None, :], xy)
-        if expo is not None:
-            ekern = _guarded_exp(expo)
-            ekern *= kern
-            kern = ekern
-        r_row = ro**row if row != 0.0 else None
+            np.multiply(ro[:, None], xq[None, :], out=arg)
+            kern *= np.power(arg, cross, out=arg)
+        del arg
+        if lform:
+            kern *= _guarded_exp(_kernel_exponent(mat, ro[:, None], xq[None, :], xy))
     limit = None
     if np.any(axis) and abs(power) <= 1e-12:
         limit = (0.5 * k * xq) ** nu / math.gamma(nu + 1.0) * xq**cross
-        expo = _kernel_exponent(mat, 0.0, xq, xy)
-        if expo is not None:
-            limit = limit * _guarded_exp(expo)
+        if lform:
+            limit = limit * _guarded_exp(_kernel_exponent(mat, 0.0, xq, xy))
 
     def run(field):
         if axis_source and abs(field.values[0]) > EDGE_WARN_LEVEL * np.max(np.abs(field.values)):
@@ -814,8 +824,7 @@ def _bessel_sum(name: str, mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid
         wf = w_col * values(field)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = _matvec(kern, wf)
-            if r_row is not None:
-                vals *= r_row
+            vals *= row_factor
         if np.any(axis):
             vals[axis] = 0.0 if limit is None else limit @ wf
         return pref * vals

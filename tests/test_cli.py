@@ -285,3 +285,39 @@ def test_malformed_header_exits_with_one_line(tmp_path, capsys, header, key):
     assert code == 2
     assert "bad.csv: header" in err and repr(key) in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_missing_input_file_is_reported_as_a_file_problem(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    code = run_cli("propagate", "--eq", "pwe", "--evol", "0.5",
+                   "--in", str(missing), "--out", str(tmp_path / "out.csv"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"canonica: cannot read/write {missing}: ")
+    assert "numeric failure" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_undecodable_bytes_are_reported_as_a_bad_field_file(tmp_path, capsys, where):
+    src = tmp_path / "bad.csv"
+    header = ("# canonica-field v1 " + json.dumps(_HEADER) + "\n").encode()
+    rows = b"0.0,1.0,0.0\n0.5,1.0,0.0\n1.0,1.0,0.0\n"
+    src.write_bytes(b"\xff" + header + rows if where == "header"
+                    else header + rows.replace(b"0.5,", b"\xff\xfe,"))
+    code = run_cli("propagate", "--eq", "pwe", "--evol", "0.5",
+                   "--in", str(src), "--out", str(tmp_path / "out.csv"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"canonica: bad field file: {src}: not a text file: ")
+    assert err.count("\n") == 1
+
+
+def test_header_without_count_is_reported_as_a_bad_field_file(tmp_path, capsys):
+    src = tmp_path / "bad.csv"
+    header = {k: v for k, v in _HEADER.items() if k != "count"}
+    src.write_text("# canonica-field v1 " + json.dumps(header) + "\n0.0,1.0,0.0\n")
+    code = run_cli("transform", "--name", "frft", "--alpha", "0.5",
+                   "--in", str(src), "--out", str(tmp_path / "out.csv"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"canonica: bad field file: {src}: header has no 'count'\n"

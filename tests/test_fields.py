@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from canonica.common import DomainError, EquationKind, GeometryMismatch
+from canonica.common import DomainError, EquationKind, FieldFileError, GeometryMismatch
 from canonica.fields import (
     AiryKM,
     BesselBeam,
@@ -42,6 +42,16 @@ def test_grid_basics():
         Grid1D(GridKind.HALF_LINE, -1.0, 0.1, 8)
     with pytest.raises(ValueError):
         Grid1D(GridKind.FULL_LINE, 0.0, -0.1, 8)
+
+
+@pytest.mark.parametrize("kind", [GridKind.FULL_LINE, GridKind.HALF_LINE])
+@pytest.mark.parametrize("start, step", [
+    (math.nan, 0.1), (0.0, math.nan), (math.inf, 0.1), (0.0, math.inf), (-math.inf, 0.1),
+])
+def test_grid_rejects_a_non_finite_start_or_step(kind, start, step):
+    # NaN compares false with everything, so the sign checks alone let it through
+    with pytest.raises(ValueError, match="must be finite"):
+        Grid1D(kind, start, step, 3)
 
 
 def test_plane_chirp_value():
@@ -366,6 +376,17 @@ def test_read_field_rejects_a_malformed_header(tmp_path, header, message):
     path = tmp_path / "bad.csv"
     _write_raw(path, header, [0.0, 0.5, 1.0])
     with pytest.raises(ValueError, match=f"bad.csv: {message}"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("step", math.nan), ("start", math.nan), ("step", math.inf), ("evol", -math.inf),
+])
+def test_read_field_rejects_a_non_finite_header_number(tmp_path, key, value):
+    # Python's json reads NaN and Infinity; the grid's points would all be NaN
+    path = tmp_path / "bad.csv"
+    _write_raw(path, {**_HEADER, key: value}, [0.0, 0.5, 1.0])
+    with pytest.raises(FieldFileError, match=f"bad.csv: header '{key}' must be finite"):
         read_field(path)
 
 

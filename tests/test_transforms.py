@@ -756,3 +756,76 @@ def test_oversized_kernel_is_refused_before_it_is_allocated(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2 and "2001 x 48000 kernel needs 1536768000 bytes" in err
     assert "Traceback" not in err and not (tmp_path / "out.csv").exists()
+
+
+_REAL_AD = SympMat2(1.3, 0.8, (1.3 * 0.5 - 1.0) / 0.8, 0.5)  # real, with A, D != 0
+
+# Bessel-J kernels: spec, matrix, order nu, weight powers (cross, row, col) of r y, r and y,
+# matching factor and field geometry, read off the radial kernel table of the README
+BESSEL_J_KERNELS = {
+    "fr_hankel-B>0": (transforms.FrHankel(0, 0.6), mat_fourier(0.6), 0.0, (0.0, 0.0, 1.0),
+                      cmath.exp(0.5j * math.pi * 0.6), Radial(0)),
+    "fr_hankel-B<0": (transforms.FrHankel(1, -0.6), mat_fourier(-0.6), 1.0, (0.0, 0.0, 1.0),
+                      cmath.exp(0.5j * math.pi * 2 * -0.6), Radial(1)),
+    "radial_ct": (transforms.RadialCT(_REAL_AD, 3.0, 0), _REAL_AD, 0.5, (-0.5, 0.0, 2.0), 1.0,
+                  RadialDim(3.0, 0)),
+    "radial_propagate": (transforms.RadialCT(mat_free(0.7), 2.0, 0), mat_free(0.7), 0.0,
+                         (0.0, 0.0, 1.0), 1.0, RadialDim(2.0, 0)),
+    "bessel_exp-i/2": (transforms.BesselExp("i/2", 0.5, -1.5), mat_free(1.0), 0.5,
+                       (1.5, -2.0, 0.0), 1.0, RadialType(0.5, -1.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BESSEL_J_KERNELS))
+def test_bessel_j_kernel_matches_the_dense_kernel(name, monkeypatch):
+    # the plan applies e^{iAy^2/2B} and e^{iDr^2/2B} as vectors around a float64 kernel;
+    # the reference sums the whole complex kernel
+    # (-i)^(nu+1)/B e^{i(Ay^2 + Dr^2)/2B} J_nu(ry/B) (ry)^cross r^row y^col
+    from scipy.special import jv
+
+    spec, mat, nu, (cross, row, col), matching, geometry = BESSEL_J_KERNELS[name]
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 8.0, 256)
+    out = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 3.0, 24)  # r = 0 takes the limit row
+    x = grid.points
+    field = SampledField(grid, x**2 * np.exp(-x**2 / 2) * (1.0 + 0.3j * x), geometry)
+    dtypes = []
+    matvec = transforms._matvec
+    monkeypatch.setattr(transforms, "_matvec", lambda k, v: dtypes.append(k.dtype) or matvec(k, v))
+    built = transforms.plan(spec, grid, out, CFG16)
+    got = built(field).values
+
+    y, w, at_nodes = transforms._kernel_nodes(CFG16, mat, grid, out)
+    a, b, d = mat.a.real, mat.b.real, mat.d.real
+    r, ry = out.points[:, None], out.points[:, None] * y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radial = jv(nu, ry / abs(b)) * ry**cross * r**row
+    if abs(nu + cross + row) < 1e-12:  # the finite r -> 0 limit; a positive power gives 0
+        radial[0] = (y / (2.0 * abs(b))) ** nu / math.gamma(nu + 1.0) * y**cross
+    assert np.all(np.isfinite(radial))
+    parity = (-1.0) ** nu if b < 0 else 1.0
+    kernel = np.exp(1j * (a * y**2 + d * r**2) / (2.0 * b)) * radial * y**col
+    want = matching * (-1j) ** (nu + 1.0) / b * parity * (kernel @ (w * at_nodes(field)))
+
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert dtypes == [np.float64]
+    assert built.nbytes == out.count * len(y) * 8
+    if name == "radial_propagate":
+        engine = transforms.radial_propagate(field, 0.7, 0, out, CFG16)
+        assert engine.values.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("spec", [Hankel(0), transforms.HankelType(1, 1.0, -0.6),
+                                  transforms.FrHankel(0, 0.5)], ids=repr)
+def test_bessel_j_kernel_assembly_peaks_near_twice_the_kernel(spec):
+    # 1000 outputs x 500 panels of 16 nodes: a 61 MiB float64 kernel, built beside
+    # one scratch array of its size (the Bessel argument, then (r y)^cross)
+    grid = Grid1D(GridKind.HALF_LINE, 0.0, 0.01, 1000)
+    cfg = QuadratureConfig(panels=500, nodes_per_panel=16)
+    tracemalloc.start()
+    try:
+        built = transforms.plan(spec, grid, grid, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built.nbytes == 1000 * 500 * 16 * 8
+    assert peak <= 2.25 * built.nbytes
