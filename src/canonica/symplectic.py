@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .common import EquationKind, ImagingSingular, LaplaceSingular
@@ -22,27 +23,33 @@ LFORM_TOL = 1e-12
 MATRIX_EQ_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SympMat2:
-    """Unimodular 2x2 complex matrix with entries a, b, c, d."""
+class SympMat2(namedtuple("SympMat2", "a b c d")):
+    """Unimodular 2x2 complex matrix with entries a, b, c, d.
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    Immutable.  The constructor coerces each entry to complex and tests
+    det = 1 once; the test is written so that a NaN determinant, which any
+    non-finite entry produces, fails it too.
+    """
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        if abs(self.det - 1.0) > UNIMODULAR_TOL:
-            raise ValueError(f"matrix is not unimodular: det = {self.det}")
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d):
+        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        det = a * d - b * c
+        if not abs(det - 1.0) <= UNIMODULAR_TOL:
+            raise ValueError(f"matrix is not unimodular: det = {det}")
+        return tuple.__new__(cls, (a, b, c, d))
+
+    @classmethod
+    def _make(cls, entries):  # namedtuple._replace builds through _make: validate it too
+        return cls(*entries)
 
     @property
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
     def is_real(self, tol: float = REAL_TOL) -> bool:
-        return all(abs(z.imag) <= tol for z in (self.a, self.b, self.c, self.d))
+        return all(abs(z.imag) <= tol for z in self)
 
     def is_l_form(self, tol: float = LFORM_TOL) -> bool:
         """True when a, d are real and b, c purely imaginary (L-matrix shape)."""
@@ -60,23 +67,10 @@ class SympMat2:
         return (self.a.real, self.b.imag, -self.c.imag, self.d.real)
 
     def approx_eq(self, other: "SympMat2", tol: float = MATRIX_EQ_TOL) -> bool:
-        return (
-            abs(self.a - other.a) <= tol
-            and abs(self.b - other.b) <= tol
-            and abs(self.c - other.c) <= tol
-            and abs(self.d - other.d) <= tol
-        )
+        return all(abs(x - y) <= tol for x, y in zip(self, other))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": [self.a.real, self.a.imag],
-                "b": [self.b.real, self.b.imag],
-                "c": [self.c.real, self.c.imag],
-                "d": [self.d.real, self.d.imag],
-            },
-            sort_keys=True,
-        )
+        return json.dumps({k: [z.real, z.imag] for k, z in zip("abcd", self)}, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "SympMat2":
@@ -91,7 +85,7 @@ def compose(*mats: SympMat2) -> SympMat2:
     """Matrix product m1 * m2 * ... (leftmost acts last on a column vector)."""
     if len(mats) < 2:
         raise ValueError("compose needs at least two matrices")
-    a, b, c, d = mats[0].a, mats[0].b, mats[0].c, mats[0].d
+    a, b, c, d = mats[0]
     for m in mats[1:]:
         a, b, c, d = (
             a * m.a + b * m.c,

@@ -338,7 +338,7 @@ def disentanglement_check(beta: float) -> dict:
 _CONSTRUCTORS = (
     lambda u, rng: mat_free(u),
     lambda u, rng: mat_lens(u),
-    lambda u, rng: mat_scale(complex(rng.uniform(0.3, 2.0), rng.uniform(-0.5, 0.5))),
+    lambda u, rng: mat_scale(complex(_uniform(rng, 0.3, 2.0), _uniform(rng, -0.5, 0.5))),
     lambda u, rng: mat_fourier(u),
     lambda u, rng: mat_laplace(u),
     lambda u, rng: mat_poisson(abs(u) + 0.1),
@@ -346,9 +346,14 @@ _CONSTRUCTORS = (
 )
 
 
+def _uniform(rng, lo: float, hi: float) -> float:
+    """`rng.uniform(lo, hi)` bit for bit (numpy computes lo + (hi - lo) * next_double), faster."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _random_constructor(rng) -> SympMat2:
     kind = rng.integers(0, len(_CONSTRUCTORS))
-    return _CONSTRUCTORS[kind](float(rng.uniform(-2.0, 2.0)), rng)
+    return _CONSTRUCTORS[kind](_uniform(rng, -2.0, 2.0), rng)
 
 
 def _check_det_random():

@@ -80,6 +80,16 @@ def test_matrix_invert_and_factor(capsys):
     assert run_cli("matrix", "factor", "fourier:1") == 2
 
 
+@pytest.mark.parametrize("tokens", [("free:inf", "lens:1"), ("poisson:nan",),
+                                    ('{"a": [1, 0], "b": [Infinity, 0], "c": [0, 0], "d": [1, 0]}',)])
+def test_matrix_non_finite_is_numeric_failure(capsys, tokens):
+    # a non-finite matrix used to print NaN/Infinity (not JSON) and exit 0
+    assert run_cli("matrix", "compose", *tokens) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numeric failure" in captured.err
+
+
 def test_appell_analytic_chirp_to_point(tmp_path):
     out = tmp_path / "w.csv"
     code = run_cli("appell", "--eq", "pwe", "--alpha", "1", "--evol", "0.7",

@@ -1,8 +1,10 @@
 import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from canonica.common import EquationKind, ImagingSingular, LaplaceSingular
 from canonica.symplectic import (
@@ -33,6 +35,46 @@ def mats_close(m1, m2, tol=1e-12):
 def test_unimodularity_enforced():
     with pytest.raises(ValueError):
         SympMat2(1.0, 1.0, 1.0, 1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SympMat2(NAN, 0.0, 0.0, 1.0),
+    lambda: SympMat2(1.0, INF, 0.0, 1.0),
+    lambda: SympMat2(1.0, 0.0, complex(0.0, -INF), 1.0),
+    lambda: mat_free(INF),
+    lambda: mat_lens(-INF),
+    lambda: mat_poisson(NAN),
+    lambda: mat_gauss_aperture(INF),
+    lambda: mat_scale(complex(1.0, NAN)),
+    lambda: SympMat2.from_json('{"a": [1, 0], "b": [NaN, 0], "c": [0, 0], "d": [1, 0]}'),
+])
+def test_non_finite_matrix_rejected(make):
+    # a NaN or infinite entry makes det NaN, which must fail the det = 1 test
+    with pytest.raises(ValueError, match="not unimodular"):
+        make()
+
+
+def test_matrix_is_an_immutable_value():
+    m = mat_free(0.5)
+    with pytest.raises(AttributeError):
+        m.a = 2.0
+    with pytest.raises(AttributeError):
+        m.extra = 1.0
+    with pytest.raises(ValueError):
+        m._replace(b=5.0, c=1.0)  # det = -4: no way round the constructor's test
+    assert m._replace(b=2.0) == mat_free(2.0)
+    assert m == SympMat2(1, 0.5, 0, 1) and m != mat_free(0.6)
+    assert hash(m) == hash((m.a, m.b, m.c, m.d)) == hash(SympMat2(1, 0.5, 0, 1))
+    # a named 4-tuple: tuple semantics, which callers may rely on
+    assert m == (1, 0.5, 0, 1) and tuple(m) == (m.a, m.b, m.c, m.d) and len(m) == 4
+    assert type(m + m) is tuple and type(m * 2) is tuple
+    assert repr(m) == "SympMat2(a=(1+0j), b=(0.5+0j), c=0j, d=(1+0j))"
+    assert pickle.loads(pickle.dumps(m)) == m
+    n = SympMat2(np.float64(2.0), 1, 3, np.int64(2))
+    assert all(type(z) is complex for z in (n.a, n.b, n.c, n.d))
 
 
 def test_compose_examples():
@@ -163,20 +205,23 @@ def test_wei_norman_lform():
         wei_norman_lform(mat_fourier(0.5))
 
 
+# the matrix families, each from one real u in [-2, 2]
+_FAMILIES = (
+    mat_free,
+    mat_lens,
+    lambda u: mat_scale(complex(abs(u) + 0.2, 0.3 * u)),
+    mat_fourier,
+    mat_laplace,
+    lambda u: mat_poisson(abs(u) + 0.1),
+    lambda u: mat_gauss_aperture(abs(u) + 0.1),
+)
+
+
 def test_random_compositions_determinant():
     rng = np.random.default_rng(7)
-    constructors = [
-        lambda u: mat_free(u),
-        lambda u: mat_lens(u),
-        lambda u: mat_scale(complex(abs(u) + 0.2, 0.3 * u)),
-        lambda u: mat_fourier(u),
-        lambda u: mat_laplace(u),
-        lambda u: mat_poisson(abs(u) + 0.1),
-        lambda u: mat_gauss_aperture(abs(u) + 0.1),
-    ]
     worst = 0.0
     for _ in range(10000):
-        ms = [constructors[rng.integers(0, 7)](float(rng.uniform(-2, 2))) for _ in range(3)]
+        ms = [_FAMILIES[rng.integers(0, 7)](float(rng.uniform(-2, 2))) for _ in range(3)]
         worst = max(worst, abs(compose(*ms).det - 1.0))
     assert worst <= 1e-14
 
@@ -192,3 +237,55 @@ def test_json_round_trip():
     m = mat_appell(EquationKind.HEAT, 0.7, 1.3)
     again = SympMat2.from_json(m.to_json())
     assert mats_close(m, again, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# property tests of the identities the matrix families obey
+
+_ORDER = st.floats(-8.0, 8.0, allow_nan=False)
+_POSITIVE = st.floats(1e-3, 10.0)
+_CHAIN = st.lists(st.tuples(st.sampled_from(_FAMILIES), st.floats(-2.0, 2.0)),
+                  min_size=2, max_size=4).map(lambda steps: [f(u) for f, u in steps])
+
+
+@given(_CHAIN)
+def test_constructor_chains_stay_unimodular(mats):
+    # the rounding of det grows with the entries of |m1| |m2| ...; a few ulps of
+    # its largest entry squared is far inside the constructor's UNIMODULAR_TOL
+    size = np.eye(2)
+    for m in mats:
+        size = size @ np.abs(np.reshape(m, (2, 2)))
+    assert abs(compose(*mats).det - 1.0) <= 2e-15 * size.max() ** 2
+
+
+@given(_CHAIN)
+def test_compose_with_inverse_is_identity(mats):
+    m = compose(*mats)
+    size = max(1.0, max(abs(z) for z in m) ** 2)
+    assert mats_close(compose(m, inverse(m)), IDENTITY, 1e-14 * size)
+    assert mats_close(compose(inverse(m), m), IDENTITY, 1e-14 * size)
+
+
+@given(_ORDER, _ORDER)
+def test_fractional_group_laws(a1, a2):
+    assert mats_close(compose(mat_fourier(a1), mat_fourier(a2)), mat_fourier(a1 + a2), 1e-13)
+    assert mats_close(compose(mat_laplace(a1), mat_laplace(a2)), mat_laplace(a1 + a2), 1e-13)
+
+
+@given(_POSITIVE, _POSITIVE)
+def test_poisson_and_aperture_semigroups(t1, t2):
+    tol = 1e-14 * (t1 + t2)
+    assert mats_close(compose(mat_poisson(t1), mat_poisson(t2)), mat_poisson(t1 + t2), tol)
+    assert mats_close(compose(mat_gauss_aperture(t1), mat_gauss_aperture(t2)),
+                      mat_gauss_aperture(t1 + t2), tol)
+
+
+@given(_ORDER)
+def test_fractional_families_are_four_periodic(alpha):
+    assert mats_close(mat_fourier(alpha + 4.0), mat_fourier(alpha), 1e-13)
+    assert mats_close(mat_laplace(alpha + 4.0), mat_laplace(alpha), 1e-13)
+    r = reduce_order(alpha)
+    assert -2.0 < r <= 2.0
+    assert fourier_orders_equal(r, alpha)
+    assert fourier_orders_equal(reduce_order(alpha + 4.0), r)
+    assert mats_close(mat_fourier(r), mat_fourier(alpha), 1e-13)
