@@ -5,8 +5,14 @@ Each map has two realizations:
 * an analytic path (`appell_analytic`) remapping a closed-form solution:
   the output is again evaluable at arbitrary (coordinate, evolution value);
 * a numeric path (`appell_numeric`) acting on sampled source data at
-  evolution value 0: fractional transform of the source, then the matching
-  kernel propagator.
+  evolution value 0.  Its fractional stage followed by the propagator is,
+  by the metaplectic representation, one canonical transform of the product
+  T(zeta) F^alpha (wave) or P(t) L^alpha (heat), up to a sign (Moshinsky &
+  Quesne, J. Math. Phys. 12, 1971): the path runs that one kernel times the
+  stage's matching factor and sigma = exp(-i pi p (s1 + s2 - s1 s2 s - s)/2),
+  with s1, s2, s the signs of B of stage, propagator and product (real part
+  for wave, imaginary part for L-form matrices) and p = nu + 1 of the kernel:
+  1/2 on the line, m + 1 for radial wave (sigma = 1), mu/2 for radial heat.
 
 Branch handling: the square-root (and mu/2-power) prefactors of the
 analytic maps are evaluated as principal powers of c * exp(-i phi) rather
@@ -34,7 +40,7 @@ from .fields import (
     RadialDim,
     SampledField,
 )
-from .symplectic import IDENTITY, reduce_order
+from .symplectic import SympMat2, compose, mat_fourier, mat_free, mat_laplace, reduce_order
 from . import transforms
 from .transforms import DEFAULT_CONFIG, QuadratureConfig
 
@@ -97,16 +103,12 @@ def _branch_power(c: float, phi: float, power: float) -> complex:
     return cmath.exp(power * cmath.log(c * cmath.exp(-1j * phi)))
 
 
-def _field_index(src: AnalyticField | SampledField) -> int:
-    return getattr(src.geometry, "m", 0)  # Radial and RadialDim carry an azimuthal index
-
-
 def _check_match(src: AnalyticField, spec: AppellSpec):
     if src.equation is not spec.equation:
         raise EquationMismatch(
             f"field solves {src.equation.value}, map is for {spec.equation.value}"
         )
-    if spec.equation is EquationKind.RADIAL_PWE and _field_index(src) != spec.m:
+    if spec.equation is EquationKind.RADIAL_PWE and getattr(src.geometry, "m", 0) != spec.m:
         raise EquationMismatch("azimuthal index of field and map differ")
     if spec.equation is EquationKind.RADIAL_HEAT:
         geo = src.geometry
@@ -141,7 +143,8 @@ def _hankel_at(src: AnalyticField, m: int, zeta: float, k: np.ndarray) -> np.nda
     fn = lambda x: src.eval(x, zeta)  # noqa: E731
     radius = _decay_radius(lambda x: fn(np.abs(x)))
     xq, wq = transforms._gl_nodes(0.0, radius, 40, 48)
-    return specfun.bessel_j(m, np.abs(np.outer(k, xq))) @ (wq * xq * fn(xq))
+    # J_m(k x) = sign(k)^m J_m(|k x|) for x >= 0
+    return np.sign(k) ** m * (specfun.bessel_j(m, np.abs(np.outer(k, xq))) @ (wq * xq * fn(xq)))
 
 
 class AppellImage(AnalyticField):
@@ -210,58 +213,39 @@ def appell_analytic(src: AnalyticField, spec: AppellSpec) -> AppellImage:
     return AppellImage(src, spec)
 
 
-def _bare_fr_laplace(source, alpha, m, mu, grid, cfg):
-    # the caloric map is built on the bare kernel transform: strip the
-    # i^(alpha/2) matching factor carried by the fractional Laplace
-    stage = transforms.fr_laplace(source, alpha, grid, cfg)
-    return replace(stage, values=stage.values * cmath.exp(-0.25j * math.pi * alpha))
-
-
-# equation -> (fractional stage, kernel propagator), called as
-# stage(source, alpha, m, mu, grid, cfg) and propagate(field, evol, m, mu, grid, cfg)
-_EQUATIONS = {
-    EquationKind.PWE: (
-        lambda f, alpha, m, mu, g, c: transforms.frft(f, alpha, g, c),
-        lambda f, evol, m, mu, g, c: transforms.fresnel_propagate(f, evol, g, c)),
-    EquationKind.HEAT: (
-        _bare_fr_laplace,
-        lambda f, evol, m, mu, g, c: transforms.poisson_propagate(f, evol, g, c)),
-    EquationKind.RADIAL_PWE: (
-        lambda f, alpha, m, mu, g, c: transforms.fr_hankel(f, m, alpha, g, c),
-        lambda f, evol, m, mu, g, c: transforms.radial_propagate(f, evol, m, g, c)),
-    EquationKind.RADIAL_HEAT: (
-        lambda f, alpha, m, mu, g, c: transforms.fr_radial_laplace(
-            f, alpha, mu / 2.0 - 1.0, -mu / 2.0, g, c),
-        lambda f, evol, m, mu, g, c: transforms.radial_heat_propagate(f, evol, mu, g, c)),
-}
-
-
 def appell_numeric(source: SampledField, spec: AppellSpec, out_grid: Grid1D,
                    cfg: QuadratureConfig = DEFAULT_CONFIG,
                    mid_grid: Grid1D | None = None) -> SampledField:
-    """Numeric symmetry map: fractional transform of the source data at
-    evolution value 0, then the matching kernel propagator to spec.evol."""
+    """Numeric symmetry map of source data at evolution value 0: one kernel transform
+    of the propagator to spec.evol times the fractional stage, with its matching
+    factor and sign (module docstring).  `mid_grid` is accepted and ignored."""
     if abs(source.evol) > 1e-12:
         raise ValueError("numeric path needs the source data at evolution value 0")
-    alpha = spec.effective_alpha
-    eq = spec.equation
-    if eq in (EquationKind.PWE, EquationKind.HEAT):
-        if source.grid.kind != GridKind.FULL_LINE:
-            raise EquationMismatch("linear maps need full-line sources")
-    else:
-        if source.grid.kind != GridKind.HALF_LINE:
-            raise EquationMismatch("radial maps need half-line sources")
-    mid = mid_grid if mid_grid is not None else source.grid
-    stage_of, propagate = _EQUATIONS[eq]
-    stage = stage_of(source, alpha, spec.m, spec.mu, mid, cfg)
-    if abs(spec.evol) <= 1e-14:  # the identity matrix: the B = 0 path resamples the stage
-        if eq.is_radial:
-            out = transforms.radial_ct(stage, IDENTITY, 2.0, _field_index(stage), out_grid, cfg)
-        else:
-            out = transforms.linear_ct(IDENTITY, stage, out_grid, cfg)
-    else:
-        out = propagate(stage, spec.evol, spec.m, spec.mu, out_grid, cfg)
-    return replace(out, evol=spec.evol)
+    eq, alpha, evol = spec.equation, spec.effective_alpha, spec.evol
+    kind = GridKind.HALF_LINE if eq.is_radial else GridKind.FULL_LINE
+    if source.grid.kind != kind:
+        raise EquationMismatch(f"{'radial' if eq.is_radial else 'linear'} maps need {kind} sources")
+    if eq.is_heat and evol < 0:
+        raise ValueError("diffusion time must be positive")
+    a = alpha if eq.is_radial else reduce_order(alpha)  # each stage engine's own order
+    stage = (mat_laplace if eq.is_heat else mat_fourier)(a)
+    prop = SympMat2(1.0, -1j * evol, 0.0, 1.0) if eq.is_heat else mat_free(evol)
+    mat = compose(prop, stage)
+    matching, p = {  # the stage's matching factor, and the power nu + 1 of its kernel
+        EquationKind.PWE: (cmath.exp(0.25j * math.pi * a), 0.5),
+        EquationKind.HEAT: (cmath.exp(0.25j * math.pi * (a - alpha)), 0.5),
+        EquationKind.RADIAL_PWE: (cmath.exp(0.5j * math.pi * (spec.m + 1) * alpha), spec.m + 1.0),
+        EquationKind.RADIAL_HEAT: (1.0, spec.mu / 2.0),
+    }[eq]
+    # the signs of B1, B2 and B: real parts of wave matrices, imaginary parts of L-form ones
+    s1, s2, s = (-1.0 if (x.b.imag if eq.is_heat else x.b.real) < 0 else 1.0
+                 for x in (stage, prop, mat))
+    factor = matching * cmath.exp(-0.5j * math.pi * p * (s1 + s2 - s1 * s2 * s - s))
+    if not eq.is_radial:
+        return transforms.linear_ct(mat, source, out_grid, cfg, factor, evol)
+    n_dim, m = (spec.mu, 0) if eq.is_heat else (2.0, spec.m)
+    out = transforms.radial_ct(source, mat, n_dim, m, out_grid, cfg, evol)
+    return replace(out, values=factor * out.values)
 
 
 def self_appell_eigencheck(mode: str, n: int, alpha: float, zeta: float,

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import transforms, verify
-from .appell import _EQUATIONS, AppellSpec, appell_analytic, appell_numeric
+from .appell import AppellSpec, appell_analytic, appell_numeric
 from .common import (
     CanonicaError,
     Direction,
@@ -163,10 +163,20 @@ def cmd_transform(args) -> int:
     return 0
 
 
+# equation -> kernel propagator, called as propagate(field, evol, m, mu, grid, cfg)
+_PROPAGATORS = {
+    EquationKind.PWE: lambda f, e, m, mu, g, c: transforms.fresnel_propagate(f, e, g, c),
+    EquationKind.HEAT: lambda f, e, m, mu, g, c: transforms.poisson_propagate(f, e, g, c),
+    EquationKind.RADIAL_PWE: lambda f, e, m, mu, g, c: transforms.radial_propagate(f, e, m, g, c),
+    EquationKind.RADIAL_HEAT: lambda f, e, m, mu, g, c: transforms.radial_heat_propagate(
+        f, e, mu, g, c),
+}
+
+
 def cmd_propagate(args) -> int:
     field = read_field(args.infile)
     out_grid = _parse_grid(args.out_grid, field.grid.kind) if args.out_grid else field.grid
-    propagate = _EQUATIONS[EquationKind(args.eq)][1]
+    propagate = _PROPAGATORS[EquationKind(args.eq)]
     m = args.m if args.m is not None else 0
     mu = args.mu if args.mu is not None else 2.0
     out = propagate(field, args.evol, m, mu, out_grid, _quad_config(args))

@@ -12,8 +12,8 @@ the transform's matrix:
   Gauss-Legendre panels over the input grid support, with the sampled field
   interpolated onto the quadrature nodes by a quintic spline.  Panels are
   sized so each spans at most pi/4 of kernel phase at the fastest output
-  point; real-exponent (L-form) kernels have no phase and are sized by the
-  sample count alone.  Only Gaussian-convolution kernels accept a callable
+  point; real-exponent (L-form) kernels have no phase and get 4 nodes per
+  width when they decay.  Only Gaussian-convolution kernels accept a callable
   f(y): it is evaluated on panels over the output window widened by
   12 sqrt(tau), starting at the axis on half-line grids.
 * ``point-map`` (B = 0): the point map of the kernel, read off the field's
@@ -281,24 +281,31 @@ def _gaussian_variance(mat: SympMat2) -> float | None:
 
 def _panel_count(cfg: QuadratureConfig, mat: SympMat2, xmax: float, outmax: float,
                  count: int) -> int:
-    """Panels over the source: at most pi/4 of kernel phase each, and at least
-    one per nodes_per_panel samples.
+    """Panels over the source: at most pi/4 of kernel phase each, at least 4
+    nodes per width of a decaying real-exponent kernel, and at least one
+    panel per nodes_per_panel samples.
 
     The phase of the kernel of `mat` across a source |y| <= xmax at the
-    fastest output point |x| <= outmax is (|A| xmax^2 + 2 outmax xmax)/(2|B|);
-    real-exponent (L-form) kernels have none.  A count above _MAX_PANELS is
-    capped with a TruncationWarning.
+    fastest output point |x| <= outmax is (|A| xmax^2 + 2 outmax xmax)/(2|B|).
+    Real-exponent (L-form, B = i beta) kernels have none; with A/beta < 0 they
+    are Gaussians of width sqrt(-beta/A) in y, narrow near B = 0.  A count
+    above _MAX_PANELS is capped with a TruncationWarning.
     """
     if cfg.panels is not None:
         return cfg.panels
-    phase = 0.0 if _real_exponent(mat) else (
-        (abs(mat.a) * xmax**2 + 2.0 * outmax * xmax) / (2.0 * abs(mat.b)))
-    by_phase = math.ceil(phase / (math.pi / 4.0))
+    if not _real_exponent(mat):
+        phase = (abs(mat.a) * xmax**2 + 2.0 * outmax * xmax) / (2.0 * abs(mat.b))
+        by_kernel = math.ceil(phase / (math.pi / 4.0))
+    elif mat.a.real * mat.b.imag < 0:
+        width = math.sqrt(-mat.b.imag / mat.a.real)
+        by_kernel = math.ceil(8.0 * xmax / (width * cfg.nodes_per_panel))
+    else:
+        by_kernel = 0
     by_field = math.ceil(count / cfg.nodes_per_panel)
-    wanted = max(by_phase, by_field, 4)
+    wanted = max(by_kernel, by_field, 4)
     if wanted > _MAX_PANELS:
         _warn(f"the kernel asks for {wanted} quadrature panels; {_MAX_PANELS} are used, "
-              "which under-resolves its phase")
+              "which under-resolves the kernel")
     return min(wanted, _MAX_PANELS)
 
 
@@ -579,8 +586,8 @@ def _lform_support_check(mat: SympMat2, field: SampledField, outmax: float, xmax
     """Convergence and support adequacy for real-exponent (L-form) kernels.
 
     The integrand exp((A x'^2 - 2 x x')/2B) f(x') needs the source decay
-    rate g to beat A/B, and its stationary point x/(gB - A) (plus a couple
-    of widths) to sit inside the sampled support.
+    rate g to beat A/B, and its stationary point x/(gB - A) plus 5 widths
+    (a Gaussian tail of e^{-12.5}) to sit inside the sampled support.
     """
     a, b = mat.a.real, mat.b.imag
     g_est = _tail_gaussian_rate(field)
@@ -591,8 +598,8 @@ def _lform_support_check(mat: SympMat2, field: SampledField, outmax: float, xmax
         )
     peak = outmax / abs(b * (g_est - lam))
     width = 1.0 / math.sqrt(g_est - lam)
-    if peak + 2.0 * width > xmax:
-        _warn(f"kernel stationary point {peak:.2f} (+2 widths) exceeds the source "
+    if peak + 5.0 * width > xmax:
+        _warn(f"kernel stationary point {peak:.2f} (+5 widths) exceeds the source "
               f"support {xmax:.2f}; shrink the output window or widen the source grid")
 
 
@@ -858,11 +865,13 @@ def _radial_plan(name: str, mat: SympMat2, in_grid: Grid1D | None, out_grid: Gri
 
 def _radial_ct_plan(mat: SympMat2, n_dim: float, m_idx: int, in_grid: Grid1D, out_grid: Grid1D,
                     cfg: QuadratureConfig, evol_shift: float = 0.0) -> Plan:
+    guards = (lambda f: _check_geometry(f, m=m_idx),)
     if not mat.is_real(1e-12):
-        raise ValueError("radial_ct handles real matrices; use the Laplace-type kernels otherwise")
+        if not mat.is_l_form():
+            raise ValueError("radial_ct handles real and L-form matrices")
+        guards += (_require_gaussian_decay,)
     return _radial_plan("radial_ct", mat, in_grid, out_grid, cfg, n_dim / 2.0 + m_idx - 1.0,
-                        _dim_weights(n_dim), evol_shift=evol_shift,
-                        guards=(lambda f: _check_geometry(f, m=m_idx),))
+                        _dim_weights(n_dim), evol_shift=evol_shift, guards=guards)
 
 
 def hankel(field: SampledField, m: int, out_grid: Grid1D,
@@ -880,11 +889,12 @@ def fr_hankel(field: SampledField, m: int, alpha: float, out_grid: Grid1D,
 def radial_ct(field: SampledField, mat: SympMat2, n_dim: float, m_idx: int,
               out_grid: Grid1D, cfg: QuadratureConfig = DEFAULT_CONFIG,
               evol_shift: float = 0.0) -> SampledField:
-    """Radial canonical transform for a real matrix, dimension n, index m.
+    """Radial canonical transform for a real or L-form matrix, dimension n, index m.
 
     Kernel ((-i)^(m+n/2)/B) (r r')^(1-n/2) exp(i(A r'^2 + D r^2)/2B)
     J_{n/2+m-1}(r r'/B) against the r'^(n-1) dr' measure; A acts on the
     input variable, matching the radial diffraction-integral convention.
+    An L-form matrix gives the Bessel-I kernel and requires exp(-r^2/4) decay.
     """
     return _radial_ct_plan(mat, n_dim, m_idx, field.grid, out_grid, cfg, evol_shift)(field)
 

@@ -8,16 +8,21 @@ branch of every square root without reference to the display formulas.
 
 import cmath
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from canonica.common import (
+    CanonicaError,
     Direction,
     DivergenceRisk,
     EquationKind,
     EquationMismatch,
     SingularEvol,
+    TruncationWarning,
 )
 from canonica.fields import (
     AnalyticField,
@@ -28,6 +33,7 @@ from canonica.fields import (
     GridKind,
     HeatPoly,
     PlaneChirp,
+    Radial,
     RadialDim,
     SampledField,
     StdHG,
@@ -591,3 +597,150 @@ def test_numeric_order_two_matches_analytic_both_directions(eq, evol, direction)
     num = appell_numeric(sample(f, grid, 0.0), spec, out, CFG16)
     ana = appell_analytic(f, spec).eval(out.points, evol)
     assert rel_l2(num.values, np.asarray(ana)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the numeric map is one kernel: correct to its tolerance, or flagged
+
+NUMERIC_TOL = {EK.PWE: 1e-8, EK.RADIAL_PWE: 1e-8, EK.HEAT: 1e-4, EK.RADIAL_HEAT: 1e-4}
+
+
+def _run_numeric(f, grid, out, spec):
+    """The numeric map's values (None if it raised a CanonicaError), and whether it warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            values = appell_numeric(sample(f, grid, 0.0), spec, out, CFG16).values
+        except CanonicaError:
+            values = None
+    return values, any(issubclass(w.category, TruncationWarning) for w in caught)
+
+
+def _analytic_error(values, f, out, spec):
+    return rel_l2(values, np.asarray(appell_analytic(f, spec).eval(out.points, spec.evol)))
+
+
+def _assert_correct_or_flagged(f, grid, out, spec):
+    values, warned = _run_numeric(f, grid, out, spec)
+    if values is not None and not warned:
+        assert _analytic_error(values, f, out, spec) < NUMERIC_TOL[spec.equation]
+
+
+def _heat_locus(spec):
+    """True near cos phi + t sin phi = 0, where the analytic heat maps are singular."""
+    phi = spec.effective_alpha * math.pi / 2
+    return spec.equation.is_heat and abs(math.cos(phi) + spec.evol * math.sin(phi)) < 0.05
+
+
+CONTRACT_EVOLS = {EK.PWE: (-1.0, 0.0, 0.4, 1.2), EK.HEAT: (0.0, 0.4, 1.0),
+                  EK.RADIAL_PWE: (-1.0, 0.0, 1e-9, 0.4), EK.RADIAL_HEAT: (0.0, 0.4, 1.0)}
+CONTRACT_SPECS = [
+    spec for eq, evols in CONTRACT_EVOLS.items() for alpha in (-1.4, 0.2, 0.5, 1.3)
+    for evol in evols for direction in Direction
+    for spec in [AppellSpec(eq, alpha=alpha, evol=evol, direction=direction,
+                            **ORDER_TWO_CASES[eq][3])]
+    if not _heat_locus(spec)] + [
+    # near B = 0 the composed kernel narrows to a near-delta the panel cap cannot resolve
+    AppellSpec(EK.HEAT, alpha=0.5, evol=1.0 + dt) for dt in (1e-6, 1e-8)]
+
+
+@pytest.mark.parametrize("spec", CONTRACT_SPECS, ids=lambda s: (
+    f"{s.equation.value}-{s.alpha:g}-{s.evol:.9g}-{s.direction.value}"))
+def test_numeric_map_is_correct_or_flagged(spec):
+    f, grid, out, _ = ORDER_TWO_CASES[spec.equation]
+    _assert_correct_or_flagged(f, grid, out, spec)
+
+
+@pytest.mark.parametrize("eq, alpha, evol", [
+    (EK.HEAT, 0.2, 0.4),  # -iq on the negative real axis: the naive principal-branch sign fails
+    (EK.PWE, 0.5, -1.0),  # composite B = 0: the point map
+    (EK.HEAT, 0.5, 1.0),
+    (EK.HEAT, 0.5, 1.0 + 1e-4),  # B near 0: a Gaussian kernel of width 0.008, sized by it
+    (EK.RADIAL_PWE, 0.7, 1e-9),  # a propagator of its own would ask for 2.3e11 panels
+], ids=lambda v: str(getattr(v, "value", v)))
+def test_numeric_one_kernel_cases_match(eq, alpha, evol):
+    f, grid, out, kw = ORDER_TWO_CASES[eq]
+    spec = AppellSpec(eq, alpha=alpha, evol=evol, **kw)
+    values, warned = _run_numeric(f, grid, out, spec)
+    assert values is not None and not warned
+    assert _analytic_error(values, f, out, spec) < NUMERIC_TOL[eq]
+
+
+def test_numeric_heat_slow_source_raises():
+    # the source decays at rate 1.00, slower than the composed kernel grows
+    # (1.14): the integral diverges, and the map must not return finite values
+    f, grid, out, _ = ORDER_TWO_CASES[EK.HEAT]
+    with pytest.raises(DivergenceRisk):
+        appell_numeric(sample(f, grid, 0.0), AppellSpec(EK.HEAT, alpha=0.7, evol=0.4), out)
+
+
+def test_numeric_heat_near_miss_is_flagged():
+    # the kernel's stationary point plus 2 widths fits inside the source, plus 5
+    # does not: the map misses by 3e-3 and must say so
+    _, grid, out, _ = ORDER_TWO_CASES[EK.HEAT]
+    f, spec = Gauss(0.976, 0.0, EK.HEAT), AppellSpec(EK.HEAT, alpha=-1.274, evol=0.265)
+    values, warned = _run_numeric(f, grid, out, spec)
+    assert warned and _analytic_error(values, f, out, spec) > 1e-4
+
+
+@pytest.mark.parametrize("alpha, direction, evol", [(-1.0, Direction.FORWARD, 0.0),
+                                                    (0.5, Direction.INVERSE, -1.0)])
+def test_on_locus_radial_branch_keeps_bessel_parity(alpha, direction, evol):
+    # on the singular locus with a negative scale, J_m of odd m changes sign:
+    # the locus value is the limit of its neighbours and agrees with the numeric map
+    f, grid, out, kw = ORDER_TWO_CASES[EK.RADIAL_PWE]
+    on = AppellSpec(EK.RADIAL_PWE, alpha=alpha, evol=evol, direction=direction, **kw)
+    near = replace(on, evol=evol + 1e-9)
+    locus = np.asarray(appell_analytic(f, on).eval(out.points, evol))
+    beside = np.asarray(appell_analytic(f, near).eval(out.points, near.evol))
+    assert rel_l2(locus, beside) < 1e-5
+    values, warned = _run_numeric(f, grid, out, on)
+    assert not warned and rel_l2(values, locus) < 1e-8
+
+
+class _RadialWaveGauss(AnalyticField):
+    """r^m exp(-r^2/2 width^2), propagated: (w^2/(w^2 + i zeta))^(m+1) r^m e^{-r^2/2(w^2 + i zeta)}."""
+
+    equation = EK.RADIAL_PWE
+
+    def __init__(self, width, m):
+        self.w2 = width**2
+        self.m = m
+        self.geometry = Radial(m)
+
+    def _eval(self, r, zeta):
+        mu = complex(self.w2 + 1j * zeta)
+        return (self.w2 / mu) ** (self.m + 1) * r**self.m * np.exp(-(r**2) / (2 * mu))
+
+
+PROPERTY_SOURCES = {
+    EK.PWE: lambda w: Gauss(w),
+    EK.HEAT: lambda w: Gauss(w, 0.0, EK.HEAT),
+    EK.RADIAL_PWE: lambda w: _RadialWaveGauss(w, 1),
+    EK.RADIAL_HEAT: lambda w: _RadialGauss(w, 3.0),
+}
+
+
+@pytest.mark.parametrize("eq", list(PROPERTY_SOURCES), ids=lambda eq: eq.value)
+@settings(max_examples=10, deadline=None)
+@given(width=st.floats(0.7, 1.4), alpha=st.floats(-2.0, 2.0), evol=st.floats(-1.5, 1.5),
+       direction=st.sampled_from(Direction))
+def test_numeric_map_matches_analytic_property(eq, width, alpha, evol, direction):
+    # heat maps hold the contract; wave maps hold their tolerance off a band
+    # around the composed B = 0, where the kernel is a near-delta the panel rule
+    # cannot resolve.  Both stay off the analytic map's singular locus, near
+    # which its closed form loses digits.
+    _, grid, out, kw = ORDER_TWO_CASES[eq]
+    spec = AppellSpec(eq, alpha=alpha, evol=abs(evol) if eq.is_heat else evol,
+                      direction=direction, **kw)
+    assume(not _heat_locus(spec))
+    f = PROPERTY_SOURCES[eq](width)
+    if eq.is_heat:
+        _assert_correct_or_flagged(f, grid, out, spec)
+        return
+    phi = spec.effective_alpha * math.pi / 2
+    assume(abs(math.sin(phi) + spec.evol * math.cos(phi)) > 0.02)
+    assume(abs(math.cos(phi) - spec.evol * math.sin(phi)) > 0.05)
+    values, _ = _run_numeric(f, grid, out, spec)
+    assert values is not None
+    assert _analytic_error(values, f, out, spec) < NUMERIC_TOL[eq]

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from canonica.common import (
     DivergenceRisk,
+    EquationKind,
     GeometryMismatch,
     IntegrabilityViolation,
     TruncationWarning,
@@ -204,6 +205,17 @@ def test_poisson_propagate_constant_and_semigroup():
         poisson_propagate(s0, -0.1, grid)
 
 
+@pytest.mark.parametrize("t", [1e-4, 1e-6])
+def test_poisson_propagate_short_times_resolve_the_narrow_kernel(t):
+    # the kernel is a Gaussian of width sqrt(t), far narrower than the sample
+    # spacing; the panels are sized by that width, not by the sample count
+    wide = Grid1D.from_span(GridKind.FULL_LINE, -14.0, 14.0, 2048)
+    out = Grid1D.from_span(GridKind.FULL_LINE, -1.5, 1.5, 128)
+    heat = Gauss(1.0, 0.0, EquationKind.HEAT)
+    got = poisson_propagate(sample(heat, wide, 0.0), t, out).values
+    assert rel_l2(got, np.asarray(heat.eval(out.points, t))) < 1e-12
+
+
 def test_hankel_gaussian_self_reciprocal():
     r = HALF.points
     fld = SampledField(HALF, np.exp(-r**2 / 2) + 0j, Radial(0))
@@ -282,6 +294,24 @@ def test_radial_laplace_rejects_slow_decay():
     fld = SampledField(grid, np.exp(-r * 0.8) + 0j)  # only exponential decay
     with pytest.raises(DivergenceRisk):
         radial_laplace(fld, 1, 0.5, -1.5, grid, CFG16)
+
+
+def test_radial_ct_of_an_l_form_matrix_is_the_bessel_i_kernel():
+    # the weights of dimension mu equal the first type weights with nu' = -mu/2,
+    # so radial_ct of mat_laplace(alpha) is the fractional radial Laplace transform
+    mu = 3.0
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 14.0, 512)
+    out = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 3.0, 64)
+    r = grid.points
+    fld = SampledField(grid, np.exp(-r**2) + 0j, RadialDim(mu, 0))
+    via_ct = transforms.radial_ct(fld, mat_laplace(0.6), mu, 0, out, CFG16)
+    via_frl = transforms.fr_radial_laplace(fld, 0.6, mu / 2 - 1, -mu / 2, out, CFG16)
+    assert rel_l2(via_ct.values, via_frl.values) < 1e-12
+    slow = SampledField(grid, np.exp(-r * 0.8) + 0j, RadialDim(mu, 0))
+    with pytest.raises(DivergenceRisk):
+        transforms.radial_ct(slow, mat_laplace(0.6), mu, 0, out, CFG16)
+    with pytest.raises(ValueError):
+        transforms.radial_ct(fld, SympMat2(1.0, 1.0 + 1j, 0.0, 1.0), mu, 0, out, CFG16)
 
 
 def test_bessel_exp_reproduces_radial_heat_propagator():
