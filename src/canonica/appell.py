@@ -74,29 +74,6 @@ class AppellSpec:
     def effective_alpha(self) -> float:
         return self.alpha if self.direction is Direction.FORWARD else -self.alpha
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {"equation": self.equation.value, "alpha": self.alpha, "evol": self.evol,
-             "direction": self.direction.value, "m": self.m, "mu": self.mu},
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "AppellSpec":
-        import json
-
-        obj = json.loads(text)
-        return AppellSpec(
-            EquationKind(obj["equation"]),
-            alpha=obj.get("alpha", 1.0),
-            evol=obj.get("evol", 0.0),
-            direction=Direction(obj.get("direction", "forward")),
-            m=obj.get("m", 0),
-            mu=obj.get("mu", 2.0),
-        )
-
 
 def _branch_power(c: float, phi: float, power: float) -> complex:
     """Principal power of c*exp(-i phi), the branch the operator chain selects."""

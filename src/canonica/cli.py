@@ -8,7 +8,7 @@ Outputs are deterministic: fixed float formatting, no timestamps.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
 import json
 import re
 import sys
@@ -69,101 +69,130 @@ def _parse_grid(text: str, kind: str) -> Grid1D:
         raise CanonicaError(f"bad grid spec {text!r} (want start:end:count): {exc}") from None
 
 
-def _build_family(args):
-    name = args.family
-    if name not in FAMILIES:
-        raise CanonicaError(f"unknown family {name!r}; choose from {sorted(FAMILIES)}")
-    cls = FAMILIES[name]
+# CLI values of constructor parameters that no flag or --spec-json key gave
+_DEFAULTS = {"alpha": 1.0, "m": 0, "mu": 2.0, "kind": 1, "nu": 0.0, "nu_prime": 0.0,
+             "beta": 0.5, "n_dim": 2.0}
+# the parameters whose flag is not --<name with dashes>
+_FLAGS = {"lam": "--lambda", "equation": "--eq", "nodes_per_panel": "--nodes",
+          "apodization": "--apodize"}
+
+
+def _json_object(value, what: str) -> dict:
+    """`value`, or the JSON text it holds, as a JSON object; else a usage error."""
+    if isinstance(value, str):
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise CanonicaError(f"{what} is not JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise CanonicaError(f"{what} must be a JSON object, not {json.dumps(value)}")
+    return value
+
+
+def _convert(kind, value):
+    """`value` as the declared type `kind`, of a union (float | str) as the member
+    it is, else the first; a usage error if it is not one."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    kind = getattr(kind, "__args__", (kind,))[0]
+    if kind is SympMat2:
+        return _matrix(value)
+    try:
+        converted = kind(value)
+        if isinstance(value, bool) or kind in (int, float) and converted != value:
+            raise ValueError
+        return converted
+    except (TypeError, ValueError, OverflowError):
+        raise CanonicaError(f"{value!r} is not a valid {kind.__name__}") from None
+
+
+def _matrix(value) -> SympMat2:
+    """The matrix {"a": [re, im], "b": ..., "c": ..., "d": ...}, or its JSON text.  A
+    malformed one is a usage error; SympMat2 rejects a non-unimodular one (numeric)."""
+    obj = _json_object(value, "a matrix")
+    try:
+        return SympMat2(*(complex(obj[k][0], obj[k][1]) for k in "abcd"))
+    except (KeyError, IndexError, TypeError) as exc:
+        raise CanonicaError(f"a matrix needs keys a, b, c, d, each [re, im]: {exc!r}") from None
+
+
+def _given(values, name: str):
+    """The flag or --spec-json key `name`, else its CLI default; None for neither."""
+    value = values.get(name) if isinstance(values, dict) else getattr(values, name, None)
+    return _DEFAULTS.get(name) if value is None else value
+
+
+def _label(values, name: str) -> str:
+    if isinstance(values, dict) or not hasattr(values, name):
+        return f"--spec-json key {name!r}"
+    return _FLAGS.get(name, "--" + name.replace("_", "-"))
+
+
+def _build(cls, values, what: str):
+    """Construct `cls` from the flags (an argparse namespace) or a --spec-json object:
+    each parameter takes the flag or key of its name, else its _DEFAULTS entry,
+    else the constructor's default.  A missing or unconvertible value and an
+    unknown key are usage errors; the constructor's ValueErrors numeric failures."""
+    params = inspect.signature(cls, eval_str=True).parameters
+    unknown = values.keys() - params.keys() if isinstance(values, dict) else ()
+    if unknown:
+        raise CanonicaError(f"{what} takes {', '.join(params)}, not {', '.join(sorted(unknown))}")
     kwargs = {}
-    if name in ("plane-chirp", "point-source", "airy-km", "airy-bb", "bessel", "bessel-gauss"):
-        if args.lam is None:
-            raise CanonicaError(f"family {name} needs --lambda")
-        kwargs["lam"] = args.lam
-    if name in ("bessel", "bessel-gauss", "std-lg"):
-        kwargs["m"] = args.m if args.m is not None else 0
-    if name in ("std-hg", "std-lg", "heat-poly", "heat-assoc",
-                "radial-heat-poly", "radial-heat-appell"):
-        if args.n is None:
-            raise CanonicaError(f"family {name} needs --n")
-        kwargs["n"] = args.n
-    if name in ("radial-heat-poly", "radial-heat-appell", "fund-radial-heat"):
-        kwargs["mu"] = args.mu if args.mu is not None else 2.0
-    if name == "gauss":
-        kwargs["width"] = args.width if args.width is not None else 1.0
-        kwargs["center"] = args.center if args.center is not None else 0.0
-        if args.eq is not None:
-            kwargs["equation"] = EquationKind(args.eq)
+    for name, param in params.items():
+        value = _given(values, name)
+        if value is None:
+            if param.default is param.empty:
+                raise CanonicaError(f"{what} needs {_label(values, name)}")
+            continue
+        try:
+            kwargs[name] = _convert(param.annotation, value)
+        except CanonicaError as exc:
+            raise CanonicaError(f"{what}: {_label(values, name)}: {exc}") from None
     return cls(**kwargs)
 
 
-def _grid_kind(family) -> str:
-    return GridKind.FULL_LINE if isinstance(family.geometry, Linear) else GridKind.HALF_LINE
+def _lookup(table: dict, name, what: str):
+    if not isinstance(name, str) or name not in table:
+        raise CanonicaError(f"unknown {what} {name!r}; choose from {', '.join(table)}")
+    return table[name]
 
 
-def _quad_config(args) -> transforms.QuadratureConfig:
-    kw = {}
-    if getattr(args, "scheme", None):
-        kw["scheme"] = args.scheme
-    if getattr(args, "panels", None):
-        kw["panels"] = args.panels
-    if getattr(args, "nodes", None):
-        kw["nodes_per_panel"] = args.nodes
-    if getattr(args, "apodize", None):
-        kw["apodization"] = args.apodize
-    if getattr(args, "truncation", None):
-        kw["truncation_radius"] = args.truncation
-    return transforms.QuadratureConfig(**kw)
+def _family(args):
+    return _build(_lookup(FAMILIES, args.family, "family"), args, f"family {args.family}")
+
+
+def _write(field, path) -> int:
+    write_field(field, path)
+    print(f"wrote {field.grid.count} samples to {path}")
+    return 0
+
+
+def _write_sampled(field, args, evol: float) -> int:
+    """Write the analytic `field` at `evol` on --grid, a half-line grid if it is radial."""
+    kind = GridKind.FULL_LINE if isinstance(field.geometry, Linear) else GridKind.HALF_LINE
+    return _write(sample(field, _parse_grid(args.grid, kind), evol), args.out)
+
+
+def _map_file(args, run) -> int:
+    """Write run(field, --out-grid or the field's grid, quadrature config) of --in to --out."""
+    cfg = _build(transforms.QuadratureConfig, args, "quadrature")
+    field = read_field(args.infile)
+    out_grid = _parse_grid(args.out_grid, field.grid.kind) if args.out_grid else field.grid
+    return _write(run(field, out_grid, cfg), args.out)
 
 
 def cmd_sample(args) -> int:
-    family = _build_family(args)
-    grid = _parse_grid(args.grid, _grid_kind(family))
-    field = sample(family, grid, args.evol)
-    write_field(field, args.out)
-    print(f"wrote {grid.count} samples to {args.out}")
-    return 0
-
-
-# values for spec fields that have a CLI flag and were not given one
-_SPEC_DEFAULTS = {"alpha": 1.0, "m": 0, "kind": 1, "nu": 0.0, "nu_prime": 0.0,
-                  "beta": 0.5, "n_dim": 2.0}
-
-
-def _transform_spec(args):
-    """Build the spec named by --name and the flags, or by --spec-json."""
-    values = json.loads(args.spec_json) if args.spec_json else vars(args)
-    name = values.get("name")
-    if name not in transforms.TRANSFORMS:
-        raise CanonicaError(
-            f"unknown transform {name!r}; choose from {', '.join(transforms.TRANSFORMS)}")
-    spec_cls = transforms.TRANSFORMS[name][0]
-    kwargs = {}
-    for field in dataclasses.fields(spec_cls):
-        value = values.get(field.name)
-        if value is None:
-            value = _SPEC_DEFAULTS.get(field.name)
-        if value is None:
-            raise CanonicaError(f"transform {name} needs a value for {field.name!r}")
-        if field.name == "matrix":
-            value = SympMat2.from_json(value if isinstance(value, str) else json.dumps(value))
-        elif field.type == "int":
-            value = int(value)
-        kwargs[field.name] = value
-    return spec_cls(**kwargs)
+    return _write_sampled(_family(args), args, args.evol)
 
 
 def cmd_transform(args) -> int:
-    field = read_field(args.infile)
-    spec = _transform_spec(args)
-    kind = field.grid.kind
-    out_grid = _parse_grid(args.out_grid, kind) if args.out_grid else field.grid
-    out = transforms.apply(spec, field, out_grid, _quad_config(args))
-    write_field(out, args.out)
-    print(f"wrote {out_grid.count} samples to {args.out}")
-    return 0
+    values = _json_object(args.spec_json, "--spec-json") if args.spec_json else args
+    name = values.pop("name", None) if args.spec_json else args.name
+    spec = _build(_lookup(transforms.TRANSFORMS, name, "transform")[0], values, f"transform {name}")
+    return _map_file(args, lambda field, grid, cfg: transforms.apply(spec, field, grid, cfg))
 
 
-# equation -> kernel propagator, called as propagate(field, evol, m, mu, grid, cfg)
+# equation -> propagate(field, evol, m, mu, grid, cfg), which looks its engine up per call
 _PROPAGATORS = {
     EquationKind.PWE: lambda f, e, m, mu, g, c: transforms.fresnel_propagate(f, e, g, c),
     EquationKind.HEAT: lambda f, e, m, mu, g, c: transforms.poisson_propagate(f, e, g, c),
@@ -174,50 +203,20 @@ _PROPAGATORS = {
 
 
 def cmd_propagate(args) -> int:
-    field = read_field(args.infile)
-    out_grid = _parse_grid(args.out_grid, field.grid.kind) if args.out_grid else field.grid
-    propagate = _PROPAGATORS[EquationKind(args.eq)]
-    m = args.m if args.m is not None else 0
-    mu = args.mu if args.mu is not None else 2.0
-    out = propagate(field, args.evol, m, mu, out_grid, _quad_config(args))
-    write_field(out, args.out)
-    print(f"wrote {out_grid.count} samples to {args.out}")
-    return 0
+    propagate = _PROPAGATORS[EquationKind(args.equation)]
+    m, mu = _given(args, "m"), _given(args, "mu")
+    return _map_file(args, lambda field, grid, cfg: propagate(field, args.evol, m, mu, grid, cfg))
 
 
 def cmd_appell(args) -> int:
-    if args.spec_json:
-        spec = AppellSpec.from_json(args.spec_json)
-    else:
-        if not args.eq:
-            raise CanonicaError("appell needs --eq or --spec-json")
-        spec = AppellSpec(
-            EquationKind(args.eq),
-            alpha=args.alpha,
-            evol=args.evol,
-            direction=Direction(args.direction),
-            m=args.m if args.m is not None else 0,
-            mu=args.mu if args.mu is not None else 2.0,
-        )
+    spec = _build(AppellSpec, _json_object(args.spec_json, "--spec-json")
+                  if args.spec_json else args, "appell")
     if args.infile:
-        source = read_field(args.infile)
-        kind = source.grid.kind
-        out_grid = _parse_grid(args.out_grid, kind) if args.out_grid else source.grid
-        out = appell_numeric(source, spec, out_grid, _quad_config(args))
-    else:
-        if not args.family:
-            raise CanonicaError("appell needs --in FILE or --family NAME")
-        if args.family == "gauss" and args.eq is None:
-            args.eq = spec.equation.value
-        family = _build_family(args)
-        image = appell_analytic(family, spec)
-        if not args.grid:
-            raise CanonicaError("analytic appell needs --grid start:end:count")
-        grid = _parse_grid(args.grid, _grid_kind(family))
-        out = sample(image, grid, spec.evol)
-    write_field(out, args.out)
-    print(f"wrote {out.grid.count} samples to {args.out}")
-    return 0
+        return _map_file(args, lambda field, grid, cfg: appell_numeric(field, spec, grid, cfg))
+    if not (args.family and args.grid):
+        raise CanonicaError("appell needs --in FILE, or --family NAME and --grid start:end:count")
+    args.equation = args.equation or spec.equation  # a gauss family solves the map's equation
+    return _write_sampled(appell_analytic(_family(args), spec), args, spec.evol)
 
 
 # constructor token name -> matrix from the token's numeric parameters
@@ -232,7 +231,7 @@ _MATRICES = {
 
 def _parse_matrix(token: str) -> SympMat2:
     if token.startswith("{"):
-        return SympMat2.from_json(token)
+        return _matrix(token)
     name, _, params = token.partition(":")
     vals = [float(p) for p in params.split(",")] if params else []
     try:
@@ -250,25 +249,19 @@ def cmd_matrix(args) -> int:
     mats = [_parse_matrix(tok) for tok in args.matrices]
     if args.op == "compose":
         print((mats[0] if len(mats) == 1 else compose(*mats)).to_json())
+    elif len(mats) != 1:
+        raise CanonicaError(f"{args.op} takes exactly one matrix")
     elif args.op == "invert":
-        if len(mats) != 1:
-            raise CanonicaError("invert takes exactly one matrix")
         print(inverse(mats[0]).to_json())
-    else:  # factor
-        if len(mats) != 1:
-            raise CanonicaError("factor takes exactly one matrix")
-        m = mats[0]
-        if m.is_l_form() and not m.is_real():
-            f = wei_norman_lform(m)
-            print(json.dumps({"form": "gauss-scale-shift", "inv_width": f.inv_width,
-                              "scale": f.scale, "tau": f.tau}, sort_keys=True))
-        else:
-            f = wei_norman_real(m)
-            print(json.dumps({"form": "lens-scale-free",
-                              "lens_power": [f.lens_power.real, f.lens_power.imag],
-                              "scale": [f.scale.real, f.scale.imag],
-                              "free_length": [f.free_length.real, f.free_length.imag]},
-                             sort_keys=True))
+    elif mats[0].is_l_form() and not mats[0].is_real():  # factor
+        f = wei_norman_lform(mats[0])
+        print(json.dumps({"form": "gauss-scale-shift", "inv_width": f.inv_width,
+                          "scale": f.scale, "tau": f.tau}, sort_keys=True))
+    else:
+        f = wei_norman_real(mats[0])
+        print(json.dumps({"form": "lens-scale-free", **{
+            k: [getattr(f, k).real, getattr(f, k).imag]
+            for k in ("lens_power", "scale", "free_length")}}, sort_keys=True))
     return 0
 
 
@@ -292,25 +285,26 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="canonica", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_quad(p):
+    def add_files(p, **infile):  # the flags of the read -> out-grid -> write step
+        p.add_argument("--in", dest="infile", **infile)
+        p.add_argument("--out-grid")
+        p.add_argument("--out", required=True)
         p.add_argument("--scheme", choices=["auto", "gauss-legendre", "chirp-fft"])
         p.add_argument("--panels", type=int)
-        p.add_argument("--nodes", type=int)
-        p.add_argument("--apodize", type=float, help="gaussian apodization width")
-        p.add_argument("--truncation", type=float)
+        p.add_argument("--nodes", dest="nodes_per_panel", type=int)
+        p.add_argument("--apodize", dest="apodization", type=float,
+                       help="gaussian apodization width")
 
     def add_family(p):
         p.add_argument("--family")
+        p.add_argument("--eq", dest="equation", choices=[e.value for e in EquationKind])
         p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--n", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--mu", type=float)
-        p.add_argument("--width", type=float)
-        p.add_argument("--center", type=float)
+        for flag, kind in (("--n", int), ("--m", int), ("--mu", float), ("--width", float),
+                           ("--center", float)):
+            p.add_argument(flag, type=kind)
 
     p = sub.add_parser("sample", help="sample an analytic family to a field file")
     add_family(p)
-    p.add_argument("--eq", choices=[e.value for e in EquationKind])
     p.add_argument("--grid", required=True, help="start:end:count")
     p.add_argument("--evol", type=float, default=0.0)
     p.add_argument("--out", required=True)
@@ -319,43 +313,29 @@ def build_parser() -> _Parser:
     p = sub.add_parser("transform", help="apply a canonical transform to a field file")
     p.add_argument("--name", help=f"one of {', '.join(transforms.TRANSFORMS)}")
     p.add_argument("--spec-json", help="full transform spec as JSON")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--kind", type=int)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--nu-prime", dest="nu_prime", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--n-dim", dest="n_dim", type=float)
+    for flag, kind in (("--alpha", float), ("--m", int), ("--kind", int), ("--nu", float),
+                       ("--nu-prime", float), ("--beta", float), ("--n-dim", float)):
+        p.add_argument(flag, type=kind)
     p.add_argument("--matrix", help="matrix JSON for linear-ct/geometric/radial-ct")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out-grid")
-    p.add_argument("--out", required=True)
-    add_quad(p)
+    add_files(p, required=True)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("propagate", help="kernel propagator of one of the four equations")
-    p.add_argument("--eq", required=True, choices=[e.value for e in EquationKind])
+    p.add_argument("--eq", dest="equation", required=True, choices=[e.value for e in EquationKind])
     p.add_argument("--evol", type=float, required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--mu", type=float)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out-grid")
-    p.add_argument("--out", required=True)
-    add_quad(p)
+    add_files(p, required=True)
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("appell", help="apply a symmetry map (analytic or numeric path)")
-    p.add_argument("--eq", choices=[e.value for e in EquationKind])
     p.add_argument("--spec-json", help="full AppellSpec as JSON")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--evol", type=float, default=0.0)
-    p.add_argument("--direction", choices=["forward", "inverse"], default="forward")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--evol", type=float)
+    p.add_argument("--direction", choices=[d.value for d in Direction])
     add_family(p)
     p.add_argument("--grid", help="sampling grid for the analytic path")
-    p.add_argument("--in", dest="infile", help="source field file (numeric path)")
-    p.add_argument("--out-grid")
-    p.add_argument("--out", required=True)
-    add_quad(p)
+    add_files(p, help="source field file (numeric path)")
     p.set_defaults(func=cmd_appell)
 
     p = sub.add_parser("matrix", help="compose | invert | factor ray matrices")
@@ -376,30 +356,25 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
-    numeric_errors = (ImagingSingular, LaplaceSingular, DivergenceRisk,
-                      IntegrabilityViolation, SingularEvol)
     try:
         return args.func(args)
-    except numeric_errors as exc:
+    except FieldFileError as exc:  # a ValueError, but not a numeric one
+        print(f"canonica: bad field file: {exc}", file=sys.stderr)
+        return NUMERIC_EXIT
+    except (ImagingSingular, LaplaceSingular, DivergenceRisk, IntegrabilityViolation,
+            SingularEvol, ValueError, np.linalg.LinAlgError) as exc:
         print(f"canonica: numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
     except CanonicaError as exc:
         print(f"canonica: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except FieldFileError as exc:
-        print(f"canonica: bad field file: {exc}", file=sys.stderr)
-        return NUMERIC_EXIT
     except OSError as exc:
         target = f" {exc.filename}" if exc.filename else ""
         print(f"canonica: cannot read/write{target}: {exc.strerror or exc}", file=sys.stderr)
-        return NUMERIC_EXIT
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        print(f"canonica: numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
 
 

@@ -7,7 +7,7 @@ the transform's matrix:
 * ``chirp-fft``: modulate / FFT-convolve / modulate, using the quadratic
   phase decomposition of the linear kernel.  Default for oscillatory
   linear-kernel transforms on uniform full-line grids whose input and
-  output steps match.
+  output steps match; refused for a matrix that is not real.
 * ``gauss-legendre``: the linear or radial kernel on composite
   Gauss-Legendre panels over the input grid support, with the sampled field
   interpolated onto the quadrature nodes by a quintic spline.  Panels are
@@ -80,7 +80,6 @@ class QuadratureConfig:
     scheme: str = "auto"  # "auto" | "gauss-legendre" | "chirp-fft"
     panels: int | None = None
     nodes_per_panel: int = 64
-    truncation_radius: float | None = None
     apodization: float | None = None  # Gaussian width; None disables
 
     def __post_init__(self):
@@ -90,8 +89,6 @@ class QuadratureConfig:
             raise ValueError("panels must be positive")
         if self.nodes_per_panel < 2:
             raise ValueError("nodes_per_panel must be at least 2")
-        if self.truncation_radius is not None and self.truncation_radius <= 0:
-            raise ValueError("truncation_radius must be positive")
         if self.apodization is not None and self.apodization <= 0:
             raise ValueError("apodization width must be positive")
 
@@ -373,8 +370,7 @@ def _kernel_nodes(cfg: QuadratureConfig, mat: SympMat2, in_grid: Grid1D | None,
     A Gaussian convolution gets the growth guard and alone takes a callable
     f(y) (in_grid None; rule in the module docstring).  Other kernels get the
     edge check, after the convergence and support check if L-form.
-    Truncation and apodization are centred on the axis (half-line) or the
-    grid midpoint.
+    Apodization is centred on the axis (half-line) or the grid midpoint.
     """
     out_x = out_grid.points
     outmax = float(np.max(np.abs(out_x)))
@@ -390,9 +386,6 @@ def _kernel_nodes(cfg: QuadratureConfig, mat: SympMat2, in_grid: Grid1D | None,
     xmax = max(abs(lo), abs(hi))
     center = 0.0 if in_grid.kind == GridKind.HALF_LINE else 0.5 * (lo + hi)
     panels = _panel_count(cfg, mat, xmax, outmax, in_grid.count)
-    if cfg.truncation_radius is not None:
-        lo = max(lo, center - cfg.truncation_radius)
-        hi = min(hi, center + cfg.truncation_radius)
     xq, wq = _gl_nodes(lo, hi, panels, cfg.nodes_per_panel)
     window = _apodization(cfg, xq, center)
     # a half-line source has one tail, whose most pessimistic output point is the outer end
@@ -618,6 +611,8 @@ def _chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D, cfg: Quadrature
     h = in_grid.step
     if abs(out_grid.step - h) > 1e-12 * h:
         raise ValueError("chirp-fft path needs matching input/output steps")
+    if not mat.is_real(1e-12):  # the L-form guards run on the gauss-legendre path only
+        raise ValueError("chirp-fft path needs a real matrix; use the gauss-legendre scheme")
     x = in_grid.points
     window = _apodization(cfg, x, 0.5 * (x[0] + x[-1]))
     b = mat.b
@@ -643,8 +638,7 @@ def _use_chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D,
     if cfg.scheme != "auto":
         return cfg.scheme == "chirp-fft"
     return (mat.is_real(1e-12) and out_grid.kind == GridKind.FULL_LINE
-            and abs(out_grid.step - in_grid.step) <= 1e-12 * in_grid.step
-            and cfg.truncation_radius is None)
+            and abs(out_grid.step - in_grid.step) <= 1e-12 * in_grid.step)
 
 
 def _geometric(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D):

@@ -567,12 +567,6 @@ def test_on_locus_needs_decaying_slice():
         image.eval(0.5, 0.0)
 
 
-def test_appell_spec_json_round_trip():
-    spec = AppellSpec(EK.RADIAL_HEAT, alpha=0.7, evol=1.3, direction=Direction.INVERSE, mu=3.5)
-    again = AppellSpec.from_json(spec.to_json())
-    assert again == spec
-
-
 ORDER_TWO_CASES = {
     # kind: (source field, source grid, output grid, spec keywords)
     EK.PWE: (StdHG(2), Grid1D.from_span(GridKind.FULL_LINE, -14.0, 14.0, 2048),

@@ -6,10 +6,15 @@ import sys
 import numpy as np
 import pytest
 
+from canonica import cli, specfun, transforms
+from canonica.appell import AppellSpec, appell_analytic
 from canonica.cli import main
-from canonica.fields import Grid1D, GridKind, SampledField, read_field, write_field
+from canonica.common import Direction, EquationKind as EK
+from canonica.fields import (
+    FAMILIES, Gauss, Grid1D, GridKind, RadialHeatPoly, SampledField, read_field, sample,
+    write_field,
+)
 from canonica.symplectic import mat_fourier, mat_free
-from canonica import specfun, transforms
 
 
 def run_cli(*args):
@@ -111,11 +116,7 @@ def test_appell_numeric_round_trip(tmp_path):
     assert run_cli("appell", "--eq", "pwe", "--alpha", "1", "--evol", "0.7",
                    "--in", str(src), "--out", str(out)) == 0
     field = read_field(out)
-    from canonica.appell import AppellSpec, appell_analytic
-    from canonica.common import EquationKind
-    from canonica.fields import Gauss
-
-    ana = appell_analytic(Gauss(1.0), AppellSpec(EquationKind.PWE, evol=0.7))
+    ana = appell_analytic(Gauss(1.0), AppellSpec(EK.PWE, evol=0.7))
     ref = np.asarray(ana.eval(field.grid.points, 0.7))
     mask = np.abs(field.grid.points) <= 10
     assert np.linalg.norm((field.values - ref)[mask]) / np.linalg.norm(ref[mask]) < 1e-5
@@ -331,3 +332,125 @@ def test_header_without_count_is_reported_as_a_bad_field_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"canonica: bad field file: {src}: header has no 'count'\n"
+
+
+# every family parameter: its flag, the flag's text and the constructor keyword it gives
+FAMILY_FLAGS = {"lam": ("--lambda", "1.5", 1.5), "n": ("--n", "2", 2), "m": ("--m", "1", 1),
+                "mu": ("--mu", "3", 3.0), "width": ("--width", "0.8", 0.8),
+                "center": ("--center", "0.1", 0.1), "equation": ("--eq", "heat", EK.HEAT)}
+FAMILY_PARAMS = {
+    "plane-chirp": ["lam"], "point-source": ["lam"], "airy-km": ["lam"], "airy-bb": ["lam"],
+    "bessel": ["lam", "m"], "bessel-gauss": ["lam", "m"], "std-hg": ["n"], "std-lg": ["n", "m"],
+    "heat-poly": ["n"], "heat-assoc": ["n"], "fund-heat": [], "radial-heat-poly": ["n", "mu"],
+    "radial-heat-appell": ["n", "mu"], "fund-radial-heat": ["mu"],
+    "gauss": ["width", "center", "equation"],
+}
+REQUIRED = ("lam", "n")  # the family parameters with neither a CLI nor a constructor default
+
+
+def _sample_family(tmp_path, monkeypatch, name, params):
+    """Exit code of `canonica sample` for family `name` with the flags of `params`,
+    and the family it built."""
+    built = []
+    monkeypatch.setattr(cli, "sample", lambda field, grid, evol: built.append(field) or
+                        SampledField(grid, np.zeros(grid.count, complex)))
+    flags = [t for p in params for t in FAMILY_FLAGS[p][:2]]
+    code = run_cli("sample", "--family", name, *flags, "--grid", "0:2:8",
+                   "--out", str(tmp_path / "f.csv"))
+    return code, (built[0] if built else None)
+
+
+def _public(obj):
+    return type(obj), {k: v for k, v in vars(obj).items() if not k.startswith("_")}
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_family_from_flags_is_the_constructor_call(tmp_path, monkeypatch, name):
+    params = FAMILY_PARAMS[name]
+    code, family = _sample_family(tmp_path, monkeypatch, name, params)
+    assert code == 0
+    assert _public(family) == _public(FAMILIES[name](**{p: FAMILY_FLAGS[p][2] for p in params}))
+    # with the required flags alone, m and mu take the CLI defaults 0 and 2
+    required = [p for p in params if p in REQUIRED]
+    code, family = _sample_family(tmp_path, monkeypatch, name, required)
+    assert code == 0
+    defaults = {p: {"m": 0, "mu": 2.0}[p] for p in params if p in ("m", "mu")}
+    kwargs = {p: FAMILY_FLAGS[p][2] for p in required}
+    assert _public(family) == _public(FAMILIES[name](**kwargs, **defaults))
+
+
+@pytest.mark.parametrize("name, missing", [
+    (name, p) for name, params in FAMILY_PARAMS.items() for p in params if p in REQUIRED])
+def test_family_missing_a_required_flag_names_it(tmp_path, monkeypatch, capsys, name, missing):
+    params = [p for p in FAMILY_PARAMS[name] if p != missing]
+    code, _ = _sample_family(tmp_path, monkeypatch, name, params)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"canonica: family {name} needs {FAMILY_FLAGS[missing][0]}\n"
+
+
+@pytest.mark.parametrize("command, spec, named", [
+    ("transform", '{"name": "frft", "alpha": 0.5', "--spec-json is not JSON"),
+    ("transform", "[1]", "--spec-json must be a JSON object"),
+    ("transform", '{"name": "frft", "alpha": 0.5, "beta": 1}', "takes alpha, not beta"),
+    ("appell", '{"equation": "pwe", "zeta": 1}', "takes equation, alpha, evol, direction, m, mu"),
+    ("appell", '{"equation": "wave"}', "--spec-json key 'equation': 'wave' is not a valid"),
+    ("appell", '{"equation": "pwe", "direction": "up"}', "--spec-json key 'direction'"),
+    ("transform", '{"name": "frft", "alpha": "x"}', "--spec-json key 'alpha': 'x' is not"),
+    ("transform", '{"name": "hankel", "m": 1.5}', "--spec-json key 'm': 1.5 is not"),
+    ("transform", '{"name": [1]}', "unknown transform [1]"),
+    ("appell", "{}", "appell needs --spec-json key 'equation'"),
+    ("transform", '{"name": "linear-ct", "matrix": {"a": [1, 0], "c": [0, 0], "d": [1, 0]}}',
+     "--spec-json key 'matrix': a matrix needs keys a, b, c, d"),
+], ids=["not-json", "list", "unknown-key", "appell-unknown-key", "unknown-equation",
+        "unknown-direction", "alpha-string", "m-fraction", "name-list", "appell-empty",
+        "matrix-without-b"])
+def test_malformed_spec_json_is_a_one_line_usage_error(tmp_path, capsys, command, spec, named):
+    src = tmp_path / "src.csv"
+    assert run_cli("sample", "--family", "gauss", "--grid", "-6:6:64", "--out", str(src)) == 0
+    capsys.readouterr()
+    code = run_cli(command, "--spec-json", spec, "--in", str(src), "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert named in err and "Traceback" not in err and err.count("\n") == 1, err
+
+
+def test_matrix_flag_is_checked_like_the_spec_json_key(tmp_path, capsys):
+    src = tmp_path / "src.csv"
+    assert run_cli("sample", "--family", "gauss", "--grid", "-6:6:64", "--out", str(src)) == 0
+    args = ("transform", "--name", "linear-ct", "--in", str(src), "--out", str(tmp_path / "o"))
+    capsys.readouterr()
+    assert run_cli(*args, "--matrix", '{"a": [1, 0]}') == 1
+    assert "--matrix: a matrix needs keys a, b, c, d" in capsys.readouterr().err
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err == "canonica: transform linear-ct needs --matrix\n"
+    # a well-formed matrix that is not unimodular stays a numeric failure
+    assert run_cli(*args, "--matrix", '{"a": [1, 0], "b": [1, 0], "c": [1, 0], "d": [1, 0]}') == 2
+    assert "numeric failure: matrix is not unimodular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--panels", "panels must be positive"),
+    ("--nodes", "nodes_per_panel must be at least 2"),
+    ("--apodize", "apodization width must be positive"),
+])
+def test_zero_quadrature_values_reach_the_validation(tmp_path, capsys, flag, message):
+    # a truthiness test used to drop these zeros and run with the default
+    src = tmp_path / "src.csv"
+    assert run_cli("sample", "--family", "gauss", "--grid", "-6:6:64", "--out", str(src)) == 0
+    capsys.readouterr()
+    code = run_cli("transform", "--name", "frft", "--in", str(src), "--out", str(tmp_path / "o"),
+                   flag, "0")
+    assert code == 2
+    assert capsys.readouterr().err == f"canonica: numeric failure: {message}\n"
+
+
+def test_appell_spec_json_takes_direction_and_mu(tmp_path):
+    out = tmp_path / "w.csv"
+    spec = {"equation": "radial-heat", "alpha": 0.7, "evol": 1.3, "direction": "inverse",
+            "mu": 3.5}
+    assert run_cli("appell", "--spec-json", json.dumps(spec), "--family", "radial-heat-poly",
+                   "--n", "1", "--mu", "3.5", "--grid", "0:3:32", "--out", str(out)) == 0
+    want = AppellSpec(EK.RADIAL_HEAT, alpha=0.7, evol=1.3, direction=Direction.INVERSE, mu=3.5)
+    ref = sample(appell_analytic(RadialHeatPoly(1, 3.5), want), read_field(out).grid, 1.3)
+    assert np.array_equal(read_field(out).values, ref.values)

@@ -136,6 +136,20 @@ def test_gl_and_chirp_fft_paths_agree():
     assert rel_l2(gl.values, cf.values) < 1e-8
 
 
+def test_forced_chirp_fft_refuses_a_complex_matrix():
+    # the chirp-FFT path runs none of the L-form guards, so it takes real matrices only;
+    # forced on fr-laplace it used to return |values| up to 4e105 where auto raises
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -10.0, 10.0, 512)
+    src = sample(Gauss(1.0), grid, 0.0)
+    forced = QuadratureConfig(scheme="chirp-fft")
+    with pytest.raises(DivergenceRisk, match="does not beat the kernel growth"):
+        fr_laplace(src, 0.5, grid)
+    with pytest.raises(ValueError, match="chirp-fft path needs a real matrix"):
+        fr_laplace(src, 0.5, grid, forced)
+    with pytest.raises(ValueError, match="chirp-fft path needs a real matrix"):
+        linear_ct(mat_poisson(0.5), src, grid, forced)
+
+
 def test_fresnel_chirp_on_plane_wave_bulk():
     lam, zeta = 2.0, 0.8
     grid = Grid1D.from_span(GridKind.FULL_LINE, -40.0, 40.0, 4096)
