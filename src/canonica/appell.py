@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,8 +221,7 @@ def appell_numeric(source: SampledField, spec: AppellSpec, out_grid: Grid1D,
     if not eq.is_radial:
         return transforms.linear_ct(mat, source, out_grid, cfg, factor, evol)
     n_dim, m = (spec.mu, 0) if eq.is_heat else (2.0, spec.m)
-    out = transforms.radial_ct(source, mat, n_dim, m, out_grid, cfg, evol)
-    return replace(out, values=factor * out.values)
+    return transforms.radial_ct(source, mat, n_dim, m, out_grid, cfg, factor, evol)
 
 
 def self_appell_eigencheck(mode: str, n: int, alpha: float, zeta: float,

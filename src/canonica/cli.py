@@ -233,7 +233,10 @@ def _parse_matrix(token: str) -> SympMat2:
     if token.startswith("{"):
         return _matrix(token)
     name, _, params = token.partition(":")
-    vals = [float(p) for p in params.split(",")] if params else []
+    try:
+        vals = [float(p) for p in params.split(",")] if params else []
+    except ValueError:
+        raise CanonicaError(f"matrix {token!r} needs numeric parameters") from None
     try:
         if name in _MATRICES:
             return _MATRICES[name](*vals)

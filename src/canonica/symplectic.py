@@ -72,11 +72,6 @@ class SympMat2(namedtuple("SympMat2", "a b c d")):
     def to_json(self) -> str:
         return json.dumps({k: [z.real, z.imag] for k, z in zip("abcd", self)}, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "SympMat2":
-        obj = json.loads(text)
-        return SympMat2(*(complex(obj[k][0], obj[k][1]) for k in "abcd"))
-
 
 IDENTITY = SympMat2(1.0, 0.0, 0.0, 1.0)
 

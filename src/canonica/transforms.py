@@ -1,8 +1,9 @@
 """Numerical engines for the canonical transforms.
 
-A transform is built once for its grids as a `Plan` and then applied to
-fields.  `plan(spec, in_grid, out_grid, cfg)` reads one of three paths off
-the transform's matrix:
+Each transform is the kernel of one matrix, described by one record
+(`_Kernel`: `TRANSFORMS` maps each spec to its record) and built once for its
+grids as a `Plan` by one builder, `_plan`, which reads one of three paths off
+the matrix:
 
 * ``chirp-fft``: modulate / FFT-convolve / modulate, using the quadratic
   phase decomposition of the linear kernel.  Default for oscillatory
@@ -21,7 +22,8 @@ the transform's matrix:
 
 The plan holds the nodes, the weights and the finished kernel (refused above
 _MAX_KERNEL_BYTES); calling it on a field runs the guards, the spline at the
-nodes and the matvec.  Every engine and `apply` build a plan and apply it once.
+nodes and the matvec.  Every engine, `linear_ct`, `radial_ct`, `plan` and `apply`
+build a plan through `_plan`.
 
 Bessel-I kernels are evaluated through the exponentially scaled form, so
 heat-type kernels never overflow.  Bessel-J kernels apply their chirps as a
@@ -107,6 +109,10 @@ class LinearCT:
 @dataclass(frozen=True)
 class Geometric:
     matrix: SympMat2
+
+    def __post_init__(self):
+        if abs(self.matrix.b) > GEOMETRIC_B_TOL:
+            raise ValueError("geometric transform needs B = 0")
 
 
 @dataclass(frozen=True)
@@ -228,29 +234,46 @@ TransformSpec = (
 )
 
 
+@dataclass(frozen=True)
+class _Kernel:
+    """A transform as the kernel of one matrix (a row of the README's kernel table):
+    its Bessel order nu (None: the linear kernel), the weight powers (cross, row,
+    col) of r y, r and y, the matching factor and the evolution shift; the output
+    geometry of a callable input (Gaussian convolutions only) and the guards that
+    check each field first.  `name` labels the radial kernel's errors."""
+
+    name: str
+    matrix: SympMat2
+    nu: float | None = None
+    weights: tuple = (0.0, 0.0, 0.0)
+    matching: complex = 1.0
+    evol_shift: float = 0.0
+    geometry: object = None
+    guards: tuple = ()
+
+
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """A transform built for one input grid (None: a callable f(y)) and one
-    output grid; call it on a field.  A field on another grid is rejected.
-    `nbytes` is the size of the kernel (FFT'd chirp, point-map factor) it holds."""
+    """A kernel built for one input grid (None: a callable f(y)) and one output
+    grid; call it on a field.  A field on another grid is rejected.  `nbytes`
+    is the size of the kernel (FFT'd chirp, point-map factor) it holds."""
 
+    kernel: _Kernel
     in_grid: Grid1D | None
     out_grid: Grid1D
     nbytes: int
     run: Callable  # field -> output values
-    evol_shift: float = 0.0
-    geometry: object = None  # of the output of a callable input
-    guards: tuple = ()  # field -> None, run first
 
     def __call__(self, field) -> SampledField:
         grid = field.grid if isinstance(field, SampledField) else None
         if grid != self.in_grid:
             raise GeometryMismatch(f"the plan is built for input grid {self.in_grid}, not {grid}")
-        for guard in self.guards:
+        for guard in self.kernel.guards:
             guard(field)
+        shift = self.kernel.evol_shift
         if grid is None:
-            return SampledField(self.out_grid, self.run(field), self.geometry, self.evol_shift)
-        return SampledField(self.out_grid, self.run(field), field.geometry, field.evol + self.evol_shift)
+            return SampledField(self.out_grid, self.run(field), self.kernel.geometry, shift)
+        return SampledField(self.out_grid, self.run(field), field.geometry, field.evol + shift)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +486,8 @@ def _point_map(mat: SympMat2, in_grid: Grid1D, out_x: np.ndarray, power: float, 
 
     Returns the bytes held and the function of the field.
     """
+    if abs(mat.a.imag) > 1e-12:
+        raise ValueError("geometric resampling implemented for real A only")
     a = mat.a.real
     pts = out_x / (abs(a) if in_grid.kind == GridKind.HALF_LINE else a)
     factor = abs(a) ** (-power) * np.exp(0.5j * (mat.c / mat.a) * out_x**2)
@@ -608,11 +633,11 @@ def _linear_gl(mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid1D,
 
 def _chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D, cfg: QuadratureConfig,
                matching: complex):
+    if not mat.is_real(1e-12):  # the L-form guards run on the gauss-legendre path only
+        raise ValueError("chirp-fft path needs a real matrix; use the gauss-legendre scheme")
     h = in_grid.step
     if abs(out_grid.step - h) > 1e-12 * h:
         raise ValueError("chirp-fft path needs matching input/output steps")
-    if not mat.is_real(1e-12):  # the L-form guards run on the gauss-legendre path only
-        raise ValueError("chirp-fft path needs a real matrix; use the gauss-legendre scheme")
     x = in_grid.points
     window = _apodization(cfg, x, 0.5 * (x[0] + x[-1]))
     b = mat.b
@@ -641,48 +666,12 @@ def _use_chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D,
             and abs(out_grid.step - in_grid.step) <= 1e-12 * in_grid.step)
 
 
-def _geometric(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D):
-    if abs(mat.b) > GEOMETRIC_B_TOL:
-        raise ValueError("geometric transform needs B = 0")
-    if abs(mat.a.imag) > 1e-12:
-        raise ValueError("geometric resampling implemented for real A only")
-    _require_grid(in_grid, GridKind.FULL_LINE)
-    return _point_map(mat, in_grid, out_grid.points, 0.5, -0.5)
-
-
-def _linear_plan(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D, cfg: QuadratureConfig,
-                 matching: complex = 1.0, evol_shift: float = 0.0) -> Plan:
-    """The kernel transform of `mat` between full-line grids."""
-    _require_grid(in_grid, GridKind.FULL_LINE)
-    if abs(mat.b) <= GEOMETRIC_B_TOL:
-        nbytes, point_map = _geometric(mat, in_grid, out_grid)
-        return Plan(in_grid, out_grid, nbytes, lambda f: matching * point_map(f), evol_shift)
-    _integrability(mat)
-    build = _chirp_fft if _use_chirp_fft(mat, in_grid, out_grid, cfg) else _linear_gl
-    return Plan(in_grid, out_grid, *build(mat, in_grid, out_grid, cfg, matching), evol_shift)
-
-
-def _fractional_plan(family, alpha: float, in_grid: Grid1D, out_grid: Grid1D,
-                     cfg: QuadratureConfig) -> Plan:
-    """Order alpha of a fractional family, 4-periodic: alpha is reduced to (-2, 2] before
-    the e^{i pi alpha/4} matching factor, which alone would flip sign under alpha + 4."""
-    alpha = reduce_order(alpha)
-    return _linear_plan(family(alpha), in_grid, out_grid, cfg, cmath.exp(0.25j * math.pi * alpha))
-
-
-def _poisson_plan(t: float, in_grid: Grid1D | None, out_grid: Grid1D,
-                  cfg: QuadratureConfig) -> Plan:
-    if in_grid is not None:
-        _require_grid(in_grid, GridKind.FULL_LINE)
-    return Plan(in_grid, out_grid, *_linear_gl(mat_poisson(t), in_grid, out_grid, cfg, 1.0),
-                t, Linear())
-
-
 def linear_ct(mat: SympMat2, field: SampledField, out_grid: Grid1D,
               cfg: QuadratureConfig = DEFAULT_CONFIG, matching: complex = 1.0,
               evol_shift: float = 0.0) -> SampledField:
     """Apply the kernel transform of `mat` to a sampled linear-geometry field."""
-    return _linear_plan(mat, field.grid, out_grid, cfg, matching, evol_shift)(field)
+    return _plan(_Kernel("linear_ct", mat, matching=matching, evol_shift=evol_shift),
+                 field.grid, out_grid, cfg)(field)
 
 
 def geometric(mat: SympMat2, field: SampledField, out_grid: Grid1D) -> SampledField:
@@ -724,11 +713,7 @@ def poisson_propagate(field, t: float, out_grid: Grid1D,
 
 
 # ---------------------------------------------------------------------------
-# radial plans
-#
-# Each radial transform is the kernel of one matrix: it names the matrix, the
-# Bessel order nu, the weight powers (cross, row, col) of r y, r and y, and a
-# matching factor (the table in the README's numerical notes).
+# radial kernels
 
 _HANKEL_MAT = SympMat2(0.0, 1.0, -1.0, 0.0)
 _RADIAL_LAPLACE_MAT = SympMat2(0.0, 1j, 1j, 0.0)
@@ -745,9 +730,9 @@ def _type_weights(kind: int, nu_prime: float):
     return (-nu_prime, weight, 0.0) if kind == 1 else (-nu_prime, 0.0, weight)
 
 
-def _bessel_sum(name: str, mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid1D,
-                cfg: QuadratureConfig, nu: float, weights):
-    """Quadrature of the radial kernel of `mat`, shared by every radial transform.
+def _bessel_sum(kernel: _Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
+                cfg: QuadratureConfig):
+    """Quadrature of a radial kernel, shared by every radial transform.
 
     Sums (-i)^(nu+1)/B sum_j e^{i(A y_j^2 + D r^2)/2B} J_nu(r y_j/B)
     (r y_j)^cross r^row y_j^col w_j f_j for every output point r.  Real B
@@ -772,7 +757,8 @@ def _bessel_sum(name: str, mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid
 
     Returns the kernel's bytes and the function of the field.
     """
-    cross, row, col = weights
+    name, mat, nu = kernel.name, kernel.matrix, kernel.nu
+    cross, row, col = kernel.weights
     ro = out_grid.points
     power = nu + cross + row
     axis = ro == 0.0
@@ -833,39 +819,44 @@ def _bessel_sum(name: str, mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid
     return nbytes, run
 
 
-def _radial_plan(name: str, mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid1D,
-                 cfg: QuadratureConfig, nu: float, weights, matching: complex = 1.0,
-                 evol_shift: float = 0.0, geometry=None, guards=()) -> Plan:
-    """Matching factor times the radial kernel of `mat`, from a half-line
-    grid, or from a callable of the given output `geometry` (Gaussian
-    convolutions only); `guards` check each field first.
+def _plan(kernel: _Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
+          cfg: QuadratureConfig) -> Plan:
+    """The plan of `kernel` from `in_grid` to `out_grid`: the one builder of every transform.
 
-    At B = 0 the kernel is the point map r -> r/|A|: |A|^(-cross-col)
-    e^{i C r^2/2A} f(r/|A|), times e^{-i pi (nu+1)} for A < 0 (`_point_map`
-    has the sign of the phase), where the stationary point comes from the
-    other half of J_nu.  This form needs
-    2 cross + row + col = 1, which holds for every engine that reaches B = 0.
+    The linear kernel (nu None) reads full-line grids, a radial kernel
+    half-line ones, or a callable if it gives its output `geometry` and B != 0.
+    At B = 0 it is the point map of power cross + col and order nu (power 1/2,
+    order -1/2 for the linear kernel), which needs 2 cross + row + col = 1;
+    every radial kernel that reaches B = 0 meets it.  The point map and the
+    Bessel sum are multiplied by the matching factor; chirp-FFT and
+    Gauss-Legendre, chosen as the module docstring says, fold it in.
     """
-    if in_grid is not None or geometry is None:  # only a kernel given `geometry` takes callables
-        _require_grid(in_grid, GridKind.HALF_LINE)
-    if abs(mat.b) <= GEOMETRIC_B_TOL:
-        cross, _, col = weights
-        nbytes, run = _point_map(mat, in_grid, out_grid.points, cross + col, nu)
+    mat, nu = kernel.matrix, kernel.nu
+    point_map = abs(mat.b) <= GEOMETRIC_B_TOL
+    if in_grid is not None or kernel.geometry is None or point_map:
+        _require_grid(in_grid, GridKind.FULL_LINE if nu is None else GridKind.HALF_LINE)
+    if point_map:
+        cross, _, col = kernel.weights
+        power, nu = (0.5, -0.5) if nu is None else (cross + col, nu)
+        nbytes, run = _point_map(mat, in_grid, out_grid.points, power, nu)
+    elif nu is not None:
+        nbytes, run = _bessel_sum(kernel, in_grid, out_grid, cfg)
     else:
-        nbytes, run = _bessel_sum(name, mat, in_grid, out_grid, cfg, nu, weights)
-    return Plan(in_grid, out_grid, nbytes, lambda f: matching * run(f), evol_shift, geometry,
-                guards)
+        _integrability(mat)
+        build = _chirp_fft if _use_chirp_fft(mat, in_grid, out_grid, cfg) else _linear_gl
+        return Plan(kernel, in_grid, out_grid, *build(mat, in_grid, out_grid, cfg, kernel.matching))
+    return Plan(kernel, in_grid, out_grid, nbytes, lambda f: kernel.matching * run(f))
 
 
-def _radial_ct_plan(mat: SympMat2, n_dim: float, m_idx: int, in_grid: Grid1D, out_grid: Grid1D,
-                    cfg: QuadratureConfig, evol_shift: float = 0.0) -> Plan:
+def _radial_ct(mat: SympMat2, n_dim: float, m_idx: int, matching: complex = 1.0,
+               evol_shift: float = 0.0) -> _Kernel:
     guards = (lambda f: _check_geometry(f, m=m_idx),)
     if not mat.is_real(1e-12):
         if not mat.is_l_form():
             raise ValueError("radial_ct handles real and L-form matrices")
         guards += (_require_gaussian_decay,)
-    return _radial_plan("radial_ct", mat, in_grid, out_grid, cfg, n_dim / 2.0 + m_idx - 1.0,
-                        _dim_weights(n_dim), evol_shift=evol_shift, guards=guards)
+    return _Kernel("radial_ct", mat, n_dim / 2.0 + m_idx - 1.0, _dim_weights(n_dim), matching,
+                   evol_shift, guards=guards)
 
 
 def hankel(field: SampledField, m: int, out_grid: Grid1D,
@@ -882,15 +873,16 @@ def fr_hankel(field: SampledField, m: int, alpha: float, out_grid: Grid1D,
 
 def radial_ct(field: SampledField, mat: SympMat2, n_dim: float, m_idx: int,
               out_grid: Grid1D, cfg: QuadratureConfig = DEFAULT_CONFIG,
-              evol_shift: float = 0.0) -> SampledField:
+              matching: complex = 1.0, evol_shift: float = 0.0) -> SampledField:
     """Radial canonical transform for a real or L-form matrix, dimension n, index m.
 
-    Kernel ((-i)^(m+n/2)/B) (r r')^(1-n/2) exp(i(A r'^2 + D r^2)/2B)
+    Kernel matching * ((-i)^(m+n/2)/B) (r r')^(1-n/2) exp(i(A r'^2 + D r^2)/2B)
     J_{n/2+m-1}(r r'/B) against the r'^(n-1) dr' measure; A acts on the
     input variable, matching the radial diffraction-integral convention.
     An L-form matrix gives the Bessel-I kernel and requires exp(-r^2/4) decay.
     """
-    return _radial_ct_plan(mat, n_dim, m_idx, field.grid, out_grid, cfg, evol_shift)(field)
+    kernel = _radial_ct(mat, n_dim, m_idx, matching, evol_shift)
+    return _plan(kernel, field.grid, out_grid, cfg)(field)
 
 
 def radial_propagate(field: SampledField, zeta: float, m_idx: int, out_grid: Grid1D,
@@ -959,41 +951,49 @@ def barut_girardello(field: SampledField, n_dim: float, m_idx: int, out_grid: Gr
 # ---------------------------------------------------------------------------
 # dispatch
 
-# CLI name -> (spec class, plan builder (spec, in_grid, out_grid, cfg) -> Plan)
+def _fractional(name: str, family, alpha: float) -> _Kernel:
+    """Order alpha of a fractional family, 4-periodic: alpha is reduced to (-2, 2] before
+    the e^{i pi alpha/4} matching factor, which alone would flip sign under alpha + 4."""
+    alpha = reduce_order(alpha)
+    return _Kernel(name, family(alpha), matching=cmath.exp(0.25j * math.pi * alpha))
+
+
+# CLI name -> (spec class, the spec's kernel record)
 TRANSFORMS = {
-    "linear-ct": (LinearCT, lambda s, i, o, c: _linear_plan(s.matrix, i, o, c)),
-    "geometric": (Geometric, lambda s, i, o, c: Plan(i, o, *_geometric(s.matrix, i, o))),
-    "fresnel-prop": (FresnelProp, lambda s, i, o, c: _linear_plan(
-        mat_free(s.zeta), i, o, c, evol_shift=s.zeta)),
-    "frft": (FrFT, lambda s, i, o, c: _fractional_plan(mat_fourier, s.alpha, i, o, c)),
-    "fr-laplace": (FrLaplace, lambda s, i, o, c: _fractional_plan(mat_laplace, s.alpha, i, o, c)),
-    "poisson-prop": (PoissonProp, lambda s, i, o, c: _poisson_plan(s.t, i, o, c)),
-    "radial-ct": (RadialCT, lambda s, i, o, c: _radial_ct_plan(s.matrix, s.n_dim, s.m, i, o, c)),
-    "hankel": (Hankel, lambda s, i, o, c: _radial_plan(
-        "hankel", _HANKEL_MAT, i, o, c, s.m, _dim_weights(2.0), 1j ** (s.m + 1),
+    "linear-ct": (LinearCT, lambda s: _Kernel("linear_ct", s.matrix)),
+    "geometric": (Geometric, lambda s: _Kernel("geometric", s.matrix)),
+    "fresnel-prop": (FresnelProp, lambda s: _Kernel(
+        "fresnel_propagate", mat_free(s.zeta), evol_shift=s.zeta)),
+    "frft": (FrFT, lambda s: _fractional("frft", mat_fourier, s.alpha)),
+    "fr-laplace": (FrLaplace, lambda s: _fractional("fr_laplace", mat_laplace, s.alpha)),
+    "poisson-prop": (PoissonProp, lambda s: _Kernel(
+        "poisson_propagate", mat_poisson(s.t), evol_shift=s.t, geometry=Linear())),
+    "radial-ct": (RadialCT, lambda s: _radial_ct(s.matrix, s.n_dim, s.m)),
+    "hankel": (Hankel, lambda s: _Kernel(
+        "hankel", _HANKEL_MAT, s.m, _dim_weights(2.0), 1j ** (s.m + 1),
         guards=(lambda f: _check_geometry(f, m=s.m),))),
-    "fr-hankel": (FrHankel, lambda s, i, o, c: _radial_plan(
-        "fr_hankel", mat_fourier(s.alpha), i, o, c, s.m, _dim_weights(2.0),
+    "fr-hankel": (FrHankel, lambda s: _Kernel(
+        "fr_hankel", mat_fourier(s.alpha), s.m, _dim_weights(2.0),
         cmath.exp(0.5j * math.pi * (s.m + 1) * s.alpha),
         guards=(lambda f: _check_geometry(f, m=s.m),))),
-    "hankel-type": (HankelType, lambda s, i, o, c: _radial_plan(
-        "hankel_type", _HANKEL_MAT, i, o, c, s.nu, _type_weights(s.kind, s.nu_prime),
-        1j ** (s.nu + 1.0), guards=(lambda f: _check_geometry(f, nu=s.nu, nu_prime=s.nu_prime),))),
-    "radial-laplace": (RadialLaplace, lambda s, i, o, c: _radial_plan(
-        "radial_laplace", _RADIAL_LAPLACE_MAT, i, o, c, s.nu, _type_weights(s.kind, s.nu_prime),
+    "hankel-type": (HankelType, lambda s: _Kernel(
+        "hankel_type", _HANKEL_MAT, s.nu, _type_weights(s.kind, s.nu_prime), 1j ** (s.nu + 1.0),
+        guards=(lambda f: _check_geometry(f, nu=s.nu, nu_prime=s.nu_prime),))),
+    "radial-laplace": (RadialLaplace, lambda s: _Kernel(
+        "radial_laplace", _RADIAL_LAPLACE_MAT, s.nu, _type_weights(s.kind, s.nu_prime),
         guards=(_require_gaussian_decay,))),
-    "fr-radial-laplace": (FrRadialLaplace, lambda s, i, o, c: _radial_plan(
-        "fr_radial_laplace", mat_laplace(s.alpha), i, o, c, s.nu, _type_weights(1, s.nu_prime),
+    "fr-radial-laplace": (FrRadialLaplace, lambda s: _Kernel(
+        "fr_radial_laplace", mat_laplace(s.alpha), s.nu, _type_weights(1, s.nu_prime),
         guards=(_require_gaussian_decay,))),
-    "bessel-exp": (BesselExp, lambda s, i, o, c: _radial_plan(
+    "bessel-exp": (BesselExp, lambda s: _Kernel(
         "bessel_exp_quarter_turn" if s.beta == "i/2" else "bessel_exp",
-        mat_free(1.0) if s.beta == "i/2" else mat_poisson(2.0 * s.beta), i, o, c, s.nu,
+        mat_free(1.0) if s.beta == "i/2" else mat_poisson(2.0 * s.beta), s.nu,
         _type_weights(1, s.nu_prime))),
-    "radial-heat-prop": (RadialHeatProp, lambda s, i, o, c: _radial_plan(
-        "radial_heat_propagate", mat_poisson(s.t), i, o, c, s.mu / 2.0 - 1.0,
-        _dim_weights(s.mu), evol_shift=s.t, geometry=RadialDim(s.mu, 0))),
-    "barut-girardello": (BarutGirardello, lambda s, i, o, c: _radial_plan(
-        "barut_girardello", mat_bargmann(), i, o, c, s.n_dim / 2.0 + s.m - 1.0,
+    "radial-heat-prop": (RadialHeatProp, lambda s: _Kernel(
+        "radial_heat_propagate", mat_poisson(s.t), s.mu / 2.0 - 1.0, _dim_weights(s.mu),
+        evol_shift=s.t, geometry=RadialDim(s.mu, 0))),
+    "barut-girardello": (BarutGirardello, lambda s: _Kernel(
+        "barut_girardello", mat_bargmann(), s.n_dim / 2.0 + s.m - 1.0,
         (1.0 - s.n_dim / 2.0, 0.0, 0.0), guards=(_require_gaussian_decay,))),
 }
 
@@ -1002,9 +1002,9 @@ def plan(spec: TransformSpec, in_grid: Grid1D | None, out_grid: Grid1D,
          cfg: QuadratureConfig = DEFAULT_CONFIG) -> Plan:
     """Build the transform of `spec` from `in_grid` (None: a callable input,
     Gaussian convolutions only) to `out_grid`, to apply to any number of fields."""
-    for spec_cls, build in TRANSFORMS.values():
+    for spec_cls, kernel in TRANSFORMS.values():
         if type(spec) is spec_cls:
-            return build(spec, in_grid, out_grid, cfg)
+            return _plan(kernel(spec), in_grid, out_grid, cfg)
     raise TypeError(f"unknown transform spec {spec!r}")
 
 

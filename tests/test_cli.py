@@ -95,6 +95,13 @@ def test_matrix_non_finite_is_numeric_failure(capsys, tokens):
     assert "numeric failure" in captured.err
 
 
+@pytest.mark.parametrize("token", ["free:abc", "appell-heat:1,x", "scale:1,,2"])
+def test_matrix_non_numeric_parameter_is_a_usage_error(capsys, token):
+    # a typo in a token is the caller's error (exit 1), not a numeric failure (exit 2)
+    assert run_cli("matrix", "compose", token) == 1
+    assert capsys.readouterr().err == f"canonica: matrix {token!r} needs numeric parameters\n"
+
+
 def test_appell_analytic_chirp_to_point(tmp_path):
     out = tmp_path / "w.csv"
     code = run_cli("appell", "--eq", "pwe", "--alpha", "1", "--evol", "0.7",

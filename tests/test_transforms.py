@@ -148,6 +148,8 @@ def test_forced_chirp_fft_refuses_a_complex_matrix():
         fr_laplace(src, 0.5, grid, forced)
     with pytest.raises(ValueError, match="chirp-fft path needs a real matrix"):
         linear_ct(mat_poisson(0.5), src, grid, forced)
+    with pytest.raises(ValueError, match="chirp-fft path needs a real matrix"):
+        poisson_propagate(src, 0.5, grid, forced)
 
 
 def test_fresnel_chirp_on_plane_wave_bulk():
@@ -600,9 +602,12 @@ def test_panel_cap_warns_with_requested_and_used_counts():
 def test_poisson_propagate_is_the_transform_of_its_matrix():
     src = sample(Gauss(1.0), FULL, 0.0)
     out = Grid1D.from_span(GridKind.FULL_LINE, -1.5, 1.5, 64)
-    for t in (0.05, 0.5, 2.0):
+    for t in (0.05, 0.5, 2.0, 1e-11):
         direct = linear_ct(mat_poisson(t), src, out)
         assert np.array_equal(poisson_propagate(src, t, out).values, direct.values)
+    # at |B| <= 1e-10 both take the point map, whose error is O(t): no near-delta quadrature
+    exact = Gauss(1.0, equation=EquationKind.HEAT).eval(out.points, 1e-11)
+    assert np.max(np.abs(poisson_propagate(src, 1e-11, out).values - exact)) < 1e-10
     # a Gaussian-convolution matrix gets the growth guard whichever engine runs it
     growing = SampledField(FULL, np.exp((FULL.points + 12.0) ** 2 / 16) + 0j)
     with pytest.raises(DivergenceRisk):
