@@ -292,8 +292,6 @@ def build_parser() -> _Parser:
         p.add_argument("--in", dest="infile", **infile)
         p.add_argument("--out-grid")
         p.add_argument("--out", required=True)
-        p.add_argument("--scheme", choices=["auto", "gauss-legendre", "chirp-fft"])
-        p.add_argument("--panels", type=int)
         p.add_argument("--nodes", dest="nodes_per_panel", type=int)
         p.add_argument("--apodize", dest="apodization", type=float,
                        help="gaussian apodization width")

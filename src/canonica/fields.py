@@ -189,9 +189,6 @@ class AnalyticField:
     def _eval(self, x: np.ndarray, evol: float) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(self, grid: Grid1D, evol: float) -> SampledField:
-        return sample(self, grid, evol)
-
 
 def sample(field: AnalyticField, grid: Grid1D, evol: float) -> SampledField:
     radial = _is_radial(field.geometry)

@@ -6,9 +6,13 @@ grids as a `Plan` by one builder, `_plan`, which reads one of three paths off
 the matrix:
 
 * ``chirp-fft``: modulate / FFT-convolve / modulate, using the quadratic
-  phase decomposition of the linear kernel.  Default for oscillatory
-  linear-kernel transforms on uniform full-line grids whose input and
-  output steps match; refused for a matrix that is not real.
+  phase decomposition of the linear kernel: the rectangle rule on the input
+  samples.  Taken for a real matrix when the output grid is full-line with
+  the input's step h and h resolves the kernel's frequency |A y - x|/|B| at
+  every input point y and output point x: max |A y - x| h < pi |B|, the max
+  over the grids' end points (Koc, Ozaktas, Candan & Kutay, IEEE Trans.
+  Signal Process. 56, 2008).  Every other linear kernel takes
+  Gauss-Legendre.
 * ``gauss-legendre``: the linear or radial kernel on composite
   Gauss-Legendre panels over the input grid support, with the sampled field
   interpolated onto the quadrature nodes by a quintic spline.  Panels are
@@ -79,16 +83,10 @@ _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    scheme: str = "auto"  # "auto" | "gauss-legendre" | "chirp-fft"
-    panels: int | None = None
     nodes_per_panel: int = 64
     apodization: float | None = None  # Gaussian width; None disables
 
     def __post_init__(self):
-        if self.scheme not in ("auto", "gauss-legendre", "chirp-fft"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.panels is not None and self.panels < 1:
-            raise ValueError("panels must be positive")
         if self.nodes_per_panel < 2:
             raise ValueError("nodes_per_panel must be at least 2")
         if self.apodization is not None and self.apodization <= 0:
@@ -311,8 +309,6 @@ def _panel_count(cfg: QuadratureConfig, mat: SympMat2, xmax: float, outmax: floa
     are Gaussians of width sqrt(-beta/A) in y, narrow near B = 0.  A count
     above _MAX_PANELS is capped with a TruncationWarning.
     """
-    if cfg.panels is not None:
-        return cfg.panels
     if not _real_exponent(mat):
         phase = (abs(mat.a) * xmax**2 + 2.0 * outmax * xmax) / (2.0 * abs(mat.b))
         by_kernel = math.ceil(phase / (math.pi / 4.0))
@@ -633,11 +629,7 @@ def _linear_gl(mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid1D,
 
 def _chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D, cfg: QuadratureConfig,
                matching: complex):
-    if not mat.is_real(1e-12):  # the L-form guards run on the gauss-legendre path only
-        raise ValueError("chirp-fft path needs a real matrix; use the gauss-legendre scheme")
     h = in_grid.step
-    if abs(out_grid.step - h) > 1e-12 * h:
-        raise ValueError("chirp-fft path needs matching input/output steps")
     x = in_grid.points
     window = _apodization(cfg, x, 0.5 * (x[0] + x[-1]))
     b = mat.b
@@ -658,12 +650,17 @@ def _chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D, cfg: Quadrature
     return z_hat.nbytes, run
 
 
-def _use_chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D,
-                   cfg: QuadratureConfig) -> bool:
-    if cfg.scheme != "auto":
-        return cfg.scheme == "chirp-fft"
-    return (mat.is_real(1e-12) and out_grid.kind == GridKind.FULL_LINE
-            and abs(out_grid.step - in_grid.step) <= 1e-12 * in_grid.step)
+def _use_chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D) -> bool:
+    """True where the rule of the module docstring takes chirp-FFT.  The kernel's
+    frequency |A y - x|/|B| is linear in y and x, so its max is at the corners
+    of the grids.  Only real matrices qualify: the L-form guards run on the
+    Gauss-Legendre path."""
+    if not mat.is_real(1e-12) or out_grid.kind != GridKind.FULL_LINE:
+        return False
+    h = in_grid.step
+    fastest = max(abs(mat.a.real * y - x) for y in (in_grid.start, in_grid.end)
+                  for x in (out_grid.start, out_grid.end))
+    return abs(out_grid.step - h) <= 1e-12 * h and fastest * h < math.pi * abs(mat.b.real)
 
 
 def linear_ct(mat: SympMat2, field: SampledField, out_grid: Grid1D,
@@ -843,7 +840,7 @@ def _plan(kernel: _Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
         nbytes, run = _bessel_sum(kernel, in_grid, out_grid, cfg)
     else:
         _integrability(mat)
-        build = _chirp_fft if _use_chirp_fft(mat, in_grid, out_grid, cfg) else _linear_gl
+        build = _chirp_fft if _use_chirp_fft(mat, in_grid, out_grid) else _linear_gl
         return Plan(kernel, in_grid, out_grid, *build(mat, in_grid, out_grid, cfg, kernel.matching))
     return Plan(kernel, in_grid, out_grid, nbytes, lambda f: kernel.matching * run(f))
 

@@ -222,21 +222,30 @@ def commutator_order(pair: str, make_field, hs, **kw) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # symmetry-pair identities
 
-# pair -> (lam, n, m, mu) -> (left field, map, right field, convention factor)
-_PAIR_FIELDS = {
-    "chirp-point": lambda lam, n, m, mu: (
+_LINE_256 = Grid1D(GridKind.FULL_LINE, -4.0, 8.0 / 255, 256)
+_AXIS_256 = Grid1D(GridKind.HALF_LINE, 0.0, 6.0 / 255, 256)
+
+# pair -> ((lam, n, m, mu) -> (left field, map, right field, convention factor),
+#          the check's grid, its tolerance, its sweep of appell_pair_check keywords)
+_PAIRS = {
+    "chirp-point": (lambda lam, n, m, mu: (
         PlaneChirp(lam), AppellSpec(EquationKind.PWE), PointSource(lam), 1.0),
-    "airy-km-bb": lambda lam, n, m, mu: (
+        _LINE_256, 1e-12, [{}]),
+    "airy-km-bb": (lambda lam, n, m, mu: (
         AiryKM(lam), AppellSpec(EquationKind.PWE), AiryBB(lam), 1.0),
-    "bessel-bg": lambda lam, n, m, mu: (
+        _LINE_256, 1e-9, [{}]),
+    "bessel-bg": (lambda lam, n, m, mu: (
         BesselBeam(lam, m), AppellSpec(EquationKind.RADIAL_PWE, m=m), BesselGauss(lam, m), 1.0),
-    "heat-vw": lambda lam, n, m, mu: (
+        _AXIS_256, 1e-9, [{"m": m} for m in range(4)]),
+    "heat-vw": (lambda lam, n, m, mu: (
         HeatPoly(n), AppellSpec(EquationKind.HEAT), HeatAssoc(n), math.sqrt(2.0 * math.pi)),
-    "radial-rr": lambda lam, n, m, mu: (
+        _LINE_256, 1e-10, [{"n": n} for n in range(7)]),
+    "radial-rr": (lambda lam, n, m, mu: (
         RadialHeatPoly(n, mu), AppellSpec(EquationKind.RADIAL_HEAT, mu=mu),
         RadialHeatAppell(n, mu), (2.0 * math.pi) ** (mu / 2.0)),
+        _AXIS_256, 1e-9, [{"n": n, "mu": 3.0} for n in range(5)]),
 }
-APPELL_PAIRS = tuple(_PAIR_FIELDS)
+APPELL_PAIRS = tuple(_PAIRS)
 
 
 def appell_pair_check(pair: str, evol: float, grid: Grid1D, lam: float = 2.0,
@@ -247,9 +256,9 @@ def appell_pair_check(pair: str, evol: float, grid: Grid1D, lam: float = 2.0,
     sqrt(2 pi) and (2 pi)^(mu/2) relating the operator to the classical
     associated functions.
     """
-    if pair not in _PAIR_FIELDS:
+    if pair not in _PAIRS:
         raise ValueError(f"unknown pair {pair!r}")
-    left, spec, right, factor = _PAIR_FIELDS[pair](lam, n, m, mu)
+    left, spec, right, factor = _PAIRS[pair][0](lam, n, m, mu)
     pts = grid.points
     dev = appell_analytic(left, spec).eval(pts, evol) - factor * np.asarray(right.eval(pts, evol))
     return float(np.max(np.abs(dev)))
@@ -404,30 +413,13 @@ def _check_semigroup_duality():
     return {"max_abs": worst, "tolerance": 1e-14}
 
 
-_PAIR_GRIDS = {
-    "chirp-point": Grid1D(GridKind.FULL_LINE, -4.0, 8.0 / 255, 256),
-    "airy-km-bb": Grid1D(GridKind.FULL_LINE, -4.0, 8.0 / 255, 256),
-    "heat-vw": Grid1D(GridKind.FULL_LINE, -4.0, 8.0 / 255, 256),
-    "bessel-bg": Grid1D(GridKind.HALF_LINE, 0.0, 6.0 / 255, 256),
-    "radial-rr": Grid1D(GridKind.HALF_LINE, 0.0, 6.0 / 255, 256),
-}
-
-_PAIR_TOL = {"chirp-point": 1e-12, "heat-vw": 1e-10, "radial-rr": 1e-9,
-             "airy-km-bb": 1e-9, "bessel-bg": 1e-9}
-
-
-_PAIR_SWEEPS = {"heat-vw": [{"n": n} for n in range(7)],
-                "radial-rr": [{"n": n, "mu": 3.0} for n in range(5)],
-                "bessel-bg": [{"m": m} for m in range(4)]}
-
-
 def _check_pair(pair):
-    grid = _PAIR_GRIDS[pair]
+    _, grid, tol, sweep = _PAIRS[pair]
     worst = 0.0
     for evol in (0.5, 0.7, 1.3):
-        for kw in _PAIR_SWEEPS.get(pair, [{}]):
+        for kw in sweep:
             worst = max(worst, appell_pair_check(pair, evol, grid, **kw))
-    return {"max_abs": worst, "tolerance": _PAIR_TOL[pair]}
+    return {"max_abs": worst, "tolerance": tol}
 
 
 def _compose_maps(field, spec1, spec2):

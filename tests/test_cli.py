@@ -437,7 +437,6 @@ def test_matrix_flag_is_checked_like_the_spec_json_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, message", [
-    ("--panels", "panels must be positive"),
     ("--nodes", "nodes_per_panel must be at least 2"),
     ("--apodize", "apodization width must be positive"),
 ])
@@ -450,6 +449,19 @@ def test_zero_quadrature_values_reach_the_validation(tmp_path, capsys, flag, mes
                    flag, "0")
     assert code == 2
     assert capsys.readouterr().err == f"canonica: numeric failure: {message}\n"
+
+
+def test_scheme_and_panels_flags_are_unknown(tmp_path, capsys):
+    src = tmp_path / "src.csv"
+    assert run_cli("sample", "--family", "std-hg", "--n", "0", "--grid", "-8:8:128",
+                   "--out", str(src)) == 0
+    capsys.readouterr()
+    for flag in (("--scheme", "gauss-legendre"), ("--panels", "8")):
+        code = run_cli("transform", "--name", "frft", "--alpha", "0.1", "--in", str(src),
+                       "--out", str(tmp_path / "o"), *flag)
+        err = capsys.readouterr().err
+        assert code == 1 and f"error: unrecognized arguments: {' '.join(flag)}\n" in err, err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
 def test_appell_spec_json_takes_direction_and_mu(tmp_path):

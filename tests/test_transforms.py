@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import next_fast_len
 
 from canonica.common import (
     DivergenceRisk,
@@ -131,25 +132,35 @@ def test_linear_ct_inverse_pairing():
 
 def test_gl_and_chirp_fft_paths_agree():
     src = sample(Gauss(1.1, 0.3), FULL, 0.0)
-    gl = frft(src, 0.6, FULL, QuadratureConfig(scheme="gauss-legendre"))
-    cf = frft(src, 0.6, FULL, QuadratureConfig(scheme="chirp-fft"))
-    assert rel_l2(gl.values, cf.values) < 1e-8
+    kernel = transforms.TRANSFORMS["frft"][1](FrFT(0.6))
+    gl, cf = (build(kernel.matrix, FULL, FULL, QuadratureConfig(), kernel.matching)[1](src)
+              for build in (transforms._linear_gl, transforms._chirp_fft))
+    assert rel_l2(gl, cf) < 1e-8
 
 
-def test_forced_chirp_fft_refuses_a_complex_matrix():
+def test_a_complex_matrix_takes_the_guarded_gauss_legendre_path():
     # the chirp-FFT path runs none of the L-form guards, so it takes real matrices only;
-    # forced on fr-laplace it used to return |values| up to 4e105 where auto raises
+    # on fr-laplace it returns |values| up to 4e105 where Gauss-Legendre raises
     grid = Grid1D.from_span(GridKind.FULL_LINE, -10.0, 10.0, 512)
     src = sample(Gauss(1.0), grid, 0.0)
-    forced = QuadratureConfig(scheme="chirp-fft")
     with pytest.raises(DivergenceRisk, match="does not beat the kernel growth"):
         fr_laplace(src, 0.5, grid)
-    with pytest.raises(ValueError, match="chirp-fft path needs a real matrix"):
-        fr_laplace(src, 0.5, grid, forced)
-    with pytest.raises(ValueError, match="chirp-fft path needs a real matrix"):
-        linear_ct(mat_poisson(0.5), src, grid, forced)
-    with pytest.raises(ValueError, match="chirp-fft path needs a real matrix"):
-        poisson_propagate(src, 0.5, grid, forced)
+    for mat in (mat_laplace(0.5), mat_poisson(0.5), SympMat2(1.0, 1.0 + 1e-9j, 0.0, 1.0)):
+        assert not transforms._use_chirp_fft(mat, grid, grid)
+
+
+def test_chirp_fft_only_where_the_step_resolves_the_kernel():
+    # HG0 is its own frft image.  On +-8 with 128 points the step resolves the kernel's
+    # frequency |A y - x|/|B| at alpha = 0.7 but not at small |B|, where the chirp-FFT
+    # aliases (off by 0.75 at alpha = 0.1 and 1.9) and Gauss-Legendre is taken
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -8.0, 8.0, 128)
+    src = sample(StdHG(0), grid, 0.0)
+    for alpha in (0.1, 1.9):
+        assert np.max(np.abs(frft(src, alpha, grid).values - src.values)) < 1e-8
+        assert not transforms._use_chirp_fft(mat_fourier(alpha), grid, grid)
+    chirp_bytes = 16 * next_fast_len(3 * grid.count - 2)  # n samples against 2n - 1 lags
+    assert transforms.plan(FrFT(0.7), grid, grid).nbytes == chirp_bytes
+    assert np.max(np.abs(frft(src, 0.7, grid).values - src.values)) < 1e-8
 
 
 def test_fresnel_chirp_on_plane_wave_bulk():
@@ -388,7 +399,7 @@ def test_truncation_warning():
     grid = Grid1D.from_span(GridKind.FULL_LINE, -3.0, 3.0, 128)
     src = sample(Gauss(2.0), grid, 0.0)  # wide Gaussian, big edge values
     with pytest.warns(TruncationWarning):
-        frft(src, 0.5, grid, QuadratureConfig(scheme="gauss-legendre"))
+        frft(src, 0.5, grid)
 
 
 def test_integrability_violation():
@@ -429,9 +440,7 @@ def test_doubling_nodes_self_consistency():
 
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
-        QuadratureConfig(scheme="simpson")
-    with pytest.raises(ValueError):
-        QuadratureConfig(panels=0)
+        QuadratureConfig(nodes_per_panel=1)
     with pytest.raises(ValueError):
         QuadratureConfig(apodization=-1.0)
 
@@ -557,7 +566,7 @@ def test_gl_panel_rule_on_unit_gaussian(mat):
     # closed-form image (A + iB)^(-1/2) exp(i (C + iD) x^2 / (2 (A + iB)))
     out = Grid1D.from_span(GridKind.FULL_LINE, -2.0, 2.0, 65)
     src = SampledField(FULL, np.exp(-FULL.points**2 / 2) + 0j)
-    num = linear_ct(mat, src, out, QuadratureConfig(scheme="gauss-legendre"))
+    num = linear_ct(mat, src, out)
     q = mat.a + 1j * mat.b
     exact = q**-0.5 * np.exp(1j * (mat.c + 1j * mat.d) * out.points**2 / (2 * q))
     assert rel_l2(num.values, exact) <= 1e-11
@@ -594,7 +603,7 @@ def test_panel_cap_warns_with_requested_and_used_counts():
     # alpha = 0.05 on a +-20 source and output window asks for 9727 panels of kernel phase
     src = sample(Gauss(1.0), Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 512), 0.0)
     out = Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 3)
-    cfg = QuadratureConfig(scheme="gauss-legendre", nodes_per_panel=2)
+    cfg = QuadratureConfig(nodes_per_panel=2)
     with pytest.warns(TruncationWarning, match="9727 quadrature panels; 3000 are used"):
         frft(src, 0.05, out, cfg)
 
@@ -766,7 +775,7 @@ def test_truncation_warnings_name_the_callers_line(tmp_path):
     edgy = SampledField(grid, np.exp(-grid.points**2 / 2) + 0j, Radial(0))
     src = sample(Gauss(1.0), Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 512), 0.0)
     out = Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 3)
-    cfg = QuadratureConfig(scheme="gauss-legendre", nodes_per_panel=2)
+    cfg = QuadratureConfig(nodes_per_panel=2)
     built = transforms.plan(Hankel(0), grid, grid, CFG16)
     write_field(edgy, tmp_path / "edgy.csv")
     calls = {
@@ -787,7 +796,7 @@ def test_truncation_warnings_name_the_callers_line(tmp_path):
 def test_oversized_kernel_is_refused_before_it_is_allocated(tmp_path, capsys):
     # 3000 capped panels x 16 nodes x 2001 outputs: a 1.5 GB complex kernel
     src = sample(Gauss(1.0), Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 2001), 0.0)
-    cfg = QuadratureConfig(scheme="gauss-legendre", nodes_per_panel=16)
+    cfg = QuadratureConfig(nodes_per_panel=16)
     tracemalloc.start()
     try:
         with pytest.warns(TruncationWarning), pytest.raises(ValueError) as err:
@@ -801,7 +810,7 @@ def test_oversized_kernel_is_refused_before_it_is_allocated(tmp_path, capsys):
     with pytest.warns(TruncationWarning):
         code = main(["transform", "--name", "frft", "--alpha", "0.05", "--in",
                      str(tmp_path / "src.csv"), "--out", str(tmp_path / "out.csv"),
-                     "--scheme", "gauss-legendre", "--nodes", "16"])
+                     "--nodes", "16"])
     err = capsys.readouterr().err
     assert code == 2 and "2001 x 48000 kernel needs 1536768000 bytes" in err
     assert "Traceback" not in err and not (tmp_path / "out.csv").exists()
@@ -866,15 +875,15 @@ def test_bessel_j_kernel_matches_the_dense_kernel(name, monkeypatch):
 @pytest.mark.parametrize("spec", [Hankel(0), transforms.HankelType(1, 1.0, -0.6),
                                   transforms.FrHankel(0, 0.5)], ids=repr)
 def test_bessel_j_kernel_assembly_peaks_near_twice_the_kernel(spec):
-    # 1000 outputs x 500 panels of 16 nodes: a 61 MiB float64 kernel, built beside
-    # one scratch array of its size (the Bessel argument, then (r y)^cross)
-    grid = Grid1D(GridKind.HALF_LINE, 0.0, 0.01, 1000)
-    cfg = QuadratureConfig(panels=500, nodes_per_panel=16)
+    # 1000 outputs on a 0.02 step: a float64 kernel of 62 MiB (Hankel) to 119 MiB
+    # (fr_hankel), built beside one scratch array of its size (the Bessel argument,
+    # then (r y)^cross)
+    grid = Grid1D(GridKind.HALF_LINE, 0.0, 0.02, 1000)
     tracemalloc.start()
     try:
-        built = transforms.plan(spec, grid, grid, cfg)
+        built = transforms.plan(spec, grid, grid, QuadratureConfig(nodes_per_panel=16))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert built.nbytes == 1000 * 500 * 16 * 8
+    assert built.nbytes >= 60 * 2**20
     assert peak <= 2.25 * built.nbytes
