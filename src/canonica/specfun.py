@@ -108,6 +108,11 @@ def _bessel_j_ladder(n: int, x: np.ndarray, out: np.ndarray) -> None:
     out[:] = j
 
 
+def bessel_j_guard(nu: float) -> float:
+    """The largest argument `bessel_j` of order nu accepts."""
+    return 1e4 * (1.0 + nu)
+
+
 def bessel_j(nu: float, x):
     """Bessel function of the first kind J_nu(x), x >= 0.
 
@@ -116,7 +121,7 @@ def bessel_j(nu: float, x):
     with x < nu, where the upward recurrence is unstable, and every other
     order or scalar input go to scipy's jv.
     """
-    x = _check_bessel_args(nu, x, 1e4 * (1.0 + nu))
+    x = _check_bessel_args(nu, x, bessel_j_guard(nu))
     if not np.ndim(x):
         return float(_sp.jv(nu, x))
     if not float(nu).is_integer():

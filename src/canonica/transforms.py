@@ -16,9 +16,12 @@ the matrix:
 * ``gauss-legendre``: the linear or radial kernel on composite
   Gauss-Legendre panels over the input grid support, with the sampled field
   interpolated onto the quadrature nodes by a quintic spline.  Panels are
-  sized so each spans at most pi/4 of kernel phase at the fastest output
-  point; real-exponent (L-form) kernels have no phase and get 4 nodes per
-  width when they decay.  Only Gaussian-convolution kernels accept a callable
+  sized by the Gauss-Legendre remainder bound: each spans at most the phase
+  Phi(p) that p nodes integrate to 1e-15 (17 rad for p = 16) at the kernel's
+  fastest local frequency; real-exponent (L-form) kernels have no phase and
+  get 4 nodes per width when they decay.  A source that starts on the axis
+  under a kernel ~ y^s, s non-integer, takes Gauss-Jacobi nodes of weight
+  y^s on its first panel.  Only Gaussian-convolution kernels accept a callable
   f(y): it is evaluated on panels over the output window widened by
   12 sqrt(tau), starting at the axis on half-line grids.
 * ``point-map`` (B = 0): the point map of the kernel, read off the field's
@@ -297,21 +300,36 @@ def _gaussian_variance(mat: SympMat2) -> float | None:
     return None
 
 
-def _panel_count(cfg: QuadratureConfig, mat: SympMat2, xmax: float, outmax: float,
-                 count: int) -> int:
-    """Panels over the source: at most pi/4 of kernel phase each, at least 4
-    nodes per width of a decaying real-exponent kernel, and at least one
-    panel per nodes_per_panel samples.
+def _panel_phase(nodes: int) -> float:
+    """Phi(p): the largest phase omega L of e^{i omega y} over a panel of length L
+    that p-point Gauss-Legendre integrates to 1e-15 L by its remainder
+    L^{2p+1} (p!)^4 / ((2p+1) ((2p)!)^3) max |f^{(2p)}| (Abramowitz & Stegun
+    25.4.30), so Phi^{2p} (p!)^4 / ((2p+1) ((2p)!)^3) = 1e-15: 17 rad for p = 16."""
+    p = nodes
+    log_coeff = 4.0 * math.lgamma(p + 1) - math.log(2 * p + 1) - 3.0 * math.lgamma(2 * p + 1)
+    return math.exp((math.log(1e-15) - log_coeff) / (2 * p))
 
-    The phase of the kernel of `mat` across a source |y| <= xmax at the
-    fastest output point |x| <= outmax is (|A| xmax^2 + 2 outmax xmax)/(2|B|).
-    Real-exponent (L-form, B = i beta) kernels have none; with A/beta < 0 they
-    are Gaussians of width sqrt(-beta/A) in y, narrow near B = 0.  A count
-    above _MAX_PANELS is capped with a TruncationWarning.
+
+def _panel_count(cfg: QuadratureConfig, mat: SympMat2, lo: float, hi: float, outmax: float,
+                 count: int) -> int:
+    """Panels over the source [lo, hi]: at most Phi(p) of kernel phase each
+    (`_panel_phase`, p = nodes_per_panel), at least 4 nodes per width of a
+    decaying real-exponent kernel, and at least one panel per nodes_per_panel
+    samples.
+
+    The kernel of `mat` oscillates in y at the local frequency |A y - x|/|B|
+    (linear) or at most (|A y| + x)/|B| (Bessel-J: J_nu(x y/B) has frequency
+    x/|B|).  Across a source |y| <= xmax at outputs |x| <= outmax both are
+    bounded by omega = (|A| xmax + outmax)/|B|, which bounds every derivative
+    of the kernel, so a panel of length L errs by the remainder of phase
+    omega L.  Real-exponent (L-form, B = i beta) kernels have no phase; with
+    A/beta < 0 they are Gaussians of width sqrt(-beta/A) in y, narrow near
+    B = 0.  A count above _MAX_PANELS is capped with a TruncationWarning.
     """
+    xmax = max(abs(lo), abs(hi))
     if not _real_exponent(mat):
-        phase = (abs(mat.a) * xmax**2 + 2.0 * outmax * xmax) / (2.0 * abs(mat.b))
-        by_kernel = math.ceil(phase / (math.pi / 4.0))
+        omega = (abs(mat.a) * xmax + outmax) / abs(mat.b)
+        by_kernel = math.ceil(omega * (hi - lo) / _panel_phase(cfg.nodes_per_panel))
     elif mat.a.real * mat.b.imag < 0:
         width = math.sqrt(-mat.b.imag / mat.a.real)
         by_kernel = math.ceil(8.0 * xmax / (width * cfg.nodes_per_panel))
@@ -334,13 +352,26 @@ def _kernel_bytes(rows: int, cols: int, real: bool) -> int:
     return nbytes
 
 
-def _gl_nodes(lo: float, hi: float, panels: int, nodes: int):
+def _gl_nodes(lo: float, hi: float, panels: int, nodes: int, axis_power: float = 0.0):
+    """Composite Gauss-Legendre nodes and weights on [lo, hi].
+
+    A source that starts on the axis under a kernel ~ y^s there, s = axis_power
+    non-integer and > -1, is not smooth on the first panel: that panel takes
+    the Gauss-Jacobi nodes of the weight y^s (Hale & Townsend, SIAM J. Sci.
+    Comput. 35, 2013), their weights divided by the y^s the kernel carries.
+    """
     base_x, base_w = leggauss(nodes)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     xq = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     wq = (half[:, None] * base_w[None, :]).ravel()
+    if lo == 0.0 and axis_power > -1.0 and abs(axis_power - round(axis_power)) > 1e-12:
+        from scipy.special import roots_jacobi
+
+        jac_x, jac_w = roots_jacobi(nodes, 0.0, axis_power)  # weight (1 + x)^s on [-1, 1]
+        xq[:nodes] = half[0] * (1.0 + jac_x)
+        wq[:nodes] = half[0] * jac_w / (1.0 + jac_x) ** axis_power
     return xq, wq
 
 
@@ -382,9 +413,10 @@ def _edge_check(field: SampledField, cfg: QuadratureConfig):
 
 
 def _kernel_nodes(cfg: QuadratureConfig, mat: SympMat2, in_grid: Grid1D | None,
-                  out_grid: Grid1D):
-    """Quadrature nodes and weights for the kernel of `mat`, and the function
-    that reads a field at the nodes behind the guard the matrix calls for.
+                  out_grid: Grid1D, axis_power: float = 0.0):
+    """Quadrature nodes and weights for the kernel of `mat`, ~ y^axis_power
+    at the input axis (`_gl_nodes`), and the function that reads a field at
+    the nodes behind the guard the matrix calls for.
 
     A Gaussian convolution gets the growth guard and alone takes a callable
     f(y) (in_grid None; rule in the module docstring).  Other kernels get the
@@ -398,14 +430,14 @@ def _kernel_nodes(cfg: QuadratureConfig, mat: SympMat2, in_grid: Grid1D | None,
         reach = 12.0 * math.sqrt(tau)
         lo = 0.0 if out_grid.kind == GridKind.HALF_LINE else out_grid.start - reach
         hi = out_grid.end + reach
-        panels = _panel_count(cfg, mat, max(abs(lo), abs(hi)), outmax, out_grid.count)
-        xq, wq = _gl_nodes(lo, hi, panels, cfg.nodes_per_panel)
+        panels = _panel_count(cfg, mat, lo, hi, outmax, out_grid.count)
+        xq, wq = _gl_nodes(lo, hi, panels, cfg.nodes_per_panel, axis_power)
         return xq, wq, lambda f: np.asarray(f(xq), dtype=complex)
     lo, hi = in_grid.start, in_grid.end
     xmax = max(abs(lo), abs(hi))
     center = 0.0 if in_grid.kind == GridKind.HALF_LINE else 0.5 * (lo + hi)
-    panels = _panel_count(cfg, mat, xmax, outmax, in_grid.count)
-    xq, wq = _gl_nodes(lo, hi, panels, cfg.nodes_per_panel)
+    panels = _panel_count(cfg, mat, lo, hi, outmax, in_grid.count)
+    xq, wq = _gl_nodes(lo, hi, panels, cfg.nodes_per_panel, axis_power)
     window = _apodization(cfg, xq, center)
     # a half-line source has one tail, whose most pessimistic output point is the outer end
     ends = ((float(np.max(out_x)),) if in_grid.kind == GridKind.HALF_LINE
@@ -750,7 +782,10 @@ def _bessel_sum(kernel: _Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
     field not negligible there (above EDGE_WARN_LEVEL of its peak) is
     rejected.  Only the axis sample is read: a field that vanishes at the
     axis, or a grid that starts above it, is summed as given.  Callable
-    inputs (Gaussian convolutions) have power mu - 1 > 0.
+    inputs (Gaussian convolutions) have power mu - 1 > 0.  A non-integer
+    power > -1 gets a Gauss-Jacobi first panel (`_gl_nodes`).  A Bessel-J
+    argument r y/|B| above the guard of `specfun.bessel_j` is refused before
+    the nodes are built.
 
     Returns the kernel's bytes and the function of the field.
     """
@@ -775,7 +810,12 @@ def _bessel_sum(kernel: _Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
             raise ValueError("negative B with non-integer Bessel order is not supported")
         bessel, k = specfun.bessel_j, 1.0 / abs(b)
         pref = (-1j) ** (nu + 1.0) / b * ((-1.0) ** round(nu) if b < 0 else 1.0)
-    xq, wq, values = _kernel_nodes(cfg, mat, in_grid, out_grid)
+        reach, guard = k * float(np.max(ro)) * in_grid.end, specfun.bessel_j_guard(nu)
+        if reach > guard:
+            raise ValueError(f"{name}: the Bessel argument reaches {reach:.6g}, above the "
+                             f"guard {guard:g} of J_{nu:g}; |B| = {abs(b):.3g} is too small "
+                             "for these grids")
+    xq, wq, values = _kernel_nodes(cfg, mat, in_grid, out_grid, source_power)
     nbytes = _kernel_bytes(len(ro), len(xq), True)
     w_col = wq if col == 0.0 else wq * xq**col
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows are set on apply

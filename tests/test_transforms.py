@@ -1,11 +1,12 @@
 import cmath
 import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.fft import next_fast_len
 
 from canonica.common import (
@@ -27,6 +28,7 @@ from canonica.fields import (
     RadialType,
     SampledField,
     StdHG,
+    StdLG,
     sample,
     write_field,
 )
@@ -105,6 +107,36 @@ def test_fr_laplace_is_four_periodic():
         assert rel_l2(fr_laplace(f, alpha, out).values, base) < 1e-12
 
 
+# orders anywhere, or near 0 and +-2, where |B| = |sin(alpha pi/2)| is small and the
+# Gauss-Legendre kernel needs the most panels
+_ORDERS = st.one_of(st.floats(-2.0, 2.0), st.tuples(st.sampled_from((0.0, 2.0, -2.0)),
+                                                     st.floats(-0.05, 0.05)).map(sum))
+
+
+@settings(max_examples=10, deadline=None)
+@given(alpha=_ORDERS, center=st.floats(-1.0, 1.0), kick=st.floats(-1.0, 1.0))
+def test_frft_inverse_pairing_and_period_four_property(alpha, center, kick):
+    assume(abs(math.sin(0.5 * math.pi * alpha)) >= 0.01)
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -8.0, 8.0, 128)
+    x = grid.points
+    f = SampledField(grid, np.exp(-(x - center) ** 2 / 2 + 1j * kick * x))
+    image = frft(f, alpha, grid)
+    assert rel_l2(frft(image, -alpha, grid).values, f.values) < 1e-7
+    assert rel_l2(frft(f, alpha + 4.0, grid).values, image.values) < 1e-11
+
+
+@settings(max_examples=10, deadline=None)
+@given(alpha=_ORDERS, m=st.integers(0, 3), width=st.floats(0.7, 1.4))
+def test_fr_hankel_inverse_pairing_property(alpha, m, width):
+    # |B| >= 0.02 keeps the Bessel argument 144/|B| under the guard of J_0
+    assume(abs(math.sin(0.5 * math.pi * alpha)) >= 0.02)
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 12.0, 384)
+    r = grid.points
+    f = SampledField(grid, r**m * np.exp(-r**2 / (2 * width**2)) * (1 + 0.3j * r**2), Radial(m))
+    back = fr_hankel(fr_hankel(f, m, alpha, grid, CFG16), m, -alpha, grid, CFG16)
+    assert rel_l2(back.values, f.values) < 1e-8
+
+
 def test_frft_group_law_and_inverse_pairing():
     src = sample(Gauss(1.3), FULL, 0.0)
     two = frft(frft(src, 0.3, FULL), 0.4, FULL)
@@ -161,6 +193,17 @@ def test_chirp_fft_only_where_the_step_resolves_the_kernel():
     chirp_bytes = 16 * next_fast_len(3 * grid.count - 2)  # n samples against 2n - 1 lags
     assert transforms.plan(FrFT(0.7), grid, grid).nbytes == chirp_bytes
     assert np.max(np.abs(frft(src, 0.7, grid).values - src.values)) < 1e-8
+
+
+def test_small_b_kernel_is_resolved_below_the_panel_cap():
+    # at alpha = 0.02 Gauss-Legendre resolves the kernel in well under 3000 panels, so no
+    # truncation is reported; the error is the spline's on 128 samples
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -8.0, 8.0, 128)
+    src = sample(StdHG(0), grid, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        out = frft(src, 0.02, grid)
+    assert np.max(np.abs(out.values - src.values)) < 2e-9
 
 
 def test_fresnel_chirp_on_plane_wave_bulk():
@@ -599,12 +642,37 @@ def test_fr_radial_laplace_rejects_a_source_the_kernel_outgrows():
     assert np.all(np.isfinite(radial_laplace(axis_zero, 1, 0.5, -1.5, out, CFG16).values))
 
 
+@pytest.mark.parametrize("nodes", [8, 16, 32, 64])
+def test_panel_phase_meets_the_gauss_legendre_remainder_bound(nodes):
+    # p-point Gauss-Legendre of e^{i omega y} over a panel of length L and phase
+    # omega L = Phi(p), on nodes refined to 40 digits so that rounding does not count:
+    # each of the real and imaginary parts errs by at most 1e-15 L, and a panel of
+    # 1.5 Phi(p) errs by more
+    import mpmath
+    from numpy.polynomial.legendre import leggauss
+
+    with mpmath.workdps(40):
+        legendre = lambda t: mpmath.legendre(nodes, t)
+        xs = [mpmath.findroot(legendre, mpmath.mpf(float(x))) for x in leggauss(nodes)[0]]
+        ws = [2 * (1 - x**2) / (nodes * mpmath.legendre(nodes - 1, x)) ** 2 for x in xs]
+        length = mpmath.mpf("0.37")
+        for phase, within in ((transforms._panel_phase(nodes), True),
+                              (1.5 * transforms._panel_phase(nodes), False)):
+            omega = mpmath.mpf(phase) / length
+            quad = length / 2 * sum(w * mpmath.expj(omega * length * (1 + x) / 2)
+                                    for x, w in zip(xs, ws))
+            exact = (mpmath.expj(omega * length) - 1) / (1j * omega)
+            err = max(abs(mpmath.re(quad - exact)), abs(mpmath.im(quad - exact))) / length
+            assert (err <= 1e-15) == within
+
+
 def test_panel_cap_warns_with_requested_and_used_counts():
-    # alpha = 0.05 on a +-20 source and output window asks for 9727 panels of kernel phase
+    # alpha = 0.05 on a +-20 source and output window: omega = (|A| 20 + 20)/|B| = 509 over
+    # a span of 40, on panels of Phi(8) = 3.06 rad, asks for 6656 panels
     src = sample(Gauss(1.0), Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 512), 0.0)
     out = Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 3)
-    cfg = QuadratureConfig(nodes_per_panel=2)
-    with pytest.warns(TruncationWarning, match="9727 quadrature panels; 3000 are used"):
+    cfg = QuadratureConfig(nodes_per_panel=8)
+    with pytest.warns(TruncationWarning, match="6656 quadrature panels; 3000 are used"):
         frft(src, 0.05, out, cfg)
 
 
@@ -686,6 +754,26 @@ def test_kernel_singular_at_the_input_axis_runs_where_the_integrand_is_integrabl
     fld = SampledField(above, np.exp(-(above.points - 3.0) ** 2) + 0j)
     out = transforms.bessel_exp_quarter_turn(fld, -0.5, 0.75, above, CFG16)
     assert np.all(np.isfinite(out.values)) and np.max(np.abs(out.values)) > 0.1
+
+
+def test_gauss_jacobi_first_panel_integrates_the_axis_singularity():
+    # nu = -1/2, nu' = 0: the kernel ~ y^(-1/2) at the axis, where
+    # J_{-1/2}(x y) y^(1/2) = (2/(pi x))^(1/2) cos(x y); the reference is quad's
+    # algebraic weight y^(-1/2) on the exact field e^{-y^2}
+    from scipy.integrate import quad
+
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 8.0, 256)
+    out = Grid1D.from_span(GridKind.HALF_LINE, 0.1, 4.0, 40)
+    fld = SampledField(grid, np.exp(-grid.points**2) + 0j)
+    got = transforms.bessel_exp_quarter_turn(fld, -0.5, 0.0, out, CFG16).values
+    want = []
+    for x in out.points:
+        part = lambda y, f: f(np.exp(0.5j * (x * x + y * y)) * np.cos(x * y) * np.exp(-y * y))
+        real, imag = (quad(part, 0.0, 8.0, args=(f,), weight="alg", wvar=(-0.5, 0.0), limit=200,
+                           epsabs=1e-13, epsrel=1e-12)[0] for f in (np.real, np.imag))
+        pref = -1j * cmath.exp(0.25j * math.pi) * x * math.sqrt(2 / (math.pi * x))
+        want.append(pref * (real + 1j * imag))
+    assert rel_l2(got, np.array(want)) < 1e-8
 
 
 # engine calls with the parameters of LINEARITY_SPECS
@@ -794,13 +882,14 @@ def test_truncation_warnings_name_the_callers_line(tmp_path):
 
 
 def test_oversized_kernel_is_refused_before_it_is_allocated(tmp_path, capsys):
-    # 3000 capped panels x 16 nodes x 2001 outputs: a 1.5 GB complex kernel
+    # alpha = 0.01 asks for 5940 panels: 3000 capped panels x 16 nodes x 2001 outputs,
+    # a 1.5 GB complex kernel
     src = sample(Gauss(1.0), Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 2001), 0.0)
     cfg = QuadratureConfig(nodes_per_panel=16)
     tracemalloc.start()
     try:
         with pytest.warns(TruncationWarning), pytest.raises(ValueError) as err:
-            frft(src, 0.05, src.grid, cfg)
+            frft(src, 0.01, src.grid, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -808,11 +897,37 @@ def test_oversized_kernel_is_refused_before_it_is_allocated(tmp_path, capsys):
     assert peak < 8 * 2**20
     write_field(src, tmp_path / "src.csv")
     with pytest.warns(TruncationWarning):
-        code = main(["transform", "--name", "frft", "--alpha", "0.05", "--in",
+        code = main(["transform", "--name", "frft", "--alpha", "0.01", "--in",
                      str(tmp_path / "src.csv"), "--out", str(tmp_path / "out.csv"),
                      "--nodes", "16"])
     err = capsys.readouterr().err
     assert code == 2 and "2001 x 48000 kernel needs 1536768000 bytes" in err
+    assert "Traceback" not in err and not (tmp_path / "out.csv").exists()
+
+
+def test_bessel_argument_beyond_the_guard_is_refused_before_it_is_allocated(tmp_path, capsys):
+    # alpha = 1e-3: |B| = 1.57e-3, so J_1(r y/|B|) reaches 6 * 14 / |B| = 53476, above its
+    # guard of 2e4, on the radial grids of the numeric Appell maps
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 14.0, 1024)
+    out = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 6.0, 256)
+    src = sample(StdLG(1, 1), grid, 0.0)
+    message = "reaches 53476.1, above the guard 20000 of J_1; |B| = 0.00157 is too small"
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fr_hankel(src, 1, 1e-3, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    write_field(src, tmp_path / "src.csv")
+    code = main(["transform", "--name", "fr-hankel", "--m", "1", "--alpha", "1e-3",
+                 "--out-grid=0:6:256", "--in", str(tmp_path / "src.csv"),
+                 "--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2 and message in err
     assert "Traceback" not in err and not (tmp_path / "out.csv").exists()
 
 
@@ -875,13 +990,14 @@ def test_bessel_j_kernel_matches_the_dense_kernel(name, monkeypatch):
 @pytest.mark.parametrize("spec", [Hankel(0), transforms.HankelType(1, 1.0, -0.6),
                                   transforms.FrHankel(0, 0.5)], ids=repr)
 def test_bessel_j_kernel_assembly_peaks_near_twice_the_kernel(spec):
-    # 1000 outputs on a 0.02 step: a float64 kernel of 62 MiB (Hankel) to 119 MiB
-    # (fr_hankel), built beside one scratch array of its size (the Bessel argument,
-    # then (r y)^cross)
-    grid = Grid1D(GridKind.HALF_LINE, 0.0, 0.02, 1000)
+    # 8000 samples on a 0.0025 step take 500 panels of 16 nodes, more than the kernel asks
+    # for; with 1000 outputs on a 0.02 step that is a float64 kernel of 61 MiB, built beside
+    # one scratch array of its size (the Bessel argument, then (r y)^cross)
+    grid = Grid1D(GridKind.HALF_LINE, 0.0, 0.0025, 8000)
+    out = Grid1D(GridKind.HALF_LINE, 0.0, 0.02, 1000)
     tracemalloc.start()
     try:
-        built = transforms.plan(spec, grid, grid, QuadratureConfig(nodes_per_panel=16))
+        built = transforms.plan(spec, grid, out, QuadratureConfig(nodes_per_panel=16))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

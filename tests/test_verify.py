@@ -188,3 +188,16 @@ def test_checks_build_each_distinct_kernel_once(monkeypatch, check, kernels):
     monkeypatch.setattr(specfun, "bessel_j", lambda nu, x: orders.append(nu) or bessel_j(nu, x))
     assert run_suite([check])["all_pass"]
     assert len(orders) == kernels
+
+
+def test_hankel_selfrec_kernels_have_384_nodes(monkeypatch):
+    # 384 outputs against 24 panels of 16 nodes: the per-sample floor, since 9 panels of
+    # Phi(16) = 17 rad cover the kernel's phase 12 * 12
+    from canonica import specfun
+
+    shapes = []
+    bessel_j = specfun.bessel_j
+    monkeypatch.setattr(specfun, "bessel_j",
+                        lambda nu, x: shapes.append(x.shape) or bessel_j(nu, x))
+    assert run_suite(["t7-hankel-selfrec"])["all_pass"]
+    assert shapes == [(384, 384)] * 4
