@@ -360,16 +360,58 @@ def _uniform(rng, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.random()
 
 
+def _pcg64_words(seed: int):
+    """The 64-bit words of `np.random.PCG64(seed)` as Python ints, 4096 to a block."""
+    bitgen = np.random.PCG64(seed)
+    while True:
+        yield from bitgen.random_raw(4096).tolist()
+
+
+class _PCG64Draws:
+    """`np.random.default_rng(seed)`'s `integers(low, high)`, for 0 < high - low < 2^32,
+    and `random()`, bit for bit.
+
+    The draws follow numpy's `Generator` rules on raw PCG64 words (O'Neill 2014):
+    `random()` is (w >> 11) 2^-53; `integers` takes 32-bit halves of a word, low half
+    first, the high half kept for the next `integers` call (`random()` never touches
+    it), and maps each by Lemire's rule (ACM TOMACS 29, 2019): m = u n, rejected while
+    m mod 2^32 < (2^32 - n) mod n.  Plain integer arithmetic costs a fraction of
+    numpy's per-call overhead on scalar draws.
+    """
+
+    def __init__(self, seed: int):
+        self._next = _pcg64_words(seed).__next__
+        self._high = None  # high half of the word the last `integers` call split
+
+    def integers(self, low: int, high: int) -> int:
+        n = high - low
+        threshold = (2**32 - n) % n
+        while True:
+            if self._high is None:
+                w = self._next()
+                u, self._high = w & 0xFFFFFFFF, w >> 32
+            else:
+                u, self._high = self._high, None
+            m = u * n
+            if m & 0xFFFFFFFF >= threshold:
+                return low + (m >> 32)
+
+    def random(self) -> float:
+        return (self._next() >> 11) * 2.0**-53
+
+
 def _random_constructor(rng) -> SympMat2:
     kind = rng.integers(0, len(_CONSTRUCTORS))
     return _CONSTRUCTORS[kind](_uniform(rng, -2.0, 2.0), rng)
 
 
 def _check_det_random():
-    rng = np.random.default_rng(20110131)
+    # the draws, and so the pinned worst case, are tied to PCG64's seeding and numpy's
+    # Generator rules (`_PCG64Draws`); a numpy that changes either fails a tier-1 test
+    rng = _PCG64Draws(20110131)
     worst = 0.0
     for _ in range(10000):
-        m = compose(*(_random_constructor(rng) for _ in range(3)))
+        m = compose(_random_constructor(rng), _random_constructor(rng), _random_constructor(rng))
         worst = max(worst, abs(m.det - 1.0))
     return {"max_abs": worst, "tolerance": 1e-14}
 

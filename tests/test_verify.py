@@ -171,6 +171,38 @@ def test_uniform_draw_is_bit_identical_to_numpy(lo, hi):
     assert fast.random() == ref.random()  # both streams at the same place
 
 
+@pytest.mark.parametrize("seed", [20110131, 1, 77])
+def test_pcg64_draws_are_bit_identical_to_numpy(seed):
+    # 120,000 calls in a random interleaving read about 80,000 words: about 20 blocks
+    fast, ref = verify._PCG64Draws(seed), np.random.default_rng(seed)
+    calls = np.random.default_rng(seed + 1).integers(0, 3, 120_000).tolist()
+    ints, ref_ints, floats, ref_floats = [], [], [], []
+    for c in calls:
+        if c == 2:
+            floats.append(fast.random())
+            ref_floats.append(ref.random())
+        else:
+            high = (7, 1_000_003)[c]
+            ints.append(fast.integers(0, high))
+            ref_ints.append(ref.integers(0, high))
+    assert ints == ref_ints
+    assert np.array_equal(np.array(floats).view(np.uint64), np.array(ref_floats).view(np.uint64))
+    assert fast.random() == ref.random()  # both streams at the same place
+
+
+def test_pcg64_draws_match_numpy_through_lemire_rejections():
+    # seed 2, n = 2**31 + 1: the rejection threshold (2**32 - n) % n = 2**31 - 1 rejects
+    # the first three 32-bit halves, so the first draw rejects three times and reads
+    # a second word before it accepts the fourth half
+    seed, n = 2, 2**31 + 1
+    words = np.random.PCG64(seed).random_raw(2).tolist()
+    halves = [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
+    assert [(u * n) & 0xFFFFFFFF < (2**32 - n) % n for u in halves] == [True, True, True, False]
+    fast, ref = verify._PCG64Draws(seed), np.random.default_rng(seed)
+    assert [fast.integers(0, n) for _ in range(50)] == [ref.integers(0, n) for _ in range(50)]
+    assert fast.random() == ref.random()
+
+
 def test_check_registry_covers_every_criterion():
     crits = {c[1] for c in CHECKS}
     assert crits == set(range(1, 11))
