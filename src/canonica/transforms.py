@@ -7,12 +7,19 @@ the matrix:
 
 * ``chirp-fft``: modulate / FFT-convolve / modulate, using the quadratic
   phase decomposition of the linear kernel: the rectangle rule on the input
-  samples.  Taken for a real matrix when the output grid is full-line with
-  the input's step h and h resolves the kernel's frequency |A y - x|/|B| at
-  every input point y and output point x: max |A y - x| h < pi |B|, the max
-  over the grids' end points (Koc, Ozaktas, Candan & Kutay, IEEE Trans.
-  Signal Process. 56, 2008).  Every other linear kernel takes
-  Gauss-Legendre.
+  samples.  Taken for a sampled input when the output grid is full-line with
+  the input's step h and h resolves the kernel.  For a real matrix that is
+  h resolving the kernel's frequency |A y - x|/|B| at every input point y
+  and output point x: max |A y - x| h < pi |B|, the max over the grids' end
+  points (Koc, Ozaktas, Candan & Kutay, IEEE Trans. Signal Process. 56,
+  2008).  For a Gaussian convolution [[1, -i tau], [0, 1]] both chirps are 1
+  and the convolved "chirp" is the Gaussian e^{-lag^2/2 tau}, whose
+  spectrum is below 1e-16 of its peak beyond pi/h when
+  tau >= 2 ln(1e16) h^2/pi^2 (about 7.47 h^2); for samples that resolve the
+  field the rectangle rule then converges exponentially (Trefethen &
+  Weideman, SIAM Rev. 56, 2014).  A Gaussian convolution runs the growth
+  guard on the samples first, then the edge check; a real matrix runs the
+  edge check.  Every other linear kernel takes Gauss-Legendre.
 * ``gauss-legendre``: the linear or radial kernel on composite
   Gauss-Legendre panels over the input grid support, with the sampled field
   interpolated onto the quadrature nodes by a quintic spline.  Panels are
@@ -452,7 +459,7 @@ def _kernel_nodes(cfg: QuadratureConfig, mat: SympMat2, in_grid: Grid1D | None,
         if window is not None:
             fq = fq * window
         if tau is not None:
-            _kernel_beats_growth(field, (xq, wq, fq), tau, ends)
+            _kernel_beats_growth(field, xq, fq, tau, ends)
         return fq
 
     return xq, wq, values
@@ -545,17 +552,18 @@ def _check_geometry(field: SampledField, **params):
             raise GeometryMismatch(f"field {field.geometry} does not match transform {key} {value}")
 
 
-def _kernel_beats_growth(field: SampledField, nodes, tau: float, out_ends):
+def _kernel_beats_growth(field: SampledField, xq: np.ndarray, fq: np.ndarray, tau: float,
+                         out_ends):
     """Reject sampled inputs whose growth outruns a Gaussian-convolution kernel.
 
-    The kernel decays like exp(-(x - y)^2 / (2 tau)); its most pessimistic
-    exponent is taken over the output points x in out_ends.  If
-    |f(y)| e^{expo(y)} peaks in the outer 5% of the nodes at either end of a
-    full-line grid, or at the outer end of a half-line grid (the axis is no
-    tail), the integral is dominated by the truncated tail and cannot be
-    trusted.
+    `fq` holds the field's values at the points `xq` (the quadrature nodes,
+    or the samples on the chirp-FFT path).  The kernel decays like
+    exp(-(x - y)^2 / (2 tau)); its most pessimistic exponent is taken over
+    the output points x in out_ends.  If |f(y)| e^{expo(y)} peaks in the
+    outer 5% of the points at either end of a full-line grid, or at the outer
+    end of a half-line grid (the axis is no tail), the integral is dominated
+    by the truncated tail and cannot be trusted.
     """
-    xq, _, fq = nodes
     mag = np.abs(fq)
     if not np.any(mag > 0):
         return
@@ -664,6 +672,7 @@ def _chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D, cfg: Quadrature
     h = in_grid.step
     x = in_grid.points
     window = _apodization(cfg, x, 0.5 * (x[0] + x[-1]))
+    tau = _gaussian_variance(mat)
     b = mat.b
     chirp_in = np.exp((0.5j / b) * (mat.a - 1.0) * x**2)
     n, m_out = in_grid.count, out_grid.count
@@ -675,24 +684,35 @@ def _chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D, cfg: Quadrature
                  * np.exp((0.5j / b) * (mat.d - 1.0) * out_grid.points**2))
 
     def run(field):
-        _edge_check(field, cfg)
         f = field.values if window is None else field.values * window
+        if tau is not None:  # before the edge check: a growing field raises, not warns
+            _kernel_beats_growth(field, x, f, tau, (out_grid.start, out_grid.end))
+        _edge_check(field, cfg)
         return chirp_out * fft.ifft(fft.fft(f * chirp_in, size) * z_hat)[n - 1 : n - 1 + m_out]
 
     return z_hat.nbytes, run
 
 
-def _use_chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D) -> bool:
-    """True where the rule of the module docstring takes chirp-FFT.  The kernel's
-    frequency |A y - x|/|B| is linear in y and x, so its max is at the corners
-    of the grids.  Only real matrices qualify: the L-form guards run on the
-    Gauss-Legendre path."""
-    if not mat.is_real(1e-12) or out_grid.kind != GridKind.FULL_LINE:
+def _use_chirp_fft(mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid1D) -> bool:
+    """True where the rule of the module docstring takes chirp-FFT: a sampled
+    input, a full-line output grid on its step h, and h resolving the kernel.
+    A real matrix's kernel frequency |A y - x|/|B| is linear in y and x, so
+    its max is at the corners of the grids.  A Gaussian convolution qualifies
+    when e^{-tau pi^2/2h^2}, its kernel's spectrum at pi/h, is at most 1e-16.
+    Other complex matrices take Gauss-Legendre, where the L-form guards run."""
+    if in_grid is None or out_grid.kind != GridKind.FULL_LINE:
         return False
     h = in_grid.step
+    if abs(out_grid.step - h) > 1e-12 * h:
+        return False
+    tau = _gaussian_variance(mat)
+    if tau is not None:
+        return tau * math.pi**2 / (2.0 * h * h) >= 16.0 * math.log(10.0)
+    if not mat.is_real(1e-12):
+        return False
     fastest = max(abs(mat.a.real * y - x) for y in (in_grid.start, in_grid.end)
                   for x in (out_grid.start, out_grid.end))
-    return abs(out_grid.step - h) <= 1e-12 * h and fastest * h < math.pi * abs(mat.b.real)
+    return fastest * h < math.pi * abs(mat.b.real)
 
 
 def linear_ct(mat: SympMat2, field: SampledField, out_grid: Grid1D,
@@ -735,7 +755,8 @@ def poisson_propagate(field, t: float, out_grid: Grid1D,
     """Diffuse by t > 0: the kernel transform of mat_poisson(t), a Gaussian
     convolution of the input data.
 
-    A sampled field is integrated over its grid support, a callable f(y)
+    A sampled field is integrated over its grid support (by chirp-FFT where
+    the grids resolve the kernel, see the module docstring), a callable f(y)
     over the output window widened by 12 sqrt(t).
     """
     return _run(PoissonProp(t), field, out_grid, cfg)

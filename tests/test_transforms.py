@@ -171,14 +171,97 @@ def test_gl_and_chirp_fft_paths_agree():
 
 
 def test_a_complex_matrix_takes_the_guarded_gauss_legendre_path():
-    # the chirp-FFT path runs none of the L-form guards, so it takes real matrices only;
-    # on fr-laplace it returns |values| up to 4e105 where Gauss-Legendre raises
+    # the chirp-FFT path runs none of the L-form guards, so of the complex matrices it takes
+    # only Gaussian convolutions, whose growth guard it runs; on fr-laplace it returns
+    # |values| up to 4e105 where Gauss-Legendre raises
     grid = Grid1D.from_span(GridKind.FULL_LINE, -10.0, 10.0, 512)
     src = sample(Gauss(1.0), grid, 0.0)
     with pytest.raises(DivergenceRisk, match="does not beat the kernel growth"):
         fr_laplace(src, 0.5, grid)
-    for mat in (mat_laplace(0.5), mat_poisson(0.5), SympMat2(1.0, 1.0 + 1e-9j, 0.0, 1.0)):
+    for mat in (mat_laplace(0.5), SympMat2(1.0, 1.0 + 1e-9j, 0.0, 1.0)):
         assert not transforms._use_chirp_fft(mat, grid, grid)
+
+
+def test_a_gaussian_convolution_takes_chirp_fft_where_the_step_resolves_the_kernel():
+    # the rule: e^{-tau pi^2/2h^2} <= 1e-16, i.e. tau >= 7.47 h^2
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -8.0, 8.0, 257)
+    assert transforms._use_chirp_fft(mat_poisson(0.05), grid, grid)  # tau/h^2 = 12.8
+    assert not transforms._use_chirp_fft(mat_poisson(0.01), grid, grid)  # tau/h^2 = 2.56
+    rule = 2.0 * math.log(1e16) / math.pi**2 * grid.step**2
+    assert transforms._use_chirp_fft(mat_poisson(rule * (1 + 1e-9)), grid, grid)
+    assert not transforms._use_chirp_fft(mat_poisson(rule * (1 - 1e-9)), grid, grid)
+    # a callable input, and an output on another step, take Gauss-Legendre
+    assert not transforms._use_chirp_fft(mat_poisson(0.05), None, grid)
+    other = Grid1D.from_span(GridKind.FULL_LINE, -8.0, 8.0, 256)
+    assert not transforms._use_chirp_fft(mat_poisson(0.05), grid, other)
+    on_lattice = Grid1D(GridKind.FULL_LINE, grid.points[40], grid.step, 100)
+    assert transforms._use_chirp_fft(mat_poisson(0.05), grid, on_lattice)
+
+
+@pytest.mark.parametrize("width", [0.7, 1.3])
+def test_heat_propagation_onto_the_source_grid_meets_the_closed_form(width):
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -14.0, 14.0, 2048)
+    heat = Gauss(width, equation=EquationKind.HEAT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        out = poisson_propagate(sample(heat, grid, 0.0), 0.5, grid)
+    assert rel_l2(out.values, np.asarray(heat.eval(grid.points, 0.5))) < 1e-14
+
+
+def test_heat_propagation_of_a_large_field_fits_in_a_few_megabytes():
+    # a dense kernel here would be 100000 x 100032 (80 GB) and is refused
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 100_000)
+    heat = Gauss(1.0, equation=EquationKind.HEAT)
+    assert transforms.plan(PoissonProp(0.5), grid, grid).nbytes < 8_000_000
+    out = poisson_propagate(sample(heat, grid, 0.0), 0.5, grid)
+    assert rel_l2(out.values, np.asarray(heat.eval(grid.points, 0.5))) < 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(width=st.floats(0.3, 2.0), reach=st.floats(7.5, 10.0), per_width=st.floats(3.0, 8.0),
+       share=st.floats(0.0, 1.0), lo=st.floats(0.1, 0.85), size=st.floats(0.0, 1.0))
+def test_resolved_heat_propagation_meets_the_closed_form(width, reach, per_width, share, lo,
+                                                         size):
+    # edge values e^{-reach^2/2} <= 7e-13 of the peak; the output window lies on the input's
+    # lattice within its inner 80 %, clear of the outer 5 % that the growth guard scores
+    half = reach * width
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -half, half, int(2 * half * per_width / width) + 1)
+    tau = 7.5 * grid.step**2 + share * (4.0 - 7.5 * grid.step**2)
+    first = int(lo * (grid.count - 1))
+    last = first + 1 + int(size * (int(0.9 * (grid.count - 1)) - first - 1))
+    out = Grid1D(GridKind.FULL_LINE, grid.points[first], grid.step, last - first + 1)
+    assert transforms._use_chirp_fft(mat_poisson(tau), grid, out)
+    heat = Gauss(width, equation=EquationKind.HEAT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        got = poisson_propagate(sample(heat, grid, 0.0), tau, out).values
+    exact = np.asarray(heat.eval(out.points, tau))
+    peak = width / math.sqrt(width**2 + tau)
+    assert np.max(np.abs(got - exact)) < 1e-13 * peak
+
+
+def test_growth_guard_runs_before_the_edge_check_on_chirp_fft():
+    # the growing field is at its peak on the edge; it raises without an edge warning first
+    growing = SampledField(FULL, np.exp((FULL.points + 12.0) ** 2 / 16) + 0j)
+    assert transforms._use_chirp_fft(mat_poisson(0.5), FULL, FULL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        with pytest.raises(DivergenceRisk):
+            poisson_propagate(growing, 0.5, FULL)
+
+
+def test_heat_propagation_of_a_field_cut_at_the_grid_edge_warns():
+    # edge 3.4e-4 of peak: the rectangle rule is 6e-6 off Gauss-Legendre's value of the
+    # truncated integral, and both are about 7e-5 off the infinite-line solution
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -8.0, 8.0, 257)
+    heat = Gauss(2.0, equation=EquationKind.HEAT)
+    src = sample(heat, grid, 0.0)
+    with pytest.warns(TruncationWarning, match="grid edge"):
+        out = poisson_propagate(src, 0.5, grid).values
+    gl = transforms._linear_gl(mat_poisson(0.5), grid, grid, QuadratureConfig(), 1.0)[1](src)
+    exact = np.asarray(heat.eval(grid.points, 0.5))
+    assert 1e-6 < np.max(np.abs(out - gl)) < 1e-5
+    assert np.max(np.abs(out - exact)) < 1e-4 and np.max(np.abs(gl - exact)) < 1e-4
 
 
 def test_chirp_fft_only_where_the_step_resolves_the_kernel():
