@@ -106,22 +106,62 @@ def _decay_radius(fn, start: float = 4.0, cap: float = 48.0) -> float:
     )
 
 
-# the on-locus branch (source-transform) evaluations use 40 panels of 48
-# Gauss-Legendre nodes over the slice's decay radius
+_LOCUS_NODES = 48  # Gauss-Legendre nodes a panel of the on-locus quadrature
+_LOCUS_MAX_PANELS = 64
+_LOCUS_AGREEMENT = 1e-12  # of the integrand's L1 size
+
+
+def _locus_quadrature(g, kernel, lo: float, hi: float, k: np.ndarray) -> np.ndarray:
+    """The integral of kernel(x) g(x) over [lo, hi] on composite Gauss-Legendre
+    panels, for a kernel of modulus <= 1 whose phase moves at most max |k| per
+    unit length (e^{-ikx}, J_m(kx)); kernel(x) is the len(k) x len(x) matrix.
+
+    The panel count starts from the kernel's phase rule, at most Phi(48) of
+    phase a panel (`transforms._panel_phase`), and doubles until two successive
+    rules agree within _LOCUS_AGREEMENT of sum w |g|, the integrand's L1 size.
+    That size bounds the integral at every k, so one that vanishes at some k
+    still converges.  The finer rule is returned.  The count stops at
+    _LOCUS_MAX_PANELS, where an unconverged result comes with a
+    TruncationWarning that names the difference reached.
+    """
+    def rule(panels):
+        xq, wq = transforms._gl_nodes(lo, hi, panels, _LOCUS_NODES)
+        wg = wq * g(xq)
+        return kernel(xq) @ wg, float(np.sum(np.abs(wg)))
+
+    k_max = float(np.max(np.abs(k), initial=0.0))
+    panels = math.ceil(k_max * (hi - lo) / transforms._panel_phase(_LOCUS_NODES))
+    panels = min(max(1, panels), _LOCUS_MAX_PANELS // 2)
+    coarse, _ = rule(panels)
+    while True:
+        panels = min(2 * panels, _LOCUS_MAX_PANELS)
+        fine, size = rule(panels)
+        gap = float(np.max(np.abs(fine - coarse), initial=0.0))
+        if gap <= _LOCUS_AGREEMENT * size:
+            return fine
+        if panels == _LOCUS_MAX_PANELS:
+            transforms._warn(
+                f"the source transform on the singular locus has not converged at "
+                f"{panels} panels of {_LOCUS_NODES} nodes: its last two rules differ by "
+                f"{gap / size:.2e} of the integrand's size")
+            return fine
+        coarse = fine
+
+
 def _fourier_at(src: AnalyticField, zeta: float, k: np.ndarray) -> np.ndarray:
     """Mathematical Fourier transform of the field's fixed-evolution slice."""
     fn = lambda x: src.eval(x, zeta)  # noqa: E731
     radius = _decay_radius(fn)
-    xq, wq = transforms._gl_nodes(-radius, radius, 40, 48)
-    return np.exp(-1j * np.outer(k, xq)) @ (wq * fn(xq)) / math.sqrt(2.0 * math.pi)
+    kernel = lambda x: np.exp(-1j * np.outer(k, x))  # noqa: E731
+    return _locus_quadrature(fn, kernel, -radius, radius, k) / math.sqrt(2.0 * math.pi)
 
 
 def _hankel_at(src: AnalyticField, m: int, zeta: float, k: np.ndarray) -> np.ndarray:
     fn = lambda x: src.eval(x, zeta)  # noqa: E731
     radius = _decay_radius(lambda x: fn(np.abs(x)))
-    xq, wq = transforms._gl_nodes(0.0, radius, 40, 48)
     # J_m(k x) = sign(k)^m J_m(|k x|) for x >= 0
-    return np.sign(k) ** m * (specfun.bessel_j(m, np.abs(np.outer(k, xq))) @ (wq * xq * fn(xq)))
+    kernel = lambda x: specfun.bessel_j(m, np.abs(np.outer(k, x)))  # noqa: E731
+    return np.sign(k) ** m * _locus_quadrature(lambda x: x * fn(x), kernel, 0.0, radius, k)
 
 
 class AppellImage(AnalyticField):

@@ -26,7 +26,9 @@ the matrix:
   sized by the Gauss-Legendre remainder bound: each spans at most the phase
   Phi(p) that p nodes integrate to 1e-15 (17 rad for p = 16) at the kernel's
   fastest local frequency; real-exponent (L-form) kernels have no phase and
-  get 4 nodes per width when they decay.  A source that starts on the axis
+  get 4 nodes per width when they decay.  A sampled field gets the edge
+  check, after the growth guard for a Gaussian convolution, as on
+  chirp-FFT.  A source that starts on the axis
   under a kernel ~ y^s, s non-integer, takes Gauss-Jacobi nodes of weight
   y^s on its first panel.  Only Gaussian-convolution kernels accept a callable
   f(y): it is evaluated on panels over the output window widened by
@@ -48,6 +50,7 @@ float64.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 import sys
@@ -359,24 +362,39 @@ def _kernel_bytes(rows: int, cols: int, real: bool) -> int:
     return nbytes
 
 
+@functools.lru_cache(maxsize=64)
+def _base_rule(nodes: int, jacobi_power: float = 0.0):
+    """The `nodes`-point rule on [-1, 1] as read-only arrays, built once per
+    argument: Gauss-Legendre (numpy's `leggauss`, an eigenproblem of Golub &
+    Welsch, Math. Comp. 23, 1969), or for jacobi_power s != 0 scipy's
+    Gauss-Jacobi rule of weight (1 + x)^s."""
+    if jacobi_power == 0.0:
+        x, w = leggauss(nodes)
+    else:
+        from scipy.special import roots_jacobi
+
+        x, w = roots_jacobi(nodes, 0.0, jacobi_power)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gl_nodes(lo: float, hi: float, panels: int, nodes: int, axis_power: float = 0.0):
-    """Composite Gauss-Legendre nodes and weights on [lo, hi].
+    """Composite Gauss-Legendre nodes and weights on [lo, hi], from the cached
+    base rules of `_base_rule`.
 
     A source that starts on the axis under a kernel ~ y^s there, s = axis_power
     non-integer and > -1, is not smooth on the first panel: that panel takes
     the Gauss-Jacobi nodes of the weight y^s (Hale & Townsend, SIAM J. Sci.
     Comput. 35, 2013), their weights divided by the y^s the kernel carries.
     """
-    base_x, base_w = leggauss(nodes)
+    base_x, base_w = _base_rule(nodes)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     xq = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     wq = (half[:, None] * base_w[None, :]).ravel()
     if lo == 0.0 and axis_power > -1.0 and abs(axis_power - round(axis_power)) > 1e-12:
-        from scipy.special import roots_jacobi
-
-        jac_x, jac_w = roots_jacobi(nodes, 0.0, axis_power)  # weight (1 + x)^s on [-1, 1]
+        jac_x, jac_w = _base_rule(nodes, axis_power)  # weight (1 + x)^s on [-1, 1]
         xq[:nodes] = half[0] * (1.0 + jac_x)
         wq[:nodes] = half[0] * jac_w / (1.0 + jac_x) ** axis_power
     return xq, wq
@@ -425,10 +443,11 @@ def _kernel_nodes(cfg: QuadratureConfig, mat: SympMat2, in_grid: Grid1D | None,
     at the input axis (`_gl_nodes`), and the function that reads a field at
     the nodes behind the guard the matrix calls for.
 
-    A Gaussian convolution gets the growth guard and alone takes a callable
-    f(y) (in_grid None; rule in the module docstring).  Other kernels get the
-    edge check, after the convergence and support check if L-form.
-    Apodization is centred on the axis (half-line) or the grid midpoint.
+    A Gaussian convolution alone takes a callable f(y) (in_grid None; rule in
+    the module docstring).  A sampled field gets the edge check, after the
+    growth guard for a Gaussian convolution and after the convergence and
+    support check for other L-form kernels.  Apodization is centred on the
+    axis (half-line) or the grid midpoint.
     """
     out_x = out_grid.points
     outmax = float(np.max(np.abs(out_x)))
@@ -451,15 +470,14 @@ def _kernel_nodes(cfg: QuadratureConfig, mat: SympMat2, in_grid: Grid1D | None,
             else (float(np.min(out_x)), float(np.max(out_x))))
 
     def values(field):
-        if tau is None:
-            if _real_exponent(mat):
-                _lform_support_check(mat, field, outmax, xmax)
-            _edge_check(field, cfg)
+        if tau is None and _real_exponent(mat):
+            _lform_support_check(mat, field, outmax, xmax)
         fq = _interpolant(field)(xq)
         if window is not None:
             fq = fq * window
-        if tau is not None:
+        if tau is not None:  # before the edge check: a growing field raises, not warns
             _kernel_beats_growth(field, xq, fq, tau, ends)
+        _edge_check(field, cfg)
         return fq
 
     return xq, wq, values

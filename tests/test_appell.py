@@ -32,6 +32,7 @@ from canonica.fields import (
     Grid1D,
     GridKind,
     HeatPoly,
+    Linear,
     PlaneChirp,
     Radial,
     RadialDim,
@@ -46,7 +47,7 @@ from canonica.appell import (
     appell_numeric,
     self_appell_eigencheck,
 )
-from canonica import transforms
+from canonica import appell, specfun, transforms
 from canonica.transforms import QuadratureConfig, frft
 
 EK = EquationKind
@@ -565,6 +566,67 @@ def test_on_locus_needs_decaying_slice():
     image = appell_analytic(PlaneChirp(1.0), AppellSpec(EK.PWE, alpha=1.0))
     with pytest.raises(SingularEvol):
         image.eval(0.5, 0.0)
+
+
+def _forty_panel_transform(field, m, k):
+    # the on-locus quadrature before panel doubling: 40 panels of 48 Gauss-Legendre nodes
+    fn = lambda x: field.eval(x, 0.0)  # noqa: E731
+    if m is None:
+        radius = appell._decay_radius(fn)
+        xq, wq = transforms._gl_nodes(-radius, radius, 40, 48)
+        return np.exp(-1j * np.outer(k, xq)) @ (wq * fn(xq)) / math.sqrt(2.0 * math.pi)
+    radius = appell._decay_radius(lambda x: fn(np.abs(x)))
+    xq, wq = transforms._gl_nodes(0.0, radius, 40, 48)
+    return np.sign(k) ** m * (specfun.bessel_j(m, np.abs(np.outer(k, xq))) @ (wq * xq * fn(xq)))
+
+
+@pytest.mark.parametrize("field, m, grid", [
+    *[pytest.param(StdHG(n), None, Grid1D(GridKind.FULL_LINE, -4.0, 8.0 / 63, 64), id=f"hg{n}")
+      for n in range(9)],
+    *[pytest.param(StdLG(n, m), m, Grid1D(GridKind.HALF_LINE, 0.0, 5.0 / 63, 64), id=f"lg{n}-{m}")
+      for n in range(7) for m in range(3)],
+])
+def test_on_locus_quadrature_matches_forty_panels(field, m, grid):
+    # the a4 checks' modes and grids: panel doubling stops at a few panels, without a
+    # warning, and agrees with the 40-panel rule
+    k = grid.points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        got = (appell._fourier_at(field, 0.0, k) if m is None
+               else appell._hankel_at(field, m, 0.0, k))
+    assert np.max(np.abs(got - _forty_panel_transform(field, m, k))) < 1e-13
+
+
+def test_on_locus_quadrature_converges_where_the_transform_vanishes():
+    # HG1 is odd, so its transform is 0 at k = 0, also when k = 0 is the only point:
+    # agreement is measured against the integrand's size, not the transform's, and
+    # the doubling stops
+    k = np.linspace(-3.0, 3.0, 13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        got = appell._fourier_at(StdHG(1), 0.0, k)
+        at_zero = appell._fourier_at(StdHG(1), 0.0, np.zeros(1))
+    assert abs(got[6]) < 1e-15 and abs(at_zero[0]) < 1e-15
+    assert np.max(np.abs(got + 1j * StdHG(1).eval(k, 0.0))) < 1e-14
+
+
+class _FastChirpGauss(AnalyticField):
+    """exp(-x^2/2 + 60 i x^2) at every zeta: a decaying slice whose chirp reaches
+    1600 rad per unit length inside its decay radius."""
+
+    equation = EK.PWE
+    geometry = Linear()
+
+    def _eval(self, x, zeta):
+        return np.exp((-0.5 + 60j) * x**2)
+
+
+def test_on_locus_quadrature_warns_at_its_panel_cap():
+    image = appell_analytic(_FastChirpGauss(), AppellSpec(EK.PWE, alpha=1.0))
+    with pytest.warns(TruncationWarning, match=r"not converged at 64 panels of 48 nodes: "
+                                               r"its last two rules differ by \d\.\d\de[-+]\d+"):
+        values = image.eval(np.linspace(-1.0, 1.0, 5), 0.0)
+    assert np.all(np.isfinite(values))
 
 
 ORDER_TWO_CASES = {

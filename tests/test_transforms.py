@@ -258,10 +258,22 @@ def test_heat_propagation_of_a_field_cut_at_the_grid_edge_warns():
     src = sample(heat, grid, 0.0)
     with pytest.warns(TruncationWarning, match="grid edge"):
         out = poisson_propagate(src, 0.5, grid).values
-    gl = transforms._linear_gl(mat_poisson(0.5), grid, grid, QuadratureConfig(), 1.0)[1](src)
+    with pytest.warns(TruncationWarning, match="grid edge"):
+        gl = transforms._linear_gl(mat_poisson(0.5), grid, grid, QuadratureConfig(), 1.0)[1](src)
     exact = np.asarray(heat.eval(grid.points, 0.5))
     assert 1e-6 < np.max(np.abs(out - gl)) < 1e-5
     assert np.max(np.abs(out - exact)) < 1e-4 and np.max(np.abs(gl - exact)) < 1e-4
+
+
+def test_heat_propagation_on_gauss_legendre_warns_of_a_field_cut_at_the_grid_edge():
+    # the same field onto another step keeps Gauss-Legendre, and is as far off
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -8.0, 8.0, 257)
+    out = Grid1D.from_span(GridKind.FULL_LINE, -8.0, 8.0, 200)
+    heat = Gauss(2.0, equation=EquationKind.HEAT)
+    assert not transforms._use_chirp_fft(mat_poisson(0.5), grid, out)
+    with pytest.warns(TruncationWarning, match="grid edge"):
+        got = poisson_propagate(sample(heat, grid, 0.0), 0.5, out).values
+    assert 1e-5 < np.max(np.abs(got - np.asarray(heat.eval(out.points, 0.5)))) < 1e-4
 
 
 def test_chirp_fft_only_where_the_step_resolves_the_kernel():
@@ -747,6 +759,34 @@ def test_panel_phase_meets_the_gauss_legendre_remainder_bound(nodes):
             exact = (mpmath.expj(omega * length) - 1) / (1j * omega)
             err = max(abs(mpmath.re(quad - exact)), abs(mpmath.im(quad - exact))) / length
             assert (err <= 1e-15) == within
+
+
+@pytest.mark.parametrize("axis_power", [0.0, 0.5, -0.3])
+@pytest.mark.parametrize("nodes", [8, 16, 32, 48, 64])
+def test_gl_nodes_build_each_base_rule_once_and_bit_for_bit(nodes, axis_power):
+    # the cached rules give the nodes and weights of a fresh leggauss / roots_jacobi build
+    from numpy.polynomial.legendre import leggauss
+    from scipy.special import roots_jacobi
+
+    lo, hi, panels = 0.0, 3.7, 5
+    base_x, base_w = leggauss(nodes)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    want_x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
+    want_w = (half[:, None] * base_w[None, :]).ravel()
+    if axis_power:
+        jac_x, jac_w = roots_jacobi(nodes, 0.0, axis_power)
+        want_x[:nodes] = half[0] * (1.0 + jac_x)
+        want_w[:nodes] = half[0] * jac_w / (1.0 + jac_x) ** axis_power
+    for _ in range(2):  # the second call reads the cache
+        xq, wq = transforms._gl_nodes(lo, hi, panels, nodes, axis_power)
+        assert xq.tobytes() == want_x.tobytes() and wq.tobytes() == want_w.tobytes()
+    for rule in (transforms._base_rule(nodes), transforms._base_rule(nodes, axis_power)):
+        for arr in rule:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    assert transforms._base_rule(nodes, axis_power) is transforms._base_rule(nodes, axis_power)
 
 
 def test_panel_cap_warns_with_requested_and_used_counts():
