@@ -7,12 +7,10 @@ Each map has two realizations:
 * a numeric path (`appell_numeric`) acting on sampled source data at
   evolution value 0.  Its fractional stage followed by the propagator is,
   by the metaplectic representation, one canonical transform of the product
-  T(zeta) F^alpha (wave) or P(t) L^alpha (heat), up to a sign (Moshinsky &
-  Quesne, J. Math. Phys. 12, 1971): the path runs that one kernel times the
-  stage's matching factor and sigma = exp(-i pi p (s1 + s2 - s1 s2 s - s)/2),
-  with s1, s2, s the signs of B of stage, propagator and product (real part
-  for wave, imaginary part for L-form matrices) and p = nu + 1 of the kernel:
-  1/2 on the line, m + 1 for radial wave (sigma = 1), mu/2 for radial heat.
+  T(zeta) F^alpha (wave) or P(t) L^alpha (heat), up to a phase: the path runs
+  that one kernel times the stage's matching factor and the chain's
+  `symplectic.metaplectic_phase`, for p = nu + 1 of the kernel: 1/2 on the
+  line, m + 1 for radial wave, mu/2 for radial heat.
 
 Branch handling: the square-root (and mu/2-power) prefactors of the
 analytic maps are evaluated as principal powers of c * exp(-i phi) rather
@@ -40,7 +38,8 @@ from .fields import (
     RadialDim,
     SampledField,
 )
-from .symplectic import SympMat2, compose, mat_fourier, mat_free, mat_laplace, reduce_order
+from .symplectic import (SympMat2, compose, mat_fourier, mat_free, mat_laplace,
+                         metaplectic_phase, reduce_order)
 from . import transforms
 from .transforms import DEFAULT_CONFIG, QuadratureConfig
 
@@ -244,20 +243,16 @@ def appell_numeric(source: SampledField, spec: AppellSpec, out_grid: Grid1D,
         raise EquationMismatch(f"{'radial' if eq.is_radial else 'linear'} maps need {kind} sources")
     if eq.is_heat and evol < 0:
         raise ValueError("diffusion time must be positive")
-    a = alpha if eq.is_radial else reduce_order(alpha)  # each stage engine's own order
-    stage = (mat_laplace if eq.is_heat else mat_fourier)(a)
+    stage = (mat_laplace if eq.is_heat else mat_fourier)(alpha)
     prop = SympMat2(1.0, -1j * evol, 0.0, 1.0) if eq.is_heat else mat_free(evol)
     mat = compose(prop, stage)
     matching, p = {  # the stage's matching factor, and the power nu + 1 of its kernel
-        EquationKind.PWE: (cmath.exp(0.25j * math.pi * a), 0.5),
-        EquationKind.HEAT: (cmath.exp(0.25j * math.pi * (a - alpha)), 0.5),
+        EquationKind.PWE: (cmath.exp(0.25j * math.pi * alpha), 0.5),
+        EquationKind.HEAT: (1.0, 0.5),
         EquationKind.RADIAL_PWE: (cmath.exp(0.5j * math.pi * (spec.m + 1) * alpha), spec.m + 1.0),
         EquationKind.RADIAL_HEAT: (1.0, spec.mu / 2.0),
     }[eq]
-    # the signs of B1, B2 and B: real parts of wave matrices, imaginary parts of L-form ones
-    s1, s2, s = (-1.0 if (x.b.imag if eq.is_heat else x.b.real) < 0 else 1.0
-                 for x in (stage, prop, mat))
-    factor = matching * cmath.exp(-0.5j * math.pi * p * (s1 + s2 - s1 * s2 * s - s))
+    factor = matching * metaplectic_phase(p, stage, prop)
     if not eq.is_radial:
         return transforms.linear_ct(mat, source, out_grid, cfg, factor, evol)
     n_dim, m = (spec.mu, 0) if eq.is_heat else (2.0, spec.m)

@@ -10,6 +10,7 @@ triangular ("lens - scale - free section") factorization schemes.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from collections import namedtuple
@@ -89,6 +90,26 @@ def compose(*mats: SympMat2) -> SympMat2:
             c * m.b + d * m.d,
         )
     return SympMat2(a, b, c, d)
+
+
+def metaplectic_phase(p: float, *mats: SympMat2) -> complex:
+    """The phase of the chain of kernels of power p = nu + 1 of `mats` (the first
+    acting first) against the kernel of their product: the metaplectic cocycle
+    (Moshinsky & Quesne, J. Math. Phys. 12, 1971; M. de Gosson, Symplectic
+    Geometry and Quantum Mechanics, 2006).  A matrix sits on side s of B = 0:
+    the sign of Re B, or of Im B when Re B is zero (at B ~ 0, as for
+    mat_fourier(+-2), the side its rounding lands on).  With g(s) = e^{-i pi p s/2},
+    each step m1 then m2 gives sigma = g(s1) g(s2) / (g(s) g(s1 s2 s)), s the side
+    of the product.  One matrix at B = 0 gives the B -> 0 limit of its kernel
+    against its point map: g(s)^2 for A < 0, 1 for A > 0.
+    """
+    side = lambda m: -1 if (m.b.real or m.b.imag) < 0 else 1  # noqa: E731
+    prod = mats[0]
+    k = 2 * side(prod) if len(mats) == 1 and prod.a.real < 0 else 0
+    for m in mats[1:]:
+        s1, s2, prod = side(prod), side(m), compose(m, prod)
+        k += s1 + s2 - (s1 * s2 + 1) * side(prod)
+    return cmath.exp(-0.5j * math.pi * p * k)
 
 
 def inverse(m: SympMat2) -> SympMat2:
@@ -225,10 +246,4 @@ def reduce_order(alpha: float) -> float:
     elif r <= -2.0:
         r += 4.0
     return r
-
-
-def fourier_orders_equal(a1: float, a2: float, tol: float = 1e-12) -> bool:
-    """Order equality modulo the 4-periodicity of the fractional family."""
-    d = math.fmod(a1 - a2, 4.0)
-    return min(abs(d), abs(abs(d) - 4.0)) <= tol
 

@@ -83,6 +83,7 @@ from .symplectic import (
     mat_free,
     mat_laplace,
     mat_poisson,
+    metaplectic_phase,
     reduce_order,
 )
 
@@ -527,15 +528,9 @@ def _point_map(mat: SympMat2, in_grid: Grid1D, out_x: np.ndarray, power: float, 
     """The B = 0 kernel of order nu, a point map: |A|^(-power) e^{i C x^2/2A}
     f(x/A), read off the field's spline; on a half-line grid the point is x/|A|.
 
-    For A < 0 the kernel's B -> 0 limit depends on the side of B = 0 the
-    matrix sits on: e^{-i pi (nu+1)} from B > 0 or B in i R+ (and at B = 0
-    exactly), e^{+i pi (nu+1)} from B < 0 or B in -i R+, which is where the
-    orders alpha = -2 of the fractional families land.  The linear kernel is
-    the nu = -1/2 case, the limit -+i of (iB/A)^(1/2)/(iB)^(1/2).  The side
-    is read from the sign of the residual B (|B| <= GEOMETRIC_B_TOL): for
-    mat_fourier(+-2) and mat_laplace(+-2) that is the sign of sin(+-pi),
-    which is the side alpha approaches from, but a matrix composed to B ~ 0
-    gets the branch its rounding lands on.
+    For A < 0 the kernel's B -> 0 limit turns by a phase that depends on the
+    side of B = 0 the residual B (|B| <= GEOMETRIC_B_TOL) sits on:
+    `metaplectic_phase(nu + 1, mat)`.  The linear kernel is the nu = -1/2 case.
 
     Returns the bytes held and the function of the field.
     """
@@ -544,16 +539,11 @@ def _point_map(mat: SympMat2, in_grid: Grid1D, out_x: np.ndarray, power: float, 
     a = mat.a.real
     pts = out_x / (abs(a) if in_grid.kind == GridKind.HALF_LINE else a)
     factor = abs(a) ** (-power) * np.exp(0.5j * (mat.c / mat.a) * out_x**2)
-    turn = None
-    if a < 0:
-        side = -1.0 if (mat.b.real or mat.b.imag) < 0 else 1.0
-        turn = cmath.exp(-1j * math.pi * (nu + 1.0) * side)
+    turn = metaplectic_phase(nu + 1.0, mat)
 
     def run(field):
         vals = factor * _interpolant(field)(pts)
-        if turn is not None:
-            vals *= turn
-        return vals
+        return vals * turn if turn != 1 else vals
 
     return factor.nbytes, run
 

@@ -12,7 +12,6 @@ from canonica.symplectic import (
     IDENTITY,
     SympMat2,
     compose,
-    fourier_orders_equal,
     inverse,
     mat_appell,
     mat_bargmann,
@@ -23,6 +22,7 @@ from canonica.symplectic import (
     mat_lens,
     mat_poisson,
     mat_scale,
+    metaplectic_phase,
     reduce_order,
     wei_norman_lform,
     wei_norman_real,
@@ -145,8 +145,56 @@ def test_fourier_group_law():
     assert mats_close(lhs, mat_laplace(0.7), 1e-14)
     # periodicity mod 4
     assert mats_close(mat_fourier(1.5), mat_fourier(1.5 - 4.0), 1e-13)
-    assert fourier_orders_equal(1.5, -2.5)
-    assert not fourier_orders_equal(1.5, -1.5)
+
+
+# orders (a1, a2) whose matrices sit on sides (s1, s2) of B = 0 and whose product sits on s
+_SIGN_PATTERNS = [
+    ((0.5, 0.5), (1, 1, 1)), ((1.5, 1.5), (1, 1, -1)), ((1.5, -0.5), (1, -1, 1)),
+    ((0.5, -1.5), (1, -1, -1)), ((-0.5, 1.5), (-1, 1, 1)), ((-1.5, 0.5), (-1, 1, -1)),
+    ((-1.5, -1.5), (-1, -1, 1)), ((-0.5, -0.5), (-1, -1, -1)),
+]
+
+
+@pytest.mark.parametrize("orders, signs", _SIGN_PATTERNS)
+@pytest.mark.parametrize("family", [mat_fourier, mat_laplace])
+def test_metaplectic_phase_on_every_sign_pattern(family, orders, signs):
+    # the side of B is read from Re B for the rotations and from Im B for the L-form family
+    m1, m2 = (family(a) for a in orders)
+    s1, s2, s = signs
+    assert [(-1 if (m.b.real or m.b.imag) < 0 else 1) for m in (m1, m2, compose(m2, m1))] == [
+        s1, s2, s]
+    for p in (0.5, 1.5, 2.0, 2.7):
+        # sigma = g(s1) g(s2) / (g(s) g(s1 s2 s)) with g(s) = e^{-i pi p s/2}, written out
+        assert metaplectic_phase(p, m1, m2) == cmath.exp(
+            -0.5j * math.pi * p * (s1 + s2 - s1 * s2 * s - s))
+        g = lambda u: cmath.exp(-0.5j * math.pi * p * u)  # noqa: E731
+        assert metaplectic_phase(p, m1, m2) == pytest.approx(
+            g(s1) * g(s2) / (g(s) * g(s1 * s2 * s)), abs=1e-15)
+    # the line (p = 1/2) flips sign where the factors sit on one side and the product on the
+    # other; an integer p = m + 1 (radial wave) never does
+    assert metaplectic_phase(0.5, m1, m2) == pytest.approx(-1.0 if s1 == s2 != s else 1.0)
+    assert metaplectic_phase(2.0, m1, m2) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.3])
+def test_metaplectic_phase_of_a_point_map(p):
+    # one matrix at B = 0: g(s)^2 for A < 0, the side s read from the residual B of
+    # sin(+-pi), so alpha = 2 and alpha = -2 land on either side; 1 for A > 0
+    g = lambda u: cmath.exp(-0.5j * math.pi * p * u)  # noqa: E731
+    for family in (mat_fourier, mat_laplace):
+        for alpha, s in ((2.0, 1), (-2.0, -1)):
+            phase = metaplectic_phase(p, family(alpha))
+            assert phase == cmath.exp(-1j * math.pi * p * s)
+            assert phase == pytest.approx(g(s) ** 2, abs=1e-15)
+        assert metaplectic_phase(p, family(0.0)) == 1.0
+    assert metaplectic_phase(p, SympMat2(-1.0, 0.0, 0.0, -1.0)) == pytest.approx(g(1) ** 2)
+
+
+def test_metaplectic_phase_of_a_longer_chain_multiplies_a_sigma_a_step():
+    m1, m2, m3 = mat_fourier(1.2), mat_fourier(1.3), mat_fourier(1.4)
+    for p in (0.5, 1.5):
+        assert metaplectic_phase(p, m1, m2, m3) == pytest.approx(
+            metaplectic_phase(p, m1, m2) * metaplectic_phase(p, compose(m2, m1), m3), abs=1e-15)
 
 
 def test_laplace_similarity_by_scale():
@@ -287,6 +335,7 @@ def test_fractional_families_are_four_periodic(alpha):
     assert mats_close(mat_laplace(alpha + 4.0), mat_laplace(alpha), 1e-13)
     r = reduce_order(alpha)
     assert -2.0 < r <= 2.0
-    assert fourier_orders_equal(r, alpha)
-    assert fourier_orders_equal(reduce_order(alpha + 4.0), r)
+    # r is alpha modulo 4, and so is the reduction of alpha + 4
+    assert abs(math.remainder(r - alpha, 4.0)) <= 1e-12
+    assert abs(math.remainder(reduce_order(alpha + 4.0) - r, 4.0)) <= 1e-12
     assert mats_close(mat_fourier(r), mat_fourier(alpha), 1e-13)

@@ -6,10 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.fft import next_fast_len
 
 from canonica.common import (
+    CanonicaError,
     DivergenceRisk,
     EquationKind,
     GeometryMismatch,
@@ -42,6 +43,7 @@ from canonica.symplectic import (
     mat_lens,
     mat_poisson,
     mat_scale,
+    metaplectic_phase,
 )
 from canonica import transforms
 from canonica.cli import main
@@ -52,6 +54,7 @@ from canonica.transforms import (
     LinearCT,
     PoissonProp,
     QuadratureConfig,
+    RadialCT,
     apply,
     bessel_exp,
     fr_hankel,
@@ -113,28 +116,39 @@ _ORDERS = st.one_of(st.floats(-2.0, 2.0), st.tuples(st.sampled_from((0.0, 2.0, -
                                                      st.floats(-0.05, 0.05)).map(sum))
 
 
+# the group law: an order beta after alpha is the order alpha + beta, across the wrap of
+# alpha + beta past +-2, where the matching factors and the metaplectic sign change together
 @settings(max_examples=10, deadline=None)
-@given(alpha=_ORDERS, center=st.floats(-1.0, 1.0), kick=st.floats(-1.0, 1.0))
-def test_frft_inverse_pairing_and_period_four_property(alpha, center, kick):
-    assume(abs(math.sin(0.5 * math.pi * alpha)) >= 0.01)
+@given(alpha=_ORDERS, beta=st.floats(-2.0, 2.0), center=st.floats(-1.0, 1.0),
+       kick=st.floats(-1.0, 1.0))
+@example(alpha=1.2, beta=1.3, center=0.0, kick=0.0)
+@example(alpha=-1.2, beta=-1.3, center=0.3, kick=-0.5)
+def test_frft_inverse_pairing_and_period_four_property(alpha, beta, center, kick):
+    assume(min(abs(math.sin(0.5 * math.pi * a)) for a in (alpha, beta, alpha + beta)) >= 0.01)
     grid = Grid1D.from_span(GridKind.FULL_LINE, -8.0, 8.0, 128)
     x = grid.points
     f = SampledField(grid, np.exp(-(x - center) ** 2 / 2 + 1j * kick * x))
     image = frft(f, alpha, grid)
     assert rel_l2(frft(image, -alpha, grid).values, f.values) < 1e-7
     assert rel_l2(frft(f, alpha + 4.0, grid).values, image.values) < 1e-11
+    assert rel_l2(frft(image, beta, grid).values, frft(f, alpha + beta, grid).values) < 1e-7
 
 
 @settings(max_examples=10, deadline=None)
-@given(alpha=_ORDERS, m=st.integers(0, 3), width=st.floats(0.7, 1.4))
-def test_fr_hankel_inverse_pairing_property(alpha, m, width):
+@given(alpha=_ORDERS, beta=st.floats(-2.0, 2.0), m=st.integers(0, 3), width=st.floats(0.7, 1.4))
+@example(alpha=1.2, beta=1.3, m=0, width=1.0)
+@example(alpha=1.2, beta=1.3, m=1, width=1.0)
+def test_fr_hankel_inverse_pairing_property(alpha, beta, m, width):
     # |B| >= 0.02 keeps the Bessel argument 144/|B| under the guard of J_0
-    assume(abs(math.sin(0.5 * math.pi * alpha)) >= 0.02)
+    assume(min(abs(math.sin(0.5 * math.pi * a)) for a in (alpha, beta, alpha + beta)) >= 0.02)
     grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 12.0, 384)
     r = grid.points
     f = SampledField(grid, r**m * np.exp(-r**2 / (2 * width**2)) * (1 + 0.3j * r**2), Radial(m))
-    back = fr_hankel(fr_hankel(f, m, alpha, grid, CFG16), m, -alpha, grid, CFG16)
+    image = fr_hankel(f, m, alpha, grid, CFG16)
+    back = fr_hankel(image, m, -alpha, grid, CFG16)
     assert rel_l2(back.values, f.values) < 1e-8
+    both = fr_hankel(f, m, alpha + beta, grid, CFG16)
+    assert rel_l2(fr_hankel(image, m, beta, grid, CFG16).values, both.values) < 1e-8
 
 
 def test_frft_group_law_and_inverse_pairing():
@@ -160,6 +174,82 @@ def test_linear_ct_inverse_pairing():
     m = compose(mat_free(0.5), mat_lens(0.6))
     back = linear_ct(inverse(m), linear_ct(m, src, FULL), FULL)
     assert rel_l2(back.values, src.values) < 1e-5
+
+
+# the composition law: the kernels of M1 and then M2 are metaplectic_phase(p, M1, M2) times
+# the kernel of M2 M1, p = nu + 1, unless a guard flags a side (a warning or a CanonicaError).
+# The edge check passes an intermediate field whose edge is below EDGE_WARN_LEVEL (1e-6) of
+# its peak, so its cut tail may cost about that much; a wrong phase costs sqrt(2) or more.
+_COMPOSITION_TOL = 1e-6
+_STEPS = {"F": (mat_fourier, st.floats(-2.0, 2.0)), "T": (mat_free, st.floats(-1.5, 1.5)),
+          "L": (mat_laplace, st.floats(-2.0, 2.0)), "P": (mat_poisson, st.floats(0.01, 1.0))}
+_LINE = Grid1D.from_span(GridKind.FULL_LINE, -10.0, 10.0, 512)
+_LINE_WIDE = Grid1D.from_span(GridKind.FULL_LINE, -14.0, 14.0, 1024)
+_LINE_FIELDS = {
+    "hg2": SampledField(_LINE, StdHG(2).eval(_LINE.points, 0.0) * (1 + 0.2j * _LINE.points)),
+    "gauss": SampledField(_LINE_WIDE, np.exp(-_LINE_WIDE.points**2 / 2) + 0j),
+}
+_HALF_14 = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 14.0, 1024)
+
+
+def _steps(families: str):
+    """The matrix of one of the given families of _STEPS, with a parameter drawn for it."""
+    return st.sampled_from(families).flatmap(
+        lambda n: _STEPS[n][1].map(lambda u: _STEPS[n][0](u)))
+
+
+def _composition_error(kernel_plan, f, m1, m2, p, b_min):
+    """rel-L2 of plan(M2)(plan(M1)(f)) against the phase times plan(M2 M1)(f), or None when
+    either side is flagged.  kernel_plan(M) is the plan of M's kernel on the field's grid.
+
+    A draw with 0 < |B| < b_min in a factor or the product is skipped: its near-delta kernel
+    takes thousands of panels, or the radial engine refuses it with a ValueError."""
+    assume(all(abs(m.b) >= b_min or abs(m.b) <= transforms.GEOMETRIC_B_TOL
+               for m in (m1, m2, compose(m2, m1))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        try:
+            chain = kernel_plan(m2)(kernel_plan(m1)(f))
+            direct = kernel_plan(compose(m2, m1))(f)
+        except (CanonicaError, TruncationWarning):
+            return None
+    return rel_l2(chain.values, metaplectic_phase(p, m1, m2) * direct.values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(field=st.sampled_from(sorted(_LINE_FIELDS)), m1=_steps("FTLP"), m2=_steps("FTLP"))
+@example(field="hg2", m1=mat_fourier(1.2), m2=mat_fourier(1.3))  # sigma = -1
+@example(field="hg2", m1=mat_fourier(-1.2), m2=mat_fourier(-1.3))  # sigma = -1
+@example(field="hg2", m1=mat_fourier(0.7), m2=mat_fourier(1.3))  # the product: an A < 0 point map
+@example(field="gauss", m1=mat_laplace(-0.3), m2=mat_poisson(0.4))
+@example(field="gauss", m1=mat_laplace(0.3), m2=mat_poisson(0.4))  # refused: exponent overflow
+@example(field="gauss", m1=mat_poisson(0.3), m2=mat_poisson(0.5))  # refused: false DivergenceRisk
+def test_linear_composition_law_property(field, m1, m2):
+    f = _LINE_FIELDS[field]
+    err = _composition_error(lambda mat: transforms.plan(LinearCT(mat), f.grid, f.grid, CFG16),
+                             f, m1, m2, 0.5, b_min=0.01)
+    assert err is None or err < _COMPOSITION_TOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=st.one_of(
+    # radial wave: real matrices, index m, p = m + 1
+    st.tuples(st.just("wave"), st.integers(0, 2), _steps("FT"), _steps("FT")),
+    # radial heat: L-form matrices, dimension mu, p = mu/2
+    st.tuples(st.just("heat"), st.sampled_from((2.0, 3.0, 5.0)), _steps("LP"), _steps("LP"))))
+@example(case=("wave", 0, mat_fourier(1.2), mat_fourier(1.3)))
+@example(case=("wave", 1, mat_fourier(1.2), mat_fourier(1.3)))
+@example(case=("heat", 3.0, mat_poisson(0.3), mat_poisson(0.5)))
+def test_radial_composition_law_property(case):
+    domain, index, m1, m2 = case
+    n_dim, m, p, geometry = ((2.0, index, index + 1.0, Radial(index)) if domain == "wave"
+                             else (index, 0, index / 2.0, RadialDim(index, 0)))
+    r = _HALF_14.points
+    f = SampledField(_HALF_14, r**m * np.exp(-r**2 / 2) + 0j, geometry)
+    err = _composition_error(
+        lambda mat: transforms.plan(RadialCT(mat, n_dim, m), _HALF_14, _HALF_14, CFG16),
+        f, m1, m2, p, b_min=0.02)  # J_nu(r y/|B|) stays under its guard of 1e4 or more
+    assert err is None or err < _COMPOSITION_TOL
 
 
 def test_gl_and_chirp_fft_paths_agree():
