@@ -11,6 +11,7 @@ from .common import (
     GeometryMismatch,
     ImagingSingular,
     IntegrabilityViolation,
+    KernelRefused,
     LaplaceSingular,
     SingularEvol,
     TruncationWarning,
@@ -47,7 +48,7 @@ from .fields import (
     sample,
     write_field,
 )
-from .transforms import Plan, QuadratureConfig, apply, plan
+from .transforms import Kernel, Plan, QuadratureConfig, apply, plan
 from .appell import AppellSpec, appell_analytic, appell_numeric, self_appell_eigencheck
 from .verify import (
     ResidualReport,

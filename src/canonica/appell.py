@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from .fields import (
     GridKind,
     RadialDim,
     SampledField,
+    StdHG,
+    StdLG,
 )
 from .symplectic import (SympMat2, compose, mat_fourier, mat_free, mat_laplace,
                          metaplectic_phase, reduce_order)
@@ -253,10 +255,10 @@ def appell_numeric(source: SampledField, spec: AppellSpec, out_grid: Grid1D,
         EquationKind.RADIAL_HEAT: (1.0, spec.mu / 2.0),
     }[eq]
     factor = matching * metaplectic_phase(p, stage, prop)
-    if not eq.is_radial:
-        return transforms.linear_ct(mat, source, out_grid, cfg, factor, evol)
     n_dim, m = (spec.mu, 0) if eq.is_heat else (2.0, spec.m)
-    return transforms.radial_ct(source, mat, n_dim, m, out_grid, cfg, factor, evol)
+    kernel = transforms.radial_ct(mat, n_dim, m) if eq.is_radial else transforms.linear_ct(mat)
+    kernel = replace(kernel, matching=factor, evol_shift=evol)
+    return transforms.apply(kernel, source, out_grid, cfg)
 
 
 def self_appell_eigencheck(mode: str, n: int, alpha: float, zeta: float,
@@ -265,8 +267,6 @@ def self_appell_eigencheck(mode: str, n: int, alpha: float, zeta: float,
 
     mode "hg": eigenvalue (-i)^(alpha n); mode "lg": eigenvalue (-1)^(alpha n).
     """
-    from .fields import StdHG, StdLG
-
     if mode == "hg":
         field = StdHG(n)
         spec = AppellSpec(EquationKind.PWE, alpha=alpha)

@@ -128,12 +128,13 @@ def _label(values, name: str) -> str:
     return _FLAGS.get(name, "--" + name.replace("_", "-"))
 
 
-def _build(cls, values, what: str):
-    """Construct `cls` from the flags (an argparse namespace) or a --spec-json object:
-    each parameter takes the flag or key of its name, else its _DEFAULTS entry,
-    else the constructor's default.  A missing or unconvertible value and an
-    unknown key are usage errors; the constructor's ValueErrors numeric failures."""
-    params = inspect.signature(cls, eval_str=True).parameters
+def _build(make, values, what: str):
+    """Call `make` (a class, or a transform's function) with the flags (an argparse
+    namespace) or a --spec-json object: each parameter takes the flag or key of its
+    name, else its _DEFAULTS entry, else the signature's default.  A missing or
+    unconvertible value and an unknown key are usage errors; `make`'s ValueErrors
+    numeric failures."""
+    params = inspect.signature(make, eval_str=True).parameters
     unknown = values.keys() - params.keys() if isinstance(values, dict) else ()
     if unknown:
         raise CanonicaError(f"{what} takes {', '.join(params)}, not {', '.join(sorted(unknown))}")
@@ -148,7 +149,7 @@ def _build(cls, values, what: str):
             kwargs[name] = _convert(param.annotation, value)
         except CanonicaError as exc:
             raise CanonicaError(f"{what}: {_label(values, name)}: {exc}") from None
-    return cls(**kwargs)
+    return make(**kwargs)
 
 
 def _lookup(table: dict, name, what: str):
@@ -188,24 +189,24 @@ def cmd_sample(args) -> int:
 def cmd_transform(args) -> int:
     values = _json_object(args.spec_json, "--spec-json") if args.spec_json else args
     name = values.pop("name", None) if args.spec_json else args.name
-    spec = _build(_lookup(transforms.TRANSFORMS, name, "transform")[0], values, f"transform {name}")
-    return _map_file(args, lambda field, grid, cfg: transforms.apply(spec, field, grid, cfg))
+    kernel = _build(_lookup(transforms.TRANSFORMS, name, "transform"), values, f"transform {name}")
+    return _map_file(args, lambda field, grid, cfg: transforms.apply(kernel, field, grid, cfg))
 
 
-# equation -> propagate(field, evol, m, mu, grid, cfg), which looks its engine up per call
+# equation -> the kernel of its propagator by evol, of index m or dimension mu
 _PROPAGATORS = {
-    EquationKind.PWE: lambda f, e, m, mu, g, c: transforms.fresnel_propagate(f, e, g, c),
-    EquationKind.HEAT: lambda f, e, m, mu, g, c: transforms.poisson_propagate(f, e, g, c),
-    EquationKind.RADIAL_PWE: lambda f, e, m, mu, g, c: transforms.radial_propagate(f, e, m, g, c),
-    EquationKind.RADIAL_HEAT: lambda f, e, m, mu, g, c: transforms.radial_heat_propagate(
-        f, e, mu, g, c),
+    EquationKind.PWE: lambda evol, m, mu: transforms.fresnel_propagate(evol),
+    EquationKind.HEAT: lambda evol, m, mu: transforms.poisson_propagate(evol),
+    EquationKind.RADIAL_PWE: lambda evol, m, mu: transforms.radial_propagate(evol, m),
+    EquationKind.RADIAL_HEAT: lambda evol, m, mu: transforms.radial_heat_propagate(evol, mu),
 }
 
 
 def cmd_propagate(args) -> int:
-    propagate = _PROPAGATORS[EquationKind(args.equation)]
+    propagator = _PROPAGATORS[EquationKind(args.equation)]
     m, mu = _given(args, "m"), _given(args, "mu")
-    return _map_file(args, lambda field, grid, cfg: propagate(field, args.evol, m, mu, grid, cfg))
+    return _map_file(args, lambda field, grid, cfg: transforms.apply(
+        propagator(args.evol, m, mu), field, grid, cfg))
 
 
 def cmd_appell(args) -> int:

@@ -51,6 +51,11 @@ class DivergenceRisk(CanonicaError):
     """Input decays too slowly for an exponentially growing kernel."""
 
 
+class KernelRefused(CanonicaError, ValueError):
+    """A plan refused a kernel before allocating it: a Bessel argument beyond the
+    guard of its order, or a kernel above the byte ceiling."""
+
+
 class SingularEvol(CanonicaError):
     """The map's prefactor denominator vanishes at the requested point."""
 

@@ -1,9 +1,10 @@
 """Numerical engines for the canonical transforms.
 
-Each transform is the kernel of one matrix, described by one record
-(`_Kernel`: `TRANSFORMS` maps each spec to its record) and built once for its
-grids as a `Plan` by one builder, `_plan`, which reads one of three paths off
-the matrix:
+Each transform is the kernel of one matrix, described once: a function of
+its parameters (`frft(alpha)`, `hankel(m)`, ...; `TRANSFORMS` maps each CLI
+name to its function) returns its `Kernel` record.  One builder, `plan`,
+builds a record once for its grids as a `Plan`, reading one of three paths
+off the matrix:
 
 * ``chirp-fft``: modulate / FFT-convolve / modulate, using the quadratic
   phase decomposition of the linear kernel: the rectangle rule on the input
@@ -38,8 +39,8 @@ the matrix:
 
 The plan holds the nodes, the weights and the finished kernel (refused above
 _MAX_KERNEL_BYTES); calling it on a field runs the guards, the spline at the
-nodes and the matvec.  Every engine, `linear_ct`, `radial_ct`, `plan` and `apply`
-build a plan through `_plan`.
+nodes and the matvec.  `apply(kernel, field, out_grid)` builds the plan for
+the field's grid and calls it.
 
 Bessel-I kernels are evaluated through the exponentially scaled form, so
 heat-type kernels never overflow.  Bessel-J kernels apply their chirps as a
@@ -56,7 +57,7 @@ import os
 import sys
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -67,6 +68,7 @@ from .common import (
     DivergenceRisk,
     GeometryMismatch,
     IntegrabilityViolation,
+    KernelRefused,
     TruncationWarning,
 )
 from .fields import (
@@ -110,144 +112,8 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-# ---------------------------------------------------------------------------
-# transform specifications
-
 @dataclass(frozen=True)
-class LinearCT:
-    matrix: SympMat2
-
-
-@dataclass(frozen=True)
-class Geometric:
-    matrix: SympMat2
-
-    def __post_init__(self):
-        if abs(self.matrix.b) > GEOMETRIC_B_TOL:
-            raise ValueError("geometric transform needs B = 0")
-
-
-@dataclass(frozen=True)
-class FresnelProp:
-    zeta: float
-
-
-@dataclass(frozen=True)
-class FrFT:
-    alpha: float
-
-
-@dataclass(frozen=True)
-class FrLaplace:
-    alpha: float
-
-
-@dataclass(frozen=True)
-class PoissonProp:
-    t: float
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("diffusion time must be positive")
-
-
-@dataclass(frozen=True)
-class RadialCT:
-    matrix: SympMat2
-    n_dim: float
-    m: int
-
-
-@dataclass(frozen=True)
-class Hankel:
-    m: int
-
-
-@dataclass(frozen=True)
-class FrHankel:
-    m: int
-    alpha: float
-
-
-def _check_kind_and_order(spec):
-    if spec.kind not in (1, 2):
-        raise ValueError("kind must be 1 or 2")
-    if spec.nu < -0.5:
-        raise ValueError("nu must be >= -1/2")
-
-
-@dataclass(frozen=True)
-class HankelType:
-    kind: int
-    nu: float
-    nu_prime: float
-    __post_init__ = _check_kind_and_order
-
-
-@dataclass(frozen=True)
-class RadialLaplace:
-    kind: int
-    nu: float
-    nu_prime: float
-    __post_init__ = _check_kind_and_order
-
-
-@dataclass(frozen=True)
-class FrRadialLaplace:
-    """Fractional-order version of the first radial-Laplace-type transform."""
-
-    alpha: float
-    nu: float
-    nu_prime: float
-
-
-@dataclass(frozen=True)
-class BesselExp:
-    """Kernel representation of exp(beta * B^dagger_{nu,nu'}).
-
-    beta > 0 is the real heat-like regime; the string tag "i/2" selects the
-    quarter-turn continuation, whose oscillatory kernel conjugates to the
-    first Hankel-type transform.
-    """
-
-    beta: float | str
-    nu: float
-    nu_prime: float
-
-    def __post_init__(self):
-        if self.beta == "i/2":
-            return
-        if not isinstance(self.beta, (int, float)) or self.beta <= 0:
-            raise ValueError("beta must be positive or the tag 'i/2'")
-
-
-@dataclass(frozen=True)
-class RadialHeatProp:
-    t: float
-    mu: float
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("diffusion time must be positive")
-        if self.mu <= 1:
-            raise ValueError("mu must exceed 1")
-
-
-@dataclass(frozen=True)
-class BarutGirardello:
-    n_dim: float
-    m: int
-
-
-TransformSpec = (
-    LinearCT | Geometric | FresnelProp | FrFT | FrLaplace | PoissonProp
-    | RadialCT | Hankel | FrHankel | HankelType | RadialLaplace
-    | FrRadialLaplace | BesselExp | RadialHeatProp | BarutGirardello
-)
-
-
-@dataclass(frozen=True)
-class _Kernel:
+class Kernel:
     """A transform as the kernel of one matrix (a row of the README's kernel table):
     its Bessel order nu (None: the linear kernel), the weight powers (cross, row,
     col) of r y, r and y, the matching factor and the evolution shift; the output
@@ -270,7 +136,7 @@ class Plan:
     grid; call it on a field.  A field on another grid is rejected.  `nbytes`
     is the size of the kernel (FFT'd chirp, point-map factor) it holds."""
 
-    kernel: _Kernel
+    kernel: Kernel
     in_grid: Grid1D | None
     out_grid: Grid1D
     nbytes: int
@@ -355,11 +221,11 @@ def _panel_count(cfg: QuadratureConfig, mat: SympMat2, lo: float, hi: float, out
 
 
 def _kernel_bytes(rows: int, cols: int, real: bool) -> int:
-    """Bytes of a rows x cols kernel; ValueError above _MAX_KERNEL_BYTES."""
+    """Bytes of a rows x cols kernel; KernelRefused above _MAX_KERNEL_BYTES."""
     nbytes = rows * cols * (8 if real else 16)
     if nbytes > _MAX_KERNEL_BYTES:
-        raise ValueError(f"the {rows} x {cols} kernel needs {nbytes} bytes, above the "
-                         f"{_MAX_KERNEL_BYTES} byte ceiling; use fewer output points or nodes")
+        raise KernelRefused(f"the {rows} x {cols} kernel needs {nbytes} bytes, above the "
+                            f"{_MAX_KERNEL_BYTES} byte ceiling; use fewer output points or nodes")
     return nbytes
 
 
@@ -553,11 +419,16 @@ def _require_grid(grid: Grid1D | None, kind: str):
         raise GeometryMismatch(f"the transform needs a sampled field on a {kind} grid")
 
 
-def _check_geometry(field: SampledField, **params):
-    """Reject a field whose geometry carries other values of the transform's parameters."""
-    for key, value in params.items():
-        if abs(getattr(field.geometry, key, value) - value) > 1e-12:
-            raise GeometryMismatch(f"field {field.geometry} does not match transform {key} {value}")
+def _geometry_guard(**params):
+    """A guard that rejects a field whose geometry carries other values of the
+    transform's parameters."""
+    def guard(field):
+        for key, value in params.items():
+            if abs(getattr(field.geometry, key, value) - value) > 1e-12:
+                raise GeometryMismatch(
+                    f"field {field.geometry} does not match transform {key} {value}")
+
+    return guard
 
 
 def _kernel_beats_growth(field: SampledField, xq: np.ndarray, fq: np.ndarray, tau: float,
@@ -723,53 +594,6 @@ def _use_chirp_fft(mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid1D) -> b
     return fastest * h < math.pi * abs(mat.b.real)
 
 
-def linear_ct(mat: SympMat2, field: SampledField, out_grid: Grid1D,
-              cfg: QuadratureConfig = DEFAULT_CONFIG, matching: complex = 1.0,
-              evol_shift: float = 0.0) -> SampledField:
-    """Apply the kernel transform of `mat` to a sampled linear-geometry field."""
-    return _plan(_Kernel("linear_ct", mat, matching=matching, evol_shift=evol_shift),
-                 field.grid, out_grid, cfg)(field)
-
-
-def geometric(mat: SympMat2, field: SampledField, out_grid: Grid1D) -> SampledField:
-    """Imaging-limit transform (B = 0): chirp modulation plus rescaling."""
-    return _run(Geometric(mat), field, out_grid, DEFAULT_CONFIG)
-
-
-def fresnel_propagate(field: SampledField, zeta: float, out_grid: Grid1D,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
-    return linear_ct(mat_free(zeta), field, out_grid, cfg, evol_shift=zeta)
-
-
-def frft(field: SampledField, alpha: float, out_grid: Grid1D,
-         cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
-    """Fractional Fourier transform, mathematical normalization; 4-periodic in alpha."""
-    return _run(FrFT(alpha), field, out_grid, cfg)
-
-
-def fr_laplace(field: SampledField, alpha: float, out_grid: Grid1D,
-               cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
-    """Fractional bilateral Laplace transform on a real output grid.
-
-    Carries the i^(alpha/2) matching factor, so alpha = 1 reproduces
-    (2 pi i)^(-1/2) times the bilateral Laplace integral.  4-periodic in
-    alpha, as `frft` is.
-    """
-    return _run(FrLaplace(alpha), field, out_grid, cfg)
-
-
-def poisson_propagate(field, t: float, out_grid: Grid1D,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
-    """Diffuse by t > 0: the kernel transform of mat_poisson(t), a Gaussian
-    convolution of the input data.
-
-    A sampled field is integrated over its grid support (by chirp-FFT where
-    the grids resolve the kernel, see the module docstring), a callable f(y)
-    over the output window widened by 12 sqrt(t).
-    """
-    return _run(PoissonProp(t), field, out_grid, cfg)
-
-
 # ---------------------------------------------------------------------------
 # radial kernels
 
@@ -788,7 +612,7 @@ def _type_weights(kind: int, nu_prime: float):
     return (-nu_prime, weight, 0.0) if kind == 1 else (-nu_prime, 0.0, weight)
 
 
-def _bessel_sum(kernel: _Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
+def _bessel_sum(kernel: Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
                 cfg: QuadratureConfig):
     """Quadrature of a radial kernel, shared by every radial transform.
 
@@ -813,8 +637,8 @@ def _bessel_sum(kernel: _Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
     axis, or a grid that starts above it, is summed as given.  Callable
     inputs (Gaussian convolutions) have power mu - 1 > 0.  A non-integer
     power > -1 gets a Gauss-Jacobi first panel (`_gl_nodes`).  A Bessel-J
-    argument r y/|B| above the guard of `specfun.bessel_j` is refused before
-    the nodes are built.
+    argument r y/|B| above the guard of `specfun.bessel_j` is refused
+    (KernelRefused) before the nodes are built.
 
     Returns the kernel's bytes and the function of the field.
     """
@@ -841,9 +665,9 @@ def _bessel_sum(kernel: _Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
         pref = (-1j) ** (nu + 1.0) / b * ((-1.0) ** round(nu) if b < 0 else 1.0)
         reach, guard = k * float(np.max(ro)) * in_grid.end, specfun.bessel_j_guard(nu)
         if reach > guard:
-            raise ValueError(f"{name}: the Bessel argument reaches {reach:.6g}, above the "
-                             f"guard {guard:g} of J_{nu:g}; |B| = {abs(b):.3g} is too small "
-                             "for these grids")
+            raise KernelRefused(f"{name}: the Bessel argument reaches {reach:.6g}, above the "
+                                f"guard {guard:g} of J_{nu:g}; |B| = {abs(b):.3g} is too small "
+                                "for these grids")
     xq, wq, values = _kernel_nodes(cfg, mat, in_grid, out_grid, source_power)
     nbytes = _kernel_bytes(len(ro), len(xq), True)
     w_col = wq if col == 0.0 else wq * xq**col
@@ -885,9 +709,11 @@ def _bessel_sum(kernel: _Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
     return nbytes, run
 
 
-def _plan(kernel: _Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
-          cfg: QuadratureConfig) -> Plan:
-    """The plan of `kernel` from `in_grid` to `out_grid`: the one builder of every transform.
+def plan(kernel: Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
+         cfg: QuadratureConfig = DEFAULT_CONFIG) -> Plan:
+    """The plan of `kernel` from `in_grid` (None: a callable input, Gaussian
+    convolutions only) to `out_grid`, to apply to any number of fields: the one
+    builder of every transform.
 
     The linear kernel (nu None) reads full-line grids, a radial kernel
     half-line ones, or a callable if it gives its output `geometry` and B != 0.
@@ -897,6 +723,8 @@ def _plan(kernel: _Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
     Bessel sum are multiplied by the matching factor; chirp-FFT and
     Gauss-Legendre, chosen as the module docstring says, fold it in.
     """
+    if not isinstance(kernel, Kernel):
+        raise TypeError(f"a plan is built from a Kernel, not {kernel!r}")
     mat, nu = kernel.matrix, kernel.nu
     point_map = abs(mat.b) <= GEOMETRIC_B_TOL
     if in_grid is not None or kernel.geometry is None or point_map:
@@ -914,172 +742,175 @@ def _plan(kernel: _Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
     return Plan(kernel, in_grid, out_grid, nbytes, lambda f: kernel.matching * run(f))
 
 
-def _radial_ct(mat: SympMat2, n_dim: float, m_idx: int, matching: complex = 1.0,
-               evol_shift: float = 0.0) -> _Kernel:
-    guards = (lambda f: _check_geometry(f, m=m_idx),)
-    if not mat.is_real(1e-12):
-        if not mat.is_l_form():
-            raise ValueError("radial_ct handles real and L-form matrices")
-        guards += (_require_gaussian_decay,)
-    return _Kernel("radial_ct", mat, n_dim / 2.0 + m_idx - 1.0, _dim_weights(n_dim), matching,
-                   evol_shift, guards=guards)
+def apply(kernel: Kernel, field, out_grid: Grid1D,
+          cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
+    """Apply `kernel` to a field: build its plan for the field's grid, then call it."""
+    in_grid = field.grid if isinstance(field, SampledField) else None
+    return plan(kernel, in_grid, out_grid, cfg)(field)
 
 
-def hankel(field: SampledField, m: int, out_grid: Grid1D,
-           cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
-    """Hankel transform of order m with the r' dr' measure."""
-    return _run(Hankel(m), field, out_grid, cfg)
+# ---------------------------------------------------------------------------
+# the transforms: each returns the kernel record of its matrix
+
+def linear_ct(matrix: SympMat2) -> Kernel:
+    """The kernel transform of `matrix` on sampled linear-geometry fields."""
+    return Kernel("linear_ct", matrix)
 
 
-def fr_hankel(field: SampledField, m: int, alpha: float, out_grid: Grid1D,
-              cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
-    """Fractional Hankel transform of order m (2-periodic in alpha)."""
-    return _run(FrHankel(m, alpha), field, out_grid, cfg)
+def geometric(matrix: SympMat2) -> Kernel:
+    """Imaging-limit transform (B = 0): chirp modulation plus rescaling."""
+    if abs(matrix.b) > GEOMETRIC_B_TOL:
+        raise ValueError("geometric transform needs B = 0")
+    return Kernel("geometric", matrix)
 
 
-def radial_ct(field: SampledField, mat: SympMat2, n_dim: float, m_idx: int,
-              out_grid: Grid1D, cfg: QuadratureConfig = DEFAULT_CONFIG,
-              matching: complex = 1.0, evol_shift: float = 0.0) -> SampledField:
+def fresnel_propagate(zeta: float) -> Kernel:
+    """Free (Fresnel) propagation of a linear wavefunction by zeta."""
+    return replace(linear_ct(mat_free(zeta)), evol_shift=zeta)
+
+
+def _fractional(name: str, family, alpha: float) -> Kernel:
+    """Order alpha of a fractional family, 4-periodic: alpha is reduced to (-2, 2] before
+    the e^{i pi alpha/4} matching factor, which alone would flip sign under alpha + 4."""
+    alpha = reduce_order(alpha)
+    return Kernel(name, family(alpha), matching=cmath.exp(0.25j * math.pi * alpha))
+
+
+def frft(alpha: float) -> Kernel:
+    """Fractional Fourier transform, mathematical normalization; 4-periodic in alpha."""
+    return _fractional("frft", mat_fourier, alpha)
+
+
+def fr_laplace(alpha: float) -> Kernel:
+    """Fractional bilateral Laplace transform on a real output grid.
+
+    Carries the i^(alpha/2) matching factor, so alpha = 1 reproduces
+    (2 pi i)^(-1/2) times the bilateral Laplace integral.  4-periodic in
+    alpha, as `frft` is.
+    """
+    return _fractional("fr_laplace", mat_laplace, alpha)
+
+
+def poisson_propagate(t: float) -> Kernel:
+    """Diffuse by t > 0: the kernel transform of mat_poisson(t), a Gaussian
+    convolution of the input data.
+
+    A sampled field is integrated over its grid support (by chirp-FFT where
+    the grids resolve the kernel, see the module docstring), a callable f(y)
+    over the output window widened by 12 sqrt(t).
+    """
+    if t <= 0:
+        raise ValueError("diffusion time must be positive")
+    return Kernel("poisson_propagate", mat_poisson(t), evol_shift=t, geometry=Linear())
+
+
+def radial_ct(matrix: SympMat2, n_dim: float, m: int) -> Kernel:
     """Radial canonical transform for a real or L-form matrix, dimension n, index m.
 
-    Kernel matching * ((-i)^(m+n/2)/B) (r r')^(1-n/2) exp(i(A r'^2 + D r^2)/2B)
+    Kernel ((-i)^(m+n/2)/B) (r r')^(1-n/2) exp(i(A r'^2 + D r^2)/2B)
     J_{n/2+m-1}(r r'/B) against the r'^(n-1) dr' measure; A acts on the
     input variable, matching the radial diffraction-integral convention.
     An L-form matrix gives the Bessel-I kernel and requires exp(-r^2/4) decay.
     """
-    kernel = _radial_ct(mat, n_dim, m_idx, matching, evol_shift)
-    return _plan(kernel, field.grid, out_grid, cfg)(field)
+    guards = (_geometry_guard(m=m),)
+    if not matrix.is_real(1e-12):
+        if not matrix.is_l_form():
+            raise ValueError("radial_ct handles real and L-form matrices")
+        guards += (_require_gaussian_decay,)
+    return Kernel("radial_ct", matrix, n_dim / 2.0 + m - 1.0, _dim_weights(n_dim), guards=guards)
 
 
-def radial_propagate(field: SampledField, zeta: float, m_idx: int, out_grid: Grid1D,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
+def radial_propagate(zeta: float, m: int) -> Kernel:
     """Free propagation of a radial wavefunction by zeta (Bessel-J kernel)."""
-    return radial_ct(field, mat_free(zeta), 2.0, m_idx, out_grid, cfg, evol_shift=zeta)
+    return replace(radial_ct(mat_free(zeta), 2.0, m), evol_shift=zeta)
 
 
-def hankel_type(field: SampledField, kind: int, nu: float, nu_prime: float,
-                out_grid: Grid1D, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
+def hankel(m: int) -> Kernel:
+    """Hankel transform of order m with the r' dr' measure."""
+    return Kernel("hankel", _HANKEL_MAT, m, _dim_weights(2.0), 1j ** (m + 1),
+                  guards=(_geometry_guard(m=m),))
+
+
+def fr_hankel(m: int, alpha: float) -> Kernel:
+    """Fractional Hankel transform of order m (2-periodic in alpha)."""
+    return Kernel("fr_hankel", mat_fourier(alpha), m, _dim_weights(2.0),
+                  cmath.exp(0.5j * math.pi * (m + 1) * alpha), guards=(_geometry_guard(m=m),))
+
+
+def _check_kind_and_order(kind: int, nu: float):
+    if kind not in (1, 2):
+        raise ValueError("kind must be 1 or 2")
+    if nu < -0.5:
+        raise ValueError("nu must be >= -1/2")
+
+
+def hankel_type(kind: int, nu: float, nu_prime: float) -> Kernel:
     """First or second Hankel-type transform of order nu, parameter nu'."""
-    return _run(HankelType(kind, nu, nu_prime), field, out_grid, cfg)
+    _check_kind_and_order(kind, nu)
+    return Kernel("hankel_type", _HANKEL_MAT, nu, _type_weights(kind, nu_prime), 1j ** (nu + 1.0),
+                  guards=(_geometry_guard(nu=nu, nu_prime=nu_prime),))
 
 
-def radial_laplace(field: SampledField, kind: int, nu: float, nu_prime: float,
-                   out_grid: Grid1D, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
+def radial_laplace(kind: int, nu: float, nu_prime: float) -> Kernel:
     """Radial-Laplace-type transform (Bessel-I kernel, phase exp(-i pi (1+nu)))."""
-    return _run(RadialLaplace(kind, nu, nu_prime), field, out_grid, cfg)
+    _check_kind_and_order(kind, nu)
+    return Kernel("radial_laplace", _RADIAL_LAPLACE_MAT, nu, _type_weights(kind, nu_prime),
+                  guards=(_require_gaussian_decay,))
 
 
-def fr_radial_laplace(field: SampledField, alpha: float, nu: float, nu_prime: float,
-                      out_grid: Grid1D, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
+def fr_radial_laplace(alpha: float, nu: float, nu_prime: float) -> Kernel:
     """Fractional first radial-Laplace-type transform.
 
     Realizes the radial canonical transform of the hyperbolic-rotation matrix
     [[cos phi, i sin phi], [i sin phi, cos phi]]; alpha = 1 coincides with
     radial_laplace(kind=1).
     """
-    return _run(FrRadialLaplace(alpha, nu, nu_prime), field, out_grid, cfg)
+    return Kernel("fr_radial_laplace", mat_laplace(alpha), nu, _type_weights(1, nu_prime),
+                  guards=(_require_gaussian_decay,))
 
 
-def bessel_exp(field: SampledField, beta: float, nu: float, nu_prime: float,
-               out_grid: Grid1D, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
-    """Functional form of exp(beta B^dagger): Gaussian-I kernel, beta > 0."""
-    return _run(BesselExp(beta, nu, nu_prime), field, out_grid, cfg)
+def bessel_exp(beta: float | str, nu: float, nu_prime: float) -> Kernel:
+    """Functional form of exp(beta B^dagger): Gaussian-I kernel, beta > 0.
 
-
-def bessel_exp_quarter_turn(field: SampledField, nu: float, nu_prime: float,
-                            out_grid: Grid1D,
-                            cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
-    """exp((i/2) B^dagger): the oscillatory continuation of the heat kernel.
-
-    Kernel -i e^{-i pi nu/2} x^{1+2nu'} (xy)^{-nu'} e^{i(x^2+y^2)/2} J_nu(xy);
+    The tag beta = "i/2" gives exp((i/2) B^dagger), the oscillatory
+    continuation of the heat kernel: kernel
+    -i e^{-i pi nu/2} x^{1+2nu'} (xy)^{-nu'} e^{i(x^2+y^2)/2} J_nu(xy);
     sandwiching it between e^{-i x^2/2} modulations and the i^{nu+1} factor
     reproduces the first Hankel-type transform.
     """
-    return _run(BesselExp("i/2", nu, nu_prime), field, out_grid, cfg)
+    if beta == "i/2":
+        return Kernel("bessel_exp_quarter_turn", mat_free(1.0), nu, _type_weights(1, nu_prime))
+    if not isinstance(beta, (int, float)) or beta <= 0:
+        raise ValueError("beta must be positive or the tag 'i/2'")
+    return Kernel("bessel_exp", mat_poisson(2.0 * beta), nu, _type_weights(1, nu_prime))
 
 
-def radial_heat_propagate(field, t: float, mu: float, out_grid: Grid1D,
-                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
+def radial_heat_propagate(t: float, mu: float) -> Kernel:
     """Diffuse a radial profile by t > 0 in effective dimension mu.
 
     A sampled field is integrated over its grid support, a callable f(r)
     over [0, r_max + 12 sqrt(t)].
     """
-    return _run(RadialHeatProp(t, mu), field, out_grid, cfg)
+    if t <= 0:
+        raise ValueError("diffusion time must be positive")
+    if mu <= 1:
+        raise ValueError("mu must exceed 1")
+    return Kernel("radial_heat_propagate", mat_poisson(t), mu / 2.0 - 1.0, _dim_weights(mu),
+                  evol_shift=t, geometry=RadialDim(mu, 0))
 
 
-def barut_girardello(field: SampledField, n_dim: float, m_idx: int, out_grid: Grid1D,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
+def barut_girardello(n_dim: float, m: int) -> Kernel:
     """Bessel-I radial transform built on the Bargmann matrix, forward direction."""
-    return _run(BarutGirardello(n_dim, m_idx), field, out_grid, cfg)
+    return Kernel("barut_girardello", mat_bargmann(), n_dim / 2.0 + m - 1.0,
+                  (1.0 - n_dim / 2.0, 0.0, 0.0), guards=(_require_gaussian_decay,))
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-
-def _fractional(name: str, family, alpha: float) -> _Kernel:
-    """Order alpha of a fractional family, 4-periodic: alpha is reduced to (-2, 2] before
-    the e^{i pi alpha/4} matching factor, which alone would flip sign under alpha + 4."""
-    alpha = reduce_order(alpha)
-    return _Kernel(name, family(alpha), matching=cmath.exp(0.25j * math.pi * alpha))
-
-
-# CLI name -> (spec class, the spec's kernel record)
+# CLI name -> the transform's function of its parameters
 TRANSFORMS = {
-    "linear-ct": (LinearCT, lambda s: _Kernel("linear_ct", s.matrix)),
-    "geometric": (Geometric, lambda s: _Kernel("geometric", s.matrix)),
-    "fresnel-prop": (FresnelProp, lambda s: _Kernel(
-        "fresnel_propagate", mat_free(s.zeta), evol_shift=s.zeta)),
-    "frft": (FrFT, lambda s: _fractional("frft", mat_fourier, s.alpha)),
-    "fr-laplace": (FrLaplace, lambda s: _fractional("fr_laplace", mat_laplace, s.alpha)),
-    "poisson-prop": (PoissonProp, lambda s: _Kernel(
-        "poisson_propagate", mat_poisson(s.t), evol_shift=s.t, geometry=Linear())),
-    "radial-ct": (RadialCT, lambda s: _radial_ct(s.matrix, s.n_dim, s.m)),
-    "hankel": (Hankel, lambda s: _Kernel(
-        "hankel", _HANKEL_MAT, s.m, _dim_weights(2.0), 1j ** (s.m + 1),
-        guards=(lambda f: _check_geometry(f, m=s.m),))),
-    "fr-hankel": (FrHankel, lambda s: _Kernel(
-        "fr_hankel", mat_fourier(s.alpha), s.m, _dim_weights(2.0),
-        cmath.exp(0.5j * math.pi * (s.m + 1) * s.alpha),
-        guards=(lambda f: _check_geometry(f, m=s.m),))),
-    "hankel-type": (HankelType, lambda s: _Kernel(
-        "hankel_type", _HANKEL_MAT, s.nu, _type_weights(s.kind, s.nu_prime), 1j ** (s.nu + 1.0),
-        guards=(lambda f: _check_geometry(f, nu=s.nu, nu_prime=s.nu_prime),))),
-    "radial-laplace": (RadialLaplace, lambda s: _Kernel(
-        "radial_laplace", _RADIAL_LAPLACE_MAT, s.nu, _type_weights(s.kind, s.nu_prime),
-        guards=(_require_gaussian_decay,))),
-    "fr-radial-laplace": (FrRadialLaplace, lambda s: _Kernel(
-        "fr_radial_laplace", mat_laplace(s.alpha), s.nu, _type_weights(1, s.nu_prime),
-        guards=(_require_gaussian_decay,))),
-    "bessel-exp": (BesselExp, lambda s: _Kernel(
-        "bessel_exp_quarter_turn" if s.beta == "i/2" else "bessel_exp",
-        mat_free(1.0) if s.beta == "i/2" else mat_poisson(2.0 * s.beta), s.nu,
-        _type_weights(1, s.nu_prime))),
-    "radial-heat-prop": (RadialHeatProp, lambda s: _Kernel(
-        "radial_heat_propagate", mat_poisson(s.t), s.mu / 2.0 - 1.0, _dim_weights(s.mu),
-        evol_shift=s.t, geometry=RadialDim(s.mu, 0))),
-    "barut-girardello": (BarutGirardello, lambda s: _Kernel(
-        "barut_girardello", mat_bargmann(), s.n_dim / 2.0 + s.m - 1.0,
-        (1.0 - s.n_dim / 2.0, 0.0, 0.0), guards=(_require_gaussian_decay,))),
+    "linear-ct": linear_ct, "geometric": geometric, "fresnel-prop": fresnel_propagate,
+    "frft": frft, "fr-laplace": fr_laplace, "poisson-prop": poisson_propagate,
+    "radial-ct": radial_ct, "hankel": hankel, "fr-hankel": fr_hankel,
+    "hankel-type": hankel_type, "radial-laplace": radial_laplace,
+    "fr-radial-laplace": fr_radial_laplace, "bessel-exp": bessel_exp,
+    "radial-heat-prop": radial_heat_propagate, "barut-girardello": barut_girardello,
 }
-
-
-def plan(spec: TransformSpec, in_grid: Grid1D | None, out_grid: Grid1D,
-         cfg: QuadratureConfig = DEFAULT_CONFIG) -> Plan:
-    """Build the transform of `spec` from `in_grid` (None: a callable input,
-    Gaussian convolutions only) to `out_grid`, to apply to any number of fields."""
-    for spec_cls, kernel in TRANSFORMS.values():
-        if type(spec) is spec_cls:
-            return _plan(kernel(spec), in_grid, out_grid, cfg)
-    raise TypeError(f"unknown transform spec {spec!r}")
-
-
-def _run(spec: TransformSpec, field, out_grid: Grid1D, cfg: QuadratureConfig) -> SampledField:
-    """Build the plan of `spec` for the field's grid, then apply it to the field."""
-    return plan(spec, field.grid if isinstance(field, SampledField) else None, out_grid, cfg)(field)
-
-
-def apply(spec: TransformSpec, field, out_grid: Grid1D,
-          cfg: QuadratureConfig = DEFAULT_CONFIG) -> SampledField:
-    """Apply a transform specification to a field: build its plan, then apply it."""
-    return _run(spec, field, out_grid, cfg)

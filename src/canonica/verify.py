@@ -10,12 +10,13 @@ that strip are rejected.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .appell import AppellSpec, appell_analytic, self_appell_eigencheck
+from .appell import AppellSpec, appell_analytic, appell_numeric, self_appell_eigencheck
 from .common import EquationKind
 from .fields import (
     AiryBB,
@@ -28,6 +29,7 @@ from .fields import (
     GridKind,
     HeatAssoc,
     HeatPoly,
+    Linear,
     PlaneChirp,
     PointSource,
     Radial,
@@ -35,6 +37,7 @@ from .fields import (
     RadialHeatPoly,
     SampledField,
     StdHG,
+    sample,
 )
 from .symplectic import (
     SympMat2,
@@ -48,6 +51,16 @@ from .symplectic import (
     mat_lens,
     mat_poisson,
     mat_scale,
+)
+from .transforms import (
+    QuadratureConfig,
+    apply,
+    frft,
+    hankel,
+    hankel_type,
+    plan,
+    poisson_propagate,
+    radial_heat_propagate,
 )
 
 
@@ -541,9 +554,6 @@ def _rel_l2(a, b):
 
 def _check_cross(field, half_width):
     """Numeric against analytic Fourier map of `field` on +-half_width, over |x| <= 10."""
-    from .appell import appell_numeric
-    from .fields import sample
-
     grid = Grid1D(GridKind.FULL_LINE, -half_width, 2.0 * half_width / 4095, 4096)
     spec = AppellSpec(EquationKind.PWE, alpha=1.0, evol=0.7)
     num = appell_numeric(sample(field, grid, 0.0), spec, grid)
@@ -565,8 +575,6 @@ class ApodizedAiry(AnalyticField):
     equation = EquationKind.PWE
 
     def __init__(self, lam: float, width: float):
-        from .fields import Linear
-
         self.lam = float(lam)
         self.width = float(width)
         self.geometry = Linear()
@@ -586,29 +594,21 @@ class ApodizedAiry(AnalyticField):
 
 
 def _check_frft_eigen():
-    from .fields import sample
-    from .transforms import frft
-
     grid = Grid1D(GridKind.FULL_LINE, -12.0, 24.0 / 1023, 1024)
     u0 = sample(StdHG(0), grid, 0.0)
-    out = frft(u0, 1.0, grid)
+    out = apply(frft(1.0), u0, grid)
     return {"max_abs": _rel_l2(out.values, u0.values), "tolerance": 1e-6}
 
 
 def _check_frft_group():
-    from .fields import sample
-    from .transforms import frft
-
     grid = Grid1D(GridKind.FULL_LINE, -12.0, 24.0 / 1023, 1024)
     src = sample(Gauss(1.2), grid, 0.0)
-    two = frft(frft(src, 0.3, grid), 0.4, grid)
-    one = frft(src, 0.7, grid)
+    two = apply(frft(0.4), apply(frft(0.3), src, grid), grid)
+    one = apply(frft(0.7), src, grid)
     return {"max_abs": _rel_l2(two.values, one.values), "tolerance": 1e-5}
 
 
 def _check_hankel_selfrec():
-    from .transforms import Hankel, QuadratureConfig, plan
-
     grid = Grid1D(GridKind.HALF_LINE, 0.0, 12.0 / 383, 384)
     cfg = QuadratureConfig(nodes_per_panel=16)
     r = grid.points
@@ -616,7 +616,7 @@ def _check_hankel_selfrec():
     for m in range(4):
         vals = r**m * np.exp(-(r**2) / 2.0) * (1.0 + 0.3 * r**2)
         field = SampledField(grid, vals.astype(complex), Radial(m))
-        transform = plan(Hankel(m), grid, grid, cfg)
+        transform = plan(hankel(m), grid, grid, cfg)
         back = transform(transform(field))
         del transform  # one kernel alive at a time
         worst = max(worst, _rel_l2(back.values, field.values))
@@ -624,8 +624,6 @@ def _check_hankel_selfrec():
 
 
 def _check_hankel_type_selfrec():
-    from .transforms import HankelType, QuadratureConfig, plan
-
     grid = Grid1D(GridKind.HALF_LINE, 1e-3, (12.0 - 1e-3) / 383, 384)
     cfg = QuadratureConfig(nodes_per_panel=16)
     r = grid.points
@@ -634,7 +632,7 @@ def _check_hankel_type_selfrec():
     # each kind keeps its own weight class Gaussian-decaying on both sides
     for kind, weight in ((1, 1.0 + nu + nu_prime), (2, nu - nu_prime)):
         vals = (r**weight * (1.0 + 0.2 * r**2) * np.exp(-(r**2) / 2.0)).astype(complex)
-        transform = plan(HankelType(kind, nu, nu_prime), grid, grid, cfg)
+        transform = plan(hankel_type(kind, nu, nu_prime), grid, grid, cfg)
         field = SampledField(grid, vals)
         back = transform(transform(field))
         del transform  # one kernel alive at a time
@@ -645,8 +643,6 @@ def _check_hankel_type_selfrec():
 def _check_parseval():
     from scipy.integrate import simpson
 
-    from .transforms import HankelType, QuadratureConfig, plan
-
     grid = Grid1D(GridKind.HALF_LINE, 1e-3, (12.0 - 1e-3) / 768, 769)
     cfg = QuadratureConfig(nodes_per_panel=16)
     r = grid.points
@@ -655,7 +651,7 @@ def _check_parseval():
               (1.0 + r**4) * np.exp(-(r**2))]
     pairs = []  # per kind, (input, image) values for each shape
     for kind, weight in ((1, 1.0 + nu + nu_prime), (2, nu - nu_prime)):
-        transform = plan(HankelType(kind, nu, nu_prime), grid, grid, cfg)
+        transform = plan(hankel_type(kind, nu, nu_prime), grid, grid, cfg)
         fields = [SampledField(grid, (r**weight * shape).astype(complex)) for shape in shapes]
         pairs.append([(f.values, transform(f).values) for f in fields])
         del transform  # one kernel alive at a time
@@ -672,26 +668,22 @@ def _check_parseval():
 
 
 def _check_poisson_heat_poly():
-    from .transforms import poisson_propagate
-
     grid = Grid1D(GridKind.FULL_LINE, -3.0, 6.0 / 63, 64)
     worst = 0.0
     for n in range(7):
         for t in (0.5, 1.0):
-            out = poisson_propagate(lambda y, n=n: y**n + 0j, t, grid)
+            out = apply(poisson_propagate(t), lambda y, n=n: y**n + 0j, grid)
             ref = np.asarray(HeatPoly(n).eval(grid.points, t))
             worst = max(worst, float(np.max(np.abs(out.values - ref))) / max(1.0, float(np.max(np.abs(ref)))))
     return {"max_abs": worst, "tolerance": 1e-10}
 
 
 def _check_radial_heat_poly():
-    from .transforms import radial_heat_propagate
-
     grid = Grid1D(GridKind.HALF_LINE, 0.0, 6.0 / 199, 200)
     worst = 0.0
     t, mu = 0.5, 3.0
     for n in range(5):
-        out = radial_heat_propagate(lambda y, n=n: y ** (2 * n) + 0j, t, mu, grid)
+        out = apply(radial_heat_propagate(t, mu), lambda y, n=n: y ** (2 * n) + 0j, grid)
         ref = np.asarray(RadialHeatPoly(n, mu).eval(grid.points, t))
         worst = max(worst, float(np.max(np.abs(out.values - ref)) / np.max(np.abs(ref))))
     return {"max_abs": worst, "tolerance": 1e-6}
@@ -720,8 +712,6 @@ def _check_commutators(which):
 
 
 def _check_eveq():
-    from .transforms import HankelType, QuadratureConfig, plan
-
     nu, nu_prime = 1.0, -1.0
     out_grid = Grid1D(GridKind.HALF_LINE, 0.2, 5.8 / 63, 64)
     cfg = QuadratureConfig(nodes_per_panel=32)
@@ -738,7 +728,7 @@ def _check_eveq():
             bf = np.zeros_like(f)
             with np.errstate(divide="ignore", invalid="ignore"):
                 bf[1:-1] = bessel_type_op(r, f, h, nu, nu_prime, adjoint=adjoint)[1:-1]
-            transform = plan(HankelType(kind, nu, nu_prime), grid, out_grid, cfg)
+            transform = plan(hankel_type(kind, nu, nu_prime), grid, out_grid, cfg)
             lhs = transform(SampledField(grid, bf)).values
             rhs = -out_grid.points**2 * transform(fld).values
             del transform  # one kernel alive at a time
@@ -764,13 +754,11 @@ def _check_generating_function():
 
 
 def _check_determinism():
-    import json as _json
-
     sub = [("m1-det-random", _check_det_random), ("m1-laplace-similarity", _check_laplace_similarity)]
     blobs = []
     for _ in range(2):
         rows = [{"check_id": cid, **fn()} for cid, fn in sub]
-        blobs.append(_json.dumps(rows, sort_keys=True))
+        blobs.append(json.dumps(rows, sort_keys=True))
     return {"max_abs": 0.0 if blobs[0] == blobs[1] else 1.0, "tolerance": 0.5}
 
 

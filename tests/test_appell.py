@@ -48,7 +48,8 @@ from canonica.appell import (
     self_appell_eigencheck,
 )
 from canonica import appell, specfun, transforms
-from canonica.transforms import QuadratureConfig, frft
+from canonica.transforms import (QuadratureConfig, apply, fr_hankel, fr_laplace,
+                                 fr_radial_laplace, frft)
 
 EK = EquationKind
 CFG16 = QuadratureConfig(nodes_per_panel=16)
@@ -392,7 +393,7 @@ def test_numeric_pwe_hg_eigenmode():
 def test_numeric_zero_evol_is_bare_transform():
     src = sample(Gauss(1.0), GRID_L, 0.0)
     num = appell_numeric(src, AppellSpec(EK.PWE, alpha=1.0, evol=0.0), GRID_L)
-    ref = frft(src, 1.0, GRID_L)
+    ref = apply(frft(1.0), src, GRID_L)
     assert rel_l2(num.values, ref.values) < 1e-12
     assert num.evol == 0.0
 
@@ -405,12 +406,12 @@ def test_numeric_zero_evol_is_bare_transform_for_every_other_kind():
     mu = 3.0
     cases = [
         (AppellSpec(EK.HEAT, alpha=0.7), sample(Gauss(0.5, 0.0, EK.HEAT), full, 0.0), out_full,
-         lambda f: transforms.fr_laplace(f, 0.7, out_full).values * cmath.exp(-0.175j * math.pi)),
+         lambda f: apply(fr_laplace(0.7), f, out_full).values * cmath.exp(-0.175j * math.pi)),
         (AppellSpec(EK.RADIAL_PWE, alpha=0.6, m=1), sample(StdLG(1, 1), half, 0.0), out_half,
-         lambda f: transforms.fr_hankel(f, 1, 0.6, out_half).values),
+         lambda f: apply(fr_hankel(1, 0.6), f, out_half).values),
         (AppellSpec(EK.RADIAL_HEAT, alpha=0.6, mu=mu), sample(_RadialGauss(0.7, mu), half, 0.0),
          out_half,
-         lambda f: transforms.fr_radial_laplace(f, 0.6, mu / 2 - 1, -mu / 2, out_half).values),
+         lambda f: apply(fr_radial_laplace(0.6, mu / 2 - 1, -mu / 2), f, out_half).values),
     ]
     for spec, src, out, bare in cases:
         num = appell_numeric(src, spec, out, mid_grid=out)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import subprocess
@@ -14,7 +15,7 @@ from canonica.fields import (
     FAMILIES, Gauss, Grid1D, GridKind, RadialHeatPoly, SampledField, read_field, sample,
     write_field,
 )
-from canonica.symplectic import mat_fourier, mat_free
+from canonica.symplectic import SympMat2, mat_fourier, mat_free
 
 
 def run_cli(*args):
@@ -155,7 +156,7 @@ def test_propagate_radial_heat_uses_the_given_mu(tmp_path):
     assert run_cli(*args, "--mu", "0") == 2  # mu must exceed 1, as for --mu 0.5
     assert run_cli(*args, "--mu", "0.5") == 2
     assert run_cli(*args) == 0  # mu defaults to 2
-    ref = transforms.radial_heat_propagate(read_field(src), 0.3, 2.0, grid)
+    ref = transforms.apply(transforms.radial_heat_propagate(0.3, 2.0), read_field(src), grid)
     assert np.array_equal(read_field(out).values, ref.values)
 
 
@@ -232,26 +233,27 @@ SPEC_JSON_PARAMS = {
 
 
 def test_every_table_name_builds_its_spec_from_json(tmp_path, monkeypatch):
+    # the CLI builds the kernel that the table's function gives for the same parameters
     src, out = tmp_path / "src.csv", tmp_path / "out.csv"
     _radial_gauss_file(src)
     built = []
     monkeypatch.setattr(transforms, "apply",
-                        lambda spec, field, grid, cfg: built.append(spec) or field)
+                        lambda kernel, field, grid, cfg: built.append(kernel) or field)
     defaults = {"alpha": 1.0, "m": 0, "kind": 1, "nu": 0.0, "nu_prime": 0.0, "beta": 0.5,
                 "n_dim": 2.0}
-    for name, (spec_cls, _) in transforms.TRANSFORMS.items():
+    for name, function in transforms.TRANSFORMS.items():
         params = SPEC_JSON_PARAMS[name]
         spec_json = json.dumps({"name": name, **params})
         assert run_cli("transform", "--spec-json", spec_json, "--in", str(src),
                        "--out", str(out)) == 0, name
-        spec = built.pop()
-        assert type(spec) is spec_cls
-        for key, value in vars(spec).items():
-            want = params.get(key, defaults.get(key))
-            if key == "matrix":
-                assert json.loads(value.to_json()) == want
-            else:
-                assert value == want, (name, key)
+        kernel = built.pop()
+        args = {key: params.get(key, defaults.get(key))
+                for key in inspect.signature(function).parameters}
+        if "matrix" in args:
+            args["matrix"] = SympMat2(*(complex(*args["matrix"][k]) for k in "abcd"))
+        want = function(**args)
+        for key in ("name", "matrix", "nu", "weights", "matching", "evol_shift", "geometry"):
+            assert getattr(kernel, key) == getattr(want, key), (name, key)
 
 
 def test_transform_reaches_fr_radial_laplace(tmp_path, capsys):
@@ -409,9 +411,12 @@ def test_family_missing_a_required_flag_names_it(tmp_path, monkeypatch, capsys, 
     ("appell", "{}", "appell needs --spec-json key 'equation'"),
     ("transform", '{"name": "linear-ct", "matrix": {"a": [1, 0], "c": [0, 0], "d": [1, 0]}}',
      "--spec-json key 'matrix': a matrix needs keys a, b, c, d"),
+    # the kernel record's own fields are no parameters of a transform
+    ("transform", '{"name": "frft", "alpha": 0.5, "matching": 1}', "takes alpha, not matching"),
+    ("transform", '{"name": "hankel", "evol_shift": 1}', "takes m, not evol_shift"),
 ], ids=["not-json", "list", "unknown-key", "appell-unknown-key", "unknown-equation",
         "unknown-direction", "alpha-string", "m-fraction", "name-list", "appell-empty",
-        "matrix-without-b"])
+        "matrix-without-b", "kernel-matching", "kernel-evol-shift"])
 def test_malformed_spec_json_is_a_one_line_usage_error(tmp_path, capsys, command, spec, named):
     src = tmp_path / "src.csv"
     assert run_cli("sample", "--family", "gauss", "--grid", "-6:6:64", "--out", str(src)) == 0
