@@ -54,7 +54,10 @@ class AppellSpec:
 
     equation selects the family; m is the azimuthal index (radial wave
     kind), mu the effective dimension (radial heat kind, mu > 1).  The
-    inverse direction is the order-(-alpha) map.
+    inverse direction is the order-(-alpha) map.  The wave families are
+    4-periodic in alpha, which is reduced to (-2, 2]; the caloric ones obey
+    A^{alpha+4} = e^{-i pi mu} A^alpha (mu = 1 on the line), so their alpha
+    is kept as given.
     """
 
     equation: EquationKind
@@ -65,7 +68,8 @@ class AppellSpec:
     mu: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", reduce_order(float(self.alpha)))
+        alpha = float(self.alpha)
+        object.__setattr__(self, "alpha", alpha if self.equation.is_heat else reduce_order(alpha))
         if self.equation is EquationKind.RADIAL_HEAT and self.mu <= 1.0:
             raise ValueError("radial heat maps need mu > 1")
         if self.m < 0:
@@ -245,7 +249,9 @@ def appell_numeric(source: SampledField, spec: AppellSpec, out_grid: Grid1D,
         raise EquationMismatch(f"{'radial' if eq.is_radial else 'linear'} maps need {kind} sources")
     if eq.is_heat and evol < 0:
         raise ValueError("diffusion time must be positive")
-    stage = (mat_laplace if eq.is_heat else mat_fourier)(alpha)
+    # a caloric order past +-2 runs as its reduced order times the phase of the wrap
+    wrap = alpha - reduce_order(alpha) if abs(alpha) > 2.0 else 0.0
+    stage = (mat_laplace if eq.is_heat else mat_fourier)(alpha - wrap)
     prop = SympMat2(1.0, -1j * evol, 0.0, 1.0) if eq.is_heat else mat_free(evol)
     mat = compose(prop, stage)
     matching, p = {  # the stage's matching factor, and the power nu + 1 of its kernel
@@ -255,6 +261,8 @@ def appell_numeric(source: SampledField, spec: AppellSpec, out_grid: Grid1D,
         EquationKind.RADIAL_HEAT: (1.0, spec.mu / 2.0),
     }[eq]
     factor = matching * metaplectic_phase(p, stage, prop)
+    if wrap:  # A^{alpha+4} = e^{-i pi mu} A^alpha, mu = 2p
+        factor *= cmath.exp(-0.5j * math.pi * p * wrap)
     n_dim, m = (spec.mu, 0) if eq.is_heat else (2.0, spec.m)
     kernel = transforms.radial_ct(mat, n_dim, m) if eq.is_radial else transforms.linear_ct(mat)
     kernel = replace(kernel, matching=factor, evol_shift=evol)

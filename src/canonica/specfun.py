@@ -8,7 +8,8 @@ expansion above.  Both Bessel functions work on arrays in fixed blocks.
 Airy, scalar Bessel calls and every other Bessel order delegate to
 scipy.special behind the domain guards below; the guards keep every call
 inside the range where double precision delivers ~1e-10 relative accuracy
-and no overflow.
+and no overflow.  scipy.special is slow to import, so each function that
+calls it imports it on first use: importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 HERMITE_MAX_DEGREE = 64
 LAGUERRE_MAX_DEGREE = 64
@@ -63,10 +63,12 @@ def laguerre(n: int, m: float, x):
 
 def airy_ai(x):
     """Airy function of the first kind, |x| <= 50."""
+    from scipy.special import airy
+
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > AIRY_MAX_ABS):
         raise ValueError(f"airy_ai argument out of range |x| <= {AIRY_MAX_ABS}")
-    ai = _sp.airy(x)[0]
+    ai = airy(x)[0]
     return ai if np.ndim(x) else float(ai)
 
 
@@ -91,13 +93,13 @@ def _by_blocks(x: np.ndarray, fill) -> np.ndarray:
     return out
 
 
-def _bessel_j_ladder(n: int, x: np.ndarray, out: np.ndarray) -> None:
-    """J_n(x) into `out` for an integer n >= 2 and x >= n.
+def _bessel_j_ladder(n: int, x: np.ndarray, j_prev: np.ndarray, j: np.ndarray,
+                     out: np.ndarray) -> None:
+    """J_n(x) into `out` for an integer n >= 2 and x >= n, given J_0(x) and J_1(x).
 
-    Starts from J_0, J_1 (cephes j0/j1) and climbs J_{k+1} = (2k/x) J_k -
-    J_{k-1}, which is stable for x >= n (Gautschi, SIAM Rev. 9, 1967).
+    Climbs J_{k+1} = (2k/x) J_k - J_{k-1}, which is stable for x >= n
+    (Gautschi, SIAM Rev. 9, 1967).
     """
-    j_prev, j = _sp.j0(x), _sp.j1(x)
     two_over_x = 2.0 / x
     step = np.empty_like(x)
     for k in range(1, n):
@@ -121,21 +123,23 @@ def bessel_j(nu: float, x):
     with x < nu, where the upward recurrence is unstable, and every other
     order or scalar input go to scipy's jv.
     """
+    from scipy.special import j0, j1, jv
+
     x = _check_bessel_args(nu, x, bessel_j_guard(nu))
     if not np.ndim(x):
-        return float(_sp.jv(nu, x))
+        return float(jv(nu, x))
     if not float(nu).is_integer():
-        return _sp.jv(nu, x)
+        return jv(nu, x)
     if nu <= 1.0:
-        return _sp.j1(x) if nu else _sp.j0(x)
+        return j1(x) if nu else j0(x)
     n = int(nu)
 
     def fill(xb, ob):
         with np.errstate(divide="ignore", invalid="ignore"):  # x < n is redone below
-            _bessel_j_ladder(n, xb, ob)
+            _bessel_j_ladder(n, xb, j0(xb), j1(xb), ob)
         low = xb < n
         if low.any():
-            ob[low] = _sp.jv(nu, xb[low])
+            ob[low] = jv(nu, xb[low])
 
     return _by_blocks(x, fill)
 
@@ -186,10 +190,10 @@ def bessel_i_scaled(nu: float, x):
     the split, go to scipy's ive.
     """
     x = _check_bessel_args(nu, x, math.inf)
-    if not np.ndim(x):
-        return float(_sp.ive(nu, x))
-    if nu > _BESSEL_I_MAX_ORDER:
-        return _sp.ive(nu, x)
+    if not np.ndim(x) or nu > _BESSEL_I_MAX_ORDER:
+        from scipy.special import ive
+
+        return ive(nu, x) if np.ndim(x) else float(ive(nu, x))
     series = [1.0 / (math.factorial(k) * math.gamma(nu + k + 1.0))
               for k in range(_BESSEL_I_SERIES_TERMS)]
     hankel = [1.0]

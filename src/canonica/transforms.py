@@ -61,7 +61,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import fft
 
 from . import specfun
 from .common import (
@@ -548,6 +547,8 @@ def _linear_gl(mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid1D,
 
 def _chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D, cfg: QuadratureConfig,
                matching: complex):
+    from scipy import fft  # slow to import; only the chirp-FFT path needs it
+
     h = in_grid.step
     x = in_grid.points
     window = _apodization(cfg, x, 0.5 * (x[0] + x[-1]))

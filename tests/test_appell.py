@@ -36,6 +36,7 @@ from canonica.fields import (
     PlaneChirp,
     Radial,
     RadialDim,
+    RadialHeatPoly,
     SampledField,
     StdHG,
     StdLG,
@@ -801,3 +802,97 @@ def test_numeric_map_matches_analytic_property(eq, width, alpha, evol, direction
     values, _ = _run_numeric(f, grid, out, spec)
     assert values is not None
     assert _analytic_error(values, f, out, spec) < NUMERIC_TOL[eq]
+
+
+# ---------------------------------------------------------------------------
+# the group law A^beta A^alpha = A^(alpha + beta), across the order wrap too
+
+GROUP_LAW_SOURCES = {EK.PWE: (StdHG(2), {}), EK.HEAT: (HeatPoly(3), {}),
+                     EK.RADIAL_PWE: (StdLG(1, 1), {"m": 1}),
+                     EK.RADIAL_HEAT: (RadialHeatPoly(2, 3.0), {"mu": 3.0})}
+
+
+def _off_loci(eq, alpha, beta, evol, margin):
+    """True when A^beta at evol, A^alpha where A^beta reads its source, and
+    A^(alpha + beta) at evol all keep their prefactor argument c above margin:
+    off the singular loci, near which the closed forms lose digits."""
+    sign = 1.0 if eq.is_heat else -1.0
+
+    def c_of(order, at):
+        phi = order * math.pi / 2
+        return math.cos(phi) + sign * at * math.sin(phi), phi
+
+    c_beta, phi = c_of(beta, evol)
+    if abs(c_beta) <= margin:
+        return False
+    inner_evol = (evol * math.cos(phi) - sign * math.sin(phi)) / c_beta
+    return min(abs(c_of(alpha, inner_evol)[0]), abs(c_of(alpha + beta, evol)[0])) > margin
+
+
+@pytest.mark.parametrize("eq", list(GROUP_LAW_SOURCES), ids=lambda eq: eq.value)
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(-2.0, 2.0, exclude_min=True), beta=st.floats(-2.0, 2.0, exclude_min=True),
+       evol=st.floats(-1.5, 1.5))
+def test_group_law_property(eq, alpha, beta, evol):
+    # the wave maps are 4-periodic in the order; the caloric ones obey
+    # A^(alpha + 4) = e^{-i pi mu} A^alpha, so |alpha + beta| > 2 must keep that phase
+    assume(_off_loci(eq, alpha, beta, evol, 0.1))
+    f, kw = GROUP_LAW_SOURCES[eq]
+    x = np.linspace(0.0 if eq.is_radial else -3.0, 3.0, 21)
+    inner = appell_analytic(f, AppellSpec(eq, alpha=alpha, **kw))
+    outer = appell_analytic(inner, AppellSpec(eq, alpha=beta, **kw)).eval(x, evol)
+    direct = appell_analytic(f, AppellSpec(eq, alpha=alpha + beta, **kw)).eval(x, evol)
+    assert np.max(np.abs(outer - direct)) < 1e-10 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("eq", list(ORDER_TWO_CASES), ids=lambda eq: eq.value)
+@settings(max_examples=10, deadline=None)
+@given(width=st.floats(0.7, 1.4), alpha=st.floats(-2.0, 2.0, exclude_min=True),
+       beta=st.floats(-2.0, 2.0, exclude_min=True), evol=st.floats(-1.5, 1.5))
+def test_numeric_group_law_is_correct_or_flagged(eq, width, alpha, beta, evol):
+    # one numeric map of order alpha + beta against the analytic A^beta A^alpha;
+    # wave maps stay off the composed B = 0 band, as in the property above
+    _, grid, out, kw = ORDER_TWO_CASES[eq]
+    spec = AppellSpec(eq, alpha=alpha + beta, evol=abs(evol) if eq.is_heat else evol, **kw)
+    assume(_off_loci(eq, alpha, beta, spec.evol, 0.05))
+    phi = spec.effective_alpha * math.pi / 2
+    assume(eq.is_heat or abs(math.sin(phi) + spec.evol * math.cos(phi)) > 0.02)
+    f = PROPERTY_SOURCES[eq](width)
+    values, warned = _run_numeric(f, grid, out, spec)
+    if values is None or warned:
+        return
+    inner = appell_analytic(f, replace(spec, alpha=alpha))
+    composed = appell_analytic(inner, replace(spec, alpha=beta)).eval(out.points, spec.evol)
+    assert rel_l2(values, np.asarray(composed)) < NUMERIC_TOL[eq]
+
+
+@pytest.mark.parametrize("eq, f, kw, mu", [
+    (EK.HEAT, HeatPoly(3), {}, 1.0),
+    *((EK.RADIAL_HEAT, RadialHeatPoly(2, mu), {"mu": mu}, mu) for mu in (2.0, 2.5, 3.0, 4.0)),
+], ids=["heat", *(f"radial-heat-mu{mu:g}" for mu in (2.0, 2.5, 3.0, 4.0))])
+def test_caloric_order_four_is_a_phase(eq, f, kw, mu):
+    # A^4 = A^2 A^2 = e^{-i pi mu}: the caloric maps are not 4-periodic, so
+    # the order -2 is not the order 2 but its inverse
+    x = np.linspace(0.0 if eq.is_radial else -3.0, 3.0, 21)
+    half = appell_analytic(f, AppellSpec(eq, alpha=2.0, **kw))
+    twice = appell_analytic(half, AppellSpec(eq, alpha=2.0, **kw)).eval(x, 0.4)
+    back = appell_analytic(half, AppellSpec(eq, alpha=-2.0, **kw)).eval(x, 0.4)
+    four = appell_analytic(f, AppellSpec(eq, alpha=4.0, **kw)).eval(x, 0.4)
+    source = np.asarray(f.eval(x, 0.4))
+    phase = cmath.exp(-1j * math.pi * mu) * source
+    scale = np.max(np.abs(source))
+    assert np.max(np.abs(four - phase)) < 1e-12 * scale
+    assert np.max(np.abs(twice - phase)) < 1e-12 * scale
+    assert np.max(np.abs(back - source)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("eq", [EK.HEAT, EK.RADIAL_HEAT], ids=lambda eq: eq.value)
+def test_numeric_caloric_wrap_carries_its_phase(eq):
+    f, grid, out, kw = ORDER_TWO_CASES[eq]
+    mu = kw.get("mu", 1.0)
+    src = sample(f, grid, 0.0)
+    base = appell_numeric(src, AppellSpec(eq, alpha=1.5, evol=0.7, **kw), out, CFG16).values
+    for turns in (1, -1):
+        wrapped = appell_numeric(src, AppellSpec(eq, alpha=1.5 + 4 * turns, evol=0.7, **kw),
+                                 out, CFG16).values
+        assert rel_l2(wrapped, cmath.exp(-1j * math.pi * mu * turns) * base) < 1e-12

@@ -287,6 +287,27 @@ def test_import_leaves_scipy_interpolate_unloaded():
     assert res.stdout.strip() == "False"
 
 
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy takes most of the import time; each kernel that calls it imports it on first use
+    code = f"import sys, canonica; print({_SCIPY_LOADED}); import canonica.cli; print({_SCIPY_LOADED})"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.split() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("args", [["matrix", "compose", "free:1", "fourier:1"], ["verify", "1"]],
+                         ids=["matrix", "verify-1"])
+def test_cold_cli_leaves_scipy_unloaded(args):
+    # neither command evaluates a special function or an FFT
+    code = ("import sys; from canonica.cli import main; code = main(sys.argv[1:]); "
+            f"print({_SCIPY_LOADED}); sys.exit(code)")
+    res = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         check=True)
+    assert res.stdout.splitlines()[-1] == "[]"
+
+
 _HEADER = {"kind": "full-line", "start": 0.0, "step": 0.5, "count": 3,
            "geometry": {"type": "linear"}, "evol": 0.0}
 
