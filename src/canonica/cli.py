@@ -270,8 +270,14 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = None if not args.suite or "all" in args.suite else args.suite
-    report = verify.run_suite(names)
+    suite = args.suite or ["all"]
+    names = [n for n in suite if n != "all"]
+    try:
+        verify.select_checks(names)
+    except ValueError as exc:  # a name that matches no check is a usage error
+        print(f"canonica: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    report = verify.run_suite(None if "all" in suite else names)
     text = json.dumps(report, sort_keys=True, indent=1)
     if args.report:
         with open(args.report, "w") as fh:

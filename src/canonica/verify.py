@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +41,14 @@ from .fields import (
     sample,
 )
 from .symplectic import (
+    UNIMODULAR_TOL,
     SympMat2,
     compose,
     inverse,
     mat_appell,
     mat_fourier,
-    mat_free,
     mat_gauss_aperture,
     mat_laplace,
-    mat_lens,
     mat_poisson,
     mat_scale,
 )
@@ -356,77 +356,143 @@ def disentanglement_check(beta: float) -> dict:
 # ---------------------------------------------------------------------------
 # named check registry (one criterion id per check)
 
-# matrix families drawn by `_random_constructor`, from u uniform in [-2, 2)
-_CONSTRUCTORS = (
-    lambda u, rng: mat_free(u),
-    lambda u, rng: mat_lens(u),
-    lambda u, rng: mat_scale(complex(_uniform(rng, 0.3, 2.0), _uniform(rng, -0.5, 0.5))),
-    lambda u, rng: mat_fourier(u),
-    lambda u, rng: mat_laplace(u),
-    lambda u, rng: mat_poisson(abs(u) + 0.1),
-    lambda u, rng: mat_gauss_aperture(abs(u) + 0.1),
-)
+# m1-det-random draws seven constructor kinds: mat_free(u), mat_lens(u), mat_scale(s),
+# mat_fourier(u), mat_laplace(u), mat_poisson(|u| + 0.1), mat_gauss_aperture(|u| + 0.1),
+# for u uniform in [-2, 2); a scale draw then draws s
+_SCALE_KIND = 2
 
 
-def _uniform(rng, lo: float, hi: float) -> float:
-    """`rng.uniform(lo, hi)` bit for bit (numpy computes lo + (hi - lo) * next_double), faster."""
-    return lo + (hi - lo) * rng.random()
-
-
-def _pcg64_words(seed: int):
-    """The 64-bit words of `np.random.PCG64(seed)` as Python ints, 4096 to a block."""
-    bitgen = np.random.PCG64(seed)
-    while True:
-        yield from bitgen.random_raw(4096).tolist()
-
-
-class _PCG64Draws:
-    """`np.random.default_rng(seed)`'s `integers(low, high)`, for 0 < high - low < 2^32,
-    and `random()`, bit for bit.
+def _det_random_draws(seed: int, count: int, kinds: int = 7):
+    """The first `count` draws of m1-det-random, bit for bit those of
+    `np.random.default_rng(seed)`: each is `integers(0, kinds)` then `uniform(-2, 2)`,
+    and a scale draw (kind 2) then takes `uniform(0.3, 2.0)` and `uniform(-0.5, 0.5)`
+    for Re s and Im s.  Returns the kinds, u and s as arrays (s is NaN off scale draws).
 
     The draws follow numpy's `Generator` rules on raw PCG64 words (O'Neill 2014):
     `random()` is (w >> 11) 2^-53; `integers` takes 32-bit halves of a word, low half
     first, the high half kept for the next `integers` call (`random()` never touches
     it), and maps each by Lemire's rule (ACM TOMACS 29, 2019): m = u n, rejected while
-    m mod 2^32 < (2^32 - n) mod n.  Plain integer arithmetic costs a fraction of
-    numpy's per-call overhead on scalar draws.
+    m mod 2^32 < (2^32 - n) mod n.  Which word a draw reads depends on the kinds before
+    it, so one loop of plain integer arithmetic finds each draw's kind and first
+    `random()` word; numpy then reads every uniform from the word array at once.
     """
+    bitgen = np.random.PCG64(seed)
+    words = bitgen.random_raw(2 * count + 4096)  # about 1.8 words a draw at 7 kinds
 
-    def __init__(self, seed: int):
-        self._next = _pcg64_words(seed).__next__
-        self._high = None  # high half of the word the last `integers` call split
+    def words_to(n):  # the first n words at least, drawn on demand
+        nonlocal words
+        if len(words) < n:
+            words = np.concatenate((words, bitgen.random_raw(n - len(words) + 2 * count)))
+        return words
 
-    def integers(self, low: int, high: int) -> int:
-        n = high - low
-        threshold = (2**32 - n) % n
+    kind, first = array("q"), array("q")  # each draw's kind and first `random()` word
+    threshold = (2**32 - kinds) % kinds
+    pos, high = 0, None
+    block, base = [], 0  # words[base:base + 4096] as Python ints
+    for _ in range(count):
         while True:
-            if self._high is None:
-                w = self._next()
-                u, self._high = w & 0xFFFFFFFF, w >> 32
+            if high is None:
+                if pos - base >= len(block):
+                    base, block = pos, words_to(pos + 4096)[pos:pos + 4096].tolist()
+                w = block[pos - base]
+                pos += 1
+                v, high = w & 0xFFFFFFFF, w >> 32
             else:
-                u, self._high = self._high, None
-            m = u * n
+                v, high = high, None
+            m = v * kinds
             if m & 0xFFFFFFFF >= threshold:
-                return low + (m >> 32)
+                break
+        k = m >> 32
+        kind.append(k)
+        first.append(pos)
+        pos += 3 if k == _SCALE_KIND else 1
+    words_to(pos)  # every word the last draws read
+    kind, first = np.frombuffer(kind, dtype=np.int64), np.frombuffer(first, dtype=np.int64)
 
-    def random(self) -> float:
-        return (self._next() >> 11) * 2.0**-53
+    def uniform(lo, hi, at):  # `uniform(lo, hi)`: lo + (hi - lo) `random()` of word `at`
+        return lo + (hi - lo) * ((words[at] >> np.uint64(11)) * 2.0**-53)
+
+    scale = kind == _SCALE_KIND
+    s = np.full(count, np.nan, dtype=complex)
+    s[scale] = _complex(uniform(0.3, 2.0, first[scale] + 1), uniform(-0.5, 0.5, first[scale] + 2))
+    return kind, uniform(-2.0, 2.0, first), s
 
 
-def _random_constructor(rng) -> SympMat2:
-    kind = rng.integers(0, len(_CONSTRUCTORS))
-    return _CONSTRUCTORS[kind](_uniform(rng, -2.0, 2.0), rng)
+def _complex(re, im) -> np.ndarray:
+    """re + i im with both parts kept as given (`re + 1j * im` can flip a zero's sign)."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _cmul(x, y) -> np.ndarray:
+    """x * y elementwise, as CPython multiplies complex numbers: (xr yr - xi yi) +
+    i (xr yi + xi yr); numpy's complex `*` can round differently."""
+    xr, xi, yr, yi = np.real(x), np.imag(x), np.real(y), np.imag(y)
+    return _complex(xr * yr - xi * yi, xr * yi + xi * yr)
+
+
+def _reciprocal(s: np.ndarray) -> np.ndarray:
+    """1 / s elementwise, as CPython divides 1.0 by a complex (`_Py_c_quot`: Smith's
+    rule, scaled by the part of larger magnitude)."""
+    re, im = s.real, s.imag
+    by_re = np.abs(re) >= np.abs(im)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch not taken
+        r = np.where(by_re, im / re, re / im)
+        den = np.where(by_re, re + im * r, re * r + im)
+        return _complex(np.where(by_re, 1.0 + 0.0 * r, 1.0 * r + 0.0) / den,
+                        np.where(by_re, 0.0 - 1.0 * r, 0.0 * r - 1.0) / den)
+
+
+def _unimodular_dev(m: np.ndarray) -> np.ndarray:
+    """abs(det - 1.0) of each matrix (a row a, b, c, d of m) as `SympMat2` computes it
+    (`np.hypot`, as CPython's complex `abs`; numpy's complex `abs` can round
+    differently), raising `ValueError` as `SympMat2` does where it exceeds
+    `UNIMODULAR_TOL` or is NaN."""
+    det = _cmul(m[:, 0], m[:, 3]) - _cmul(m[:, 1], m[:, 2])
+    dev = np.hypot(det.real - 1.0, det.imag)
+    bad = ~(dev <= UNIMODULAR_TOL)
+    if bad.any():
+        raise ValueError(f"matrix is not unimodular: det = {complex(det[np.argmax(bad)])}")
+    return dev
+
+
+def _constructor_rows(kind, u, s) -> np.ndarray:
+    """The entries a, b, c, d of each drawn matrix (one row per draw), bit for bit
+    those of its `mat_*` constructor; each row is held unimodular."""
+    rows = np.zeros((len(kind), 4), dtype=complex)
+    rows[:, 0] = rows[:, 3] = 1.0
+    free, lens, scale, fourier, laplace, poisson, aperture = (kind == k for k in range(7))
+    rows[free, 1] = u[free]
+    rows[lens, 2] = -u[lens]
+    rows[scale, 0], rows[scale, 3] = s[scale], _reciprocal(s[scale])
+    for sel, c_and_s in ((fourier, lambda c, s: (c, s, -s, c)),
+                         (laplace, lambda c, s: (c, _cmul(1j, s), _cmul(1j, s), c))):
+        phi = (u[sel] * math.pi / 2.0).tolist()  # math's cos and sin, as mat_* take them
+        cos, sin = (np.fromiter(map(f, phi), float, len(phi)) for f in (math.cos, math.sin))
+        rows[sel] = np.stack(c_and_s(cos, sin), axis=1)
+    rows[poisson, 1] = _cmul(-1j, np.abs(u[poisson]) + 0.1)
+    rows[aperture, 2] = _cmul(1j, np.abs(u[aperture]) + 0.1)
+    _unimodular_dev(rows)
+    return rows
+
+
+def _triple_devs(rows: np.ndarray) -> np.ndarray:
+    """abs(compose(m1, m2, m3).det - 1.0) for each run of three rows, with `compose`'s
+    arithmetic, the product held unimodular."""
+    a, b, c, d = rows[0::3].T
+    for m in (rows[1::3], rows[2::3]):
+        ma, mb, mc, md = m.T
+        a, b, c, d = (_cmul(a, ma) + _cmul(b, mc), _cmul(a, mb) + _cmul(b, md),
+                      _cmul(c, ma) + _cmul(d, mc), _cmul(c, mb) + _cmul(d, md))
+    return _unimodular_dev(np.stack((a, b, c, d), axis=1))
 
 
 def _check_det_random():
     # the draws, and so the pinned worst case, are tied to PCG64's seeding and numpy's
-    # Generator rules (`_PCG64Draws`); a numpy that changes either fails a tier-1 test
-    rng = _PCG64Draws(20110131)
-    worst = 0.0
-    for _ in range(10000):
-        m = compose(_random_constructor(rng), _random_constructor(rng), _random_constructor(rng))
-        worst = max(worst, abs(m.det - 1.0))
-    return {"max_abs": worst, "tolerance": 1e-14}
+    # Generator rules (`_det_random_draws`); a numpy that changes either fails a tier-1 test
+    devs = _triple_devs(_constructor_rows(*_det_random_draws(20110131, 30000)))
+    return {"max_abs": float(np.max(devs)), "tolerance": 1e-14}
 
 
 def _check_appell_matrix_closed_form():
@@ -804,13 +870,22 @@ CHECKS = [
 ]
 
 
+def select_checks(names=None) -> list:
+    """The `CHECKS` rows that `names` (check ids or criterion numbers) pick, all of them
+    by default; raises `ValueError` naming every name that matches no check."""
+    if not names:
+        return CHECKS
+    known = {cid for cid, _, _ in CHECKS} | {str(crit) for _, crit, _ in CHECKS}
+    unmatched = [n for n in names if n not in known]
+    if unmatched:
+        raise ValueError(f"no checks match {unmatched!r}")
+    return [c for c in CHECKS if c[0] in names or str(c[1]) in names]
+
+
 def run_suite(names=None) -> dict:
     """Run the named checks (all by default) and build the JSON-able report."""
-    selected = CHECKS if not names else [c for c in CHECKS if c[0] in names or str(c[1]) in names]
-    if names and not selected:
-        raise ValueError(f"no checks match {names!r}")
     checks = []
-    for cid, criterion, fn in selected:
+    for cid, criterion, fn in select_checks(names):
         r = fn()
         passed = r.get("passed", r["max_abs"] <= r["tolerance"])
         row = {"check_id": cid, "criterion": criterion, "params": {},

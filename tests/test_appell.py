@@ -559,7 +559,7 @@ def test_spec_validation():
         AppellSpec(EK.RADIAL_HEAT, mu=0.5)
     with pytest.raises(ValueError):
         AppellSpec(EK.RADIAL_PWE, m=-1)
-    # orders normalize into (-2, 2]
+    # wave orders normalize into (-2, 2]; caloric orders are kept as given
     assert AppellSpec(EK.PWE, alpha=2.5).alpha == pytest.approx(-1.5)
 
 

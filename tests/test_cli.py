@@ -182,6 +182,19 @@ def test_verify_subset_report(tmp_path, capsys):
     assert report["all_pass"] is True
 
 
+@pytest.mark.parametrize("suite, unmatched", [
+    (["m1-laplace-similarity", "bogus-id"], "['bogus-id']"),
+    (["no-such-check"], "['no-such-check']"),
+    (["all", "11", "bogus-id"], "['11', 'bogus-id']"),
+])
+def test_verify_rejects_names_that_match_no_check(capsys, suite, unmatched):
+    # a usage error (exit 1) before any check runs, not a numeric failure or a traceback
+    assert run_cli("verify", *suite) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"canonica: no checks match {unmatched}\n"
+    assert captured.out == ""
+
+
 def test_verify_reports_are_byte_identical(tmp_path):
     # determinism at the file level for a representative sub-suite
     cmd = [sys.executable, "-m", "canonica.cli", "verify",

@@ -14,6 +14,16 @@ from canonica.fields import (
     SampledField,
 )
 from canonica import verify
+from canonica.symplectic import (
+    compose,
+    mat_fourier,
+    mat_free,
+    mat_gauss_aperture,
+    mat_laplace,
+    mat_lens,
+    mat_poisson,
+    mat_scale,
+)
 from canonica.verify import (
     APPELL_PAIRS,
     CHECKS,
@@ -140,6 +150,12 @@ def test_run_suite_subset_and_schema():
         run_suite(["no-such-check"])
 
 
+def test_run_suite_names_every_unmatched_name():
+    # one name matches, two do not: the error names both, and no check runs
+    with pytest.raises(ValueError, match=r"no checks match \['bogus-id', '11'\]"):
+        run_suite(["m1-laplace-similarity", "bogus-id", "11"])
+
+
 def test_run_suite_by_criterion_number():
     report = run_suite(["1"])
     ids = {c["check_id"] for c in report["checks"]}
@@ -161,33 +177,59 @@ def test_det_random_worst_case_is_pinned():
     assert row["pass"]
 
 
+# m1-det-random one matrix at a time, the reference for its batch: seven constructor
+# kinds, each drawn by `integers(0, 7)` and fed u = uniform(-2, 2); a scale draws its s
+# after u, real part first
+_CONSTRUCTORS = (
+    lambda u, s: mat_free(u),
+    lambda u, s: mat_lens(u),
+    lambda u, s: mat_scale(s),
+    lambda u, s: mat_fourier(u),
+    lambda u, s: mat_laplace(u),
+    lambda u, s: mat_poisson(abs(u) + 0.1),
+    lambda u, s: mat_gauss_aperture(abs(u) + 0.1),
+)
+
+
+def _scalar_draws(seed, count, kinds=7):
+    """m1-det-random's draws from `np.random.default_rng(seed)`, one call at a time, in
+    the check's call order: (kind, u, s) per draw, s None off the scale kind."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        kind = int(rng.integers(0, kinds))
+        u = rng.uniform(-2.0, 2.0)
+        s = complex(rng.uniform(0.3, 2.0), rng.uniform(-0.5, 0.5)) if kind == 2 else None
+        draws.append((kind, u, s))
+    return draws
+
+
+def _assert_draws_match(seed, count, kinds):
+    kind, u, s = verify._det_random_draws(seed, count, kinds)
+    ref = _scalar_draws(seed, count, kinds)
+    assert kind.tolist() == [k for k, _, _ in ref]
+    assert np.array_equal(u.view(np.uint64), np.array([x for _, x, _ in ref]).view(np.uint64))
+    ref_s = np.array([np.nan if z is None else z for _, _, z in ref], dtype=complex)
+    assert np.array_equal(s.view(np.uint64), ref_s.view(np.uint64))
+
+
 @pytest.mark.parametrize("lo, hi", [(-2.0, 2.0), (0.3, 2.0), (-0.5, 0.5)])
 def test_uniform_draw_is_bit_identical_to_numpy(lo, hi):
-    fast, ref = np.random.default_rng(5), np.random.default_rng(5)
-    n = 100_000
-    drawn = np.array([verify._uniform(fast, lo, hi) for _ in range(n)])
-    expected = np.array([ref.uniform(lo, hi) for _ in range(n)])
-    assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
-    assert fast.random() == ref.random()  # both streams at the same place
+    # each uniform a draw can take: u on [-2, 2), then Re s and Im s of a scale draw
+    kind, u, s = verify._det_random_draws(5, 30_000)
+    ref = _scalar_draws(5, 30_000)
+    if lo == -2.0:
+        drawn, expected = u, [x for _, x, _ in ref]
+    else:
+        part = np.real if lo == 0.3 else np.imag
+        drawn, expected = part(s[kind == 2]), [part(z) for k, _, z in ref if k == 2]
+    assert np.array_equal(drawn.view(np.uint64), np.array(expected, dtype=float).view(np.uint64))
 
 
 @pytest.mark.parametrize("seed", [20110131, 1, 77])
 def test_pcg64_draws_are_bit_identical_to_numpy(seed):
-    # 120,000 calls in a random interleaving read about 80,000 words: about 20 blocks
-    fast, ref = verify._PCG64Draws(seed), np.random.default_rng(seed)
-    calls = np.random.default_rng(seed + 1).integers(0, 3, 120_000).tolist()
-    ints, ref_ints, floats, ref_floats = [], [], [], []
-    for c in calls:
-        if c == 2:
-            floats.append(fast.random())
-            ref_floats.append(ref.random())
-        else:
-            high = (7, 1_000_003)[c]
-            ints.append(fast.integers(0, high))
-            ref_ints.append(ref.integers(0, high))
-    assert ints == ref_ints
-    assert np.array_equal(np.array(floats).view(np.uint64), np.array(ref_floats).view(np.uint64))
-    assert fast.random() == ref.random()  # both streams at the same place
+    # 30,000 draws, as the check makes, read about 54,000 words, 4096 to a block
+    _assert_draws_match(seed, 30_000, 7)
 
 
 def test_pcg64_draws_match_numpy_through_lemire_rejections():
@@ -198,9 +240,47 @@ def test_pcg64_draws_match_numpy_through_lemire_rejections():
     words = np.random.PCG64(seed).random_raw(2).tolist()
     halves = [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
     assert [(u * n) & 0xFFFFFFFF < (2**32 - n) % n for u in halves] == [True, True, True, False]
-    fast, ref = verify._PCG64Draws(seed), np.random.default_rng(seed)
-    assert [fast.integers(0, n) for _ in range(50)] == [ref.integers(0, n) for _ in range(50)]
-    assert fast.random() == ref.random()
+    _assert_draws_match(seed, 2_000, n)
+
+
+def test_det_random_draws_read_more_words_on_demand():
+    # at 3 kinds a third of the draws are scales, which read three words: 20,000 draws
+    # read about 43,000 words, more than the 2 * 20,000 + 4096 drawn first
+    _assert_draws_match(77, 20_000, 3)
+
+
+def _scalar_rows(draws):
+    return [_CONSTRUCTORS[kind](u, s) for kind, u, s in draws]
+
+
+@pytest.mark.parametrize("seed", [20110131, 6063])
+def test_det_random_batch_is_bit_identical_to_the_library(seed):
+    # every constructor row against its mat_*, every |det - 1| against compose's
+    rows = verify._constructor_rows(*verify._det_random_draws(seed, 30_000))
+    mats = _scalar_rows(_scalar_draws(seed, 30_000))
+    assert np.array_equal(rows.view(np.uint64), np.array(mats).view(np.uint64))
+    devs = verify._triple_devs(rows)
+    ref = [abs(compose(*mats[i:i + 3]).det - 1.0) for i in range(0, 30_000, 3)]
+    assert np.array_equal(devs.view(np.uint64), np.array(ref).view(np.uint64))
+
+
+def test_det_random_batch_holds_rows_and_products_unimodular():
+    # a scale of s = 5e-324 has 1/s = inf, which mat_scale's SympMat2 rejects too
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError,
+                                                                    match="not unimodular"):
+        verify._constructor_rows(np.array([2]), np.array([0.0]), np.array([5e-324 + 0j]))
+    with pytest.raises(ValueError):
+        mat_scale(5e-324)
+    with pytest.raises(ValueError, match="not unimodular"):
+        verify._unimodular_dev(np.array([[2.0, 0.0, 0.0, 1.0]], dtype=complex))
+    # free(1e200) lens(1e200) free(0): each row is unimodular, their product overflows
+    rows = verify._constructor_rows(np.array([0, 1, 0]), np.array([1e200, 1e200, 0.0]),
+                                    np.full(3, np.nan, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError,
+                                                                    match="not unimodular"):
+        verify._triple_devs(rows)
+    with pytest.raises(ValueError):
+        compose(*_scalar_rows([(0, 1e200, None), (1, 1e200, None), (0, 0.0, None)]))
 
 
 def test_check_registry_covers_every_criterion():
