@@ -504,8 +504,7 @@ FAMILIES = {
 # field file format (bit-stable CSV)
 
 _MAGIC = "# canonica-field v1 "
-_ROW = "%.16e,%.16e,%.16e\n"  # coord,re,im
-_ROWS_PER_BLOCK = 32768  # rows formatted per write, the block size of specfun
+_ROWS_PER_BLOCK = 8192  # rows formatted per write
 _COORD_TOL = 1e-6  # in grid steps: how far a row's coordinate may sit from its grid point
 _HEADER_KEYS = {
     "kind": (str, "a string"),
@@ -522,12 +521,95 @@ def write_field(field: SampledField, path) -> None:
     header["geometry"] = field.geometry.to_json()
     header["evol"] = field.evol
     points, values = field.grid.points, field.values
-    with open(path, "w") as fh:
-        fh.write(_MAGIC + json.dumps(header, sort_keys=True) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((_MAGIC + json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
         for lo in range(0, len(values), _ROWS_PER_BLOCK):
             hi = lo + _ROWS_PER_BLOCK
-            block = np.column_stack((points[lo:hi], values[lo:hi].real, values[lo:hi].imag))
-            fh.write((_ROW * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_format_rows(
+                np.column_stack((points[lo:hi], values[lo:hi].real, values[lo:hi].imag))))
+
+
+# The rows are the bytes of "%.16e,%.16e,%.16e\n" % (coord, re, im): 17 correctly
+# rounded significant digits.  CPython's % reaches them through bignum arithmetic
+# (Gay's dtoa) at about 1 us a float.  Here numpy scales each |x| by a table power
+# of ten in long double and rounds to an integer; a value whose rounding the
+# long-double error cannot change is spelled out from digit tables, and every
+# other value (a near-tie, a non-finite value, a scale out of range) goes to %.
+# Where the long double is only float64 the error band exceeds the half unit it
+# must clear, so every nonzero value goes to % and the bytes stay the same.
+
+_POW10_LO = -310
+_POW10 = np.array([f"1e{p}" for p in range(_POW10_LO, 345)], dtype=np.longdouble)
+_EPS = float(np.finfo(np.longdouble).eps)
+
+
+def _words(chunks) -> np.ndarray:
+    """Byte strings, joined, as native uint32 words, which are only ever copied."""
+    return np.frombuffer(b"".join(chunks), dtype=np.uint32)
+
+
+# a value's text sits in a 7-word slot: [NUL, sign, d0, '.'], four words of
+# four digits, ['e', exponent sign, two digits], [third digit, NUL, NUL, separator];
+# the NULs are dropped when the block is packed
+_LEAD = _words(b"\0" + sign + b"%d." % d for sign in (b"\0", b"-") for d in range(10))
+_PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), dtype=np.uint16)
+_DIGITS4 = np.column_stack((np.repeat(_PAIRS, 100), np.tile(_PAIRS, 100))).view(np.uint32)[:, 0]
+_EXP_LO = -330
+_EXP = _words((b"e%+03d" % e).ljust(8, b"\0") for e in range(_EXP_LO, 310)).reshape(-1, 2)
+_SEPARATORS = np.frombuffer(b",,\n", dtype=np.uint8)
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, E, decided): |x| rounds to D * 10**(E - 16) with 10**16 <= D < 10**17,
+    or D = E = 0 for a zero; D and E are correct where decided is true.
+
+    s = |x| * 10**(16 - E) is one rounded product with a rounded table entry, so
+    it errs by at most about eps * s; a value is decided only when the fraction
+    of s clears the rounding tie by twice that."""
+    with np.errstate(all="ignore"):
+        a = np.abs(x)
+        zero = a == 0
+        e = np.floor(np.log10(np.where(np.isfinite(a) & ~zero, a, 1.0))).astype(np.int64)
+        s = a.astype(np.longdouble) * _POW10[16 - _POW10_LO - e]
+        fix = np.flatnonzero((s < 1e16) | (s >= 1e17))  # log10 off by one
+        if fix.size:
+            e[fix] += np.where(s[fix] < 1e16, -1, 1)
+            s[fix] = a[fix].astype(np.longdouble) * _POW10[16 - _POW10_LO - e[fix]]
+        d = s.astype(np.int64)
+        frac = s - d
+        # false for an inf or nan s
+        decided = (s >= 1e16) & (s < 1e17) & (np.abs(frac - 0.5) > s * (2 * _EPS))
+    d += frac > 0.5
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    d[zero] = 0
+    e[zero] = 0
+    return d, e, decided | zero
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The bytes of "%.16e,%.16e,%.16e\\n" % row for every row of an (n, 3) block."""
+    x = block.ravel()
+    d, e, decided = _decimal(x)
+    rest = np.flatnonzero(~decided)
+    d[rest] = 0
+    e[rest] = 0
+    slots = np.empty((len(x), 7), dtype=np.uint32)
+    hi, lo = np.divmod(d, 10**8)
+    lead, hi = np.divmod(hi, 10**8)
+    slots[:, 0] = _LEAD[lead + 10 * np.signbit(x)]
+    slots[:, 1], slots[:, 2] = _DIGITS4[hi // 10**4], _DIGITS4[hi % 10**4]
+    slots[:, 3], slots[:, 4] = _DIGITS4[lo // 10**4], _DIGITS4[lo % 10**4]
+    slots[:, 5:] = _EXP[e - _EXP_LO]
+    if rest.size:
+        text = ("%.16e\n" * rest.size) % tuple(x[rest].tolist())
+        slots[rest, :6] = np.array(text.split("\n")[:-1], dtype="S24").view(np.uint32) \
+            .reshape(-1, 6)
+        slots[rest, 6] = 0
+    raw = slots.view(np.uint8).reshape(-1, 3, 28)
+    raw[:, :, -1] = _SEPARATORS
+    return raw[raw != 0].tobytes()
 
 
 def read_field(path) -> SampledField:

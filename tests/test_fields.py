@@ -3,9 +3,11 @@ import math
 import os
 import tempfile
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canonica.common import DomainError, EquationKind, FieldFileError, GeometryMismatch
 from canonica.fields import (
@@ -30,7 +32,7 @@ from canonica.fields import (
     sample,
     write_field,
 )
-from canonica import specfun
+from canonica import fields, specfun
 
 
 def test_grid_basics():
@@ -345,6 +347,90 @@ def test_write_field_memory_is_bounded():
         finally:
             tracemalloc.stop()
     assert peak <= 16 * 2**20, f"write_field peak {peak / 2**20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# row formatting: fields._format_rows against one f-string a value
+
+def _reference_rows(rows):
+    return "".join(f"{a:.16e},{b:.16e},{c:.16e}\n" for a, b, c in rows.tolist()).encode()
+
+
+def _as_rows(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.zeros(-len(values) % 3)]).reshape(-1, 3)
+
+
+def _ties():
+    """Every float odd * 2**-k whose exact decimal has 18 significant digits, the
+    last a 5: 17 digits are a rounding tie.  The smallest and largest odd m of
+    each k and 50 drawn between them."""
+    rng = np.random.default_rng(25)
+    ties = []
+    for k in range(1, 26):
+        lo, hi = -(-10**17 // 5**k) | 1, min(10**18 // 5**k, 2**53 - 1)
+        if lo > hi:
+            continue
+        drawn = rng.integers(lo, hi, 50, endpoint=True) | 1
+        ties += [m * 2.0**-k for m in [lo, hi - (hi % 2 == 0), *drawn.tolist()]
+                 if 10**17 <= m * 5**k < 10**18]
+    return np.array(ties)
+
+
+def _sweep_values():
+    tens = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    edges = np.concatenate([
+        np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf),
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        _ties(),
+        [np.nan, np.inf, 0.0, 5e-324, np.finfo(float).max],
+    ])
+    # random bit patterns carry both signs already
+    random = np.random.default_rng(23).integers(0, 2**64, 10**6, dtype=np.uint64).view(float)
+    return np.concatenate([random, edges, -edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12))
+def test_format_rows_matches_fstring_on_any_bit_pattern(bits):
+    # NaN, +-inf, subnormals and -0.0 are all bit patterns
+    rows = _as_rows(np.array(bits, dtype=np.uint64).view(float))
+    assert fields._format_rows(rows) == _reference_rows(rows)
+
+
+def test_format_rows_matches_fstring_on_sweep():
+    ties = _ties()
+    assert 2.0**-25 in ties and len(ties) > 1000
+    rows = _as_rows(_sweep_values())
+    assert fields._format_rows(rows) == _reference_rows(rows)
+    assert fields._format_rows(_as_rows([2.0**-25, -(2.0**-25)])) == \
+        b"2.9802322387695312e-08,-2.9802322387695312e-08,0.0000000000000000e+00\n"
+
+
+def test_power_of_ten_table_is_correctly_rounded():
+    for p, entry in enumerate(fields._POW10, start=fields._POW10_LO):
+        if not np.isfinite(entry):  # above 1e308 where the long double is float64
+            continue
+        half_ulp = Fraction(*np.spacing(entry).as_integer_ratio()) / 2
+        assert abs(Fraction(*entry.as_integer_ratio()) - Fraction(10)**p) <= half_ulp, p
+
+
+def test_format_rows_with_a_float64_band_sends_every_nonzero_value_to_percent(monkeypatch):
+    # the band of a long double that is only float64: no nonzero value is decided
+    monkeypatch.setattr(fields, "_EPS", float(np.finfo(float).eps))
+    values = _sweep_values()[::20]
+    assert np.array_equal(fields._decimal(values)[2], values == 0)
+    rows = _as_rows(values)
+    assert fields._format_rows(rows) == _reference_rows(rows)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="the long double is narrower than x87's 64-bit significand")
+def test_format_rows_sends_few_values_of_an_hg_file_to_percent():
+    fld = sample(StdHG(3), Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 100_000), 0.5)
+    values = np.concatenate([fld.grid.points, fld.values.real, fld.values.imag])
+    share = 1.0 - fields._decimal(values)[2].mean()
+    assert share < 0.05, f"{share:.1%} of the values take %"
 
 
 _HEADER = {"kind": "full-line", "start": 0.0, "step": 0.5, "count": 3,
