@@ -10,8 +10,10 @@ evaluability off the sampled slice is essential.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -54,7 +56,12 @@ class Grid1D:
 
     @property
     def points(self) -> np.ndarray:
-        return self.start + self.step * np.arange(self.count)
+        return self.points_at(np.arange(self.count))
+
+    def points_at(self, rows):
+        """The coordinates of row indices (an int or an int array), bit for bit
+        those that points holds at them."""
+        return self.start + self.step * rows
 
     @property
     def end(self) -> float:
@@ -520,13 +527,13 @@ def write_field(field: SampledField, path) -> None:
     header = field.grid.to_header()
     header["geometry"] = field.geometry.to_json()
     header["evol"] = field.evol
-    points, values = field.grid.points, field.values
+    grid, values = field.grid, field.values
     with open(path, "wb") as fh:
         fh.write((_MAGIC + json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
         for lo in range(0, len(values), _ROWS_PER_BLOCK):
-            hi = lo + _ROWS_PER_BLOCK
-            fh.write(_format_rows(
-                np.column_stack((points[lo:hi], values[lo:hi].real, values[lo:hi].imag))))
+            hi = min(lo + _ROWS_PER_BLOCK, len(values))
+            fh.write(_format_rows(np.column_stack(
+                (grid.points_at(np.arange(lo, hi)), values[lo:hi].real, values[lo:hi].imag))))
 
 
 # The rows are the bytes of "%.16e,%.16e,%.16e\n" % (coord, re, im): 17 correctly
@@ -612,27 +619,120 @@ def _format_rows(block: np.ndarray) -> bytes:
     return raw[raw != 0].tobytes()
 
 
+# Reading splits the work the same way (Clinger's fast path with an exact
+# fallback).  A token [-]d.dddddddddddddddde±dd[d] is D * 10**(E - 16), D its
+# 17 digits.  numpy divides D by the table power 10**(16 - E) in long double and
+# rounds the quotient r to a float64 y.  r errs by at most about eps * r, so y
+# is what float() gives wherever r lies inside y's rounding interval by twice
+# that.  Every other token (a near-tie, a token outside that grammar, a scale
+# near subnormal or overflow) goes to float().  Where the long double is only
+# float64 that is every nonzero token, and the values stay the same.
+
+_BLOCK_BYTES = 4096 * 72  # bytes read at a time: 4,096 rows as written
+_MIN_ROW = 5  # bytes of the shortest row, "0,0,0"
+_PAD = bytes(32)  # so that a 24-byte window from any token's third byte is in range
+_E_MAX = 307  # |E| bound: 10**(E_MAX + 1) is a finite float64
+_Y_MIN = 2.0**-969  # from here up, half an ulp is a normal float64
+
+
+def _eight_digits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, ok) of the eight ASCII digits, first digit lowest, in each uint64."""
+    nibbles = 0xF0F0F0F0F0F0F0F0
+    ok = (words & nibbles) | (((words + 0x0606060606060606) & nibbles) >> 4) \
+        == 0x3333333333333333
+    v = words - 0x3030303030303030
+    v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF
+    v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF
+    return (v * 10000 + (v >> 32)) & 0xFFFFFFFF, ok
+
+
+def _split(block: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(buf, starts, ends) of the tokens of a block of whole lines, buf padded;
+    None unless every line is "a,b,c\\n"."""
+    buf = np.frombuffer(block + _PAD, dtype=np.uint8)
+    separators = buf == ord(",")
+    separators |= buf == ord("\n")
+    ends = np.flatnonzero(separators)
+    if len(ends) % 3 or not np.all(buf[ends].reshape(-1, 3) == _SEPARATORS):
+        return None
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = 0, ends[:-1] + 1
+    return buf, starts, ends
+
+
+def _binary(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """(x, decided): x is what float() reads from each token buf[start:end]
+    wherever decided is true."""
+    neg = buf[starts] == ord("-")
+    s = starts + neg
+    three = ends - s == 23  # a three-digit exponent
+    lead = buf[s] - ord("0")
+    # per token: 16 digits, 'e', the exponent's sign and its two or three digits
+    tail = np.lib.stride_tricks.sliding_window_view(buf, 24)[s + 2]
+    hi, ok_hi = _eight_digits(tail.view("<u8")[:, 0])
+    lo, ok_lo = _eight_digits(tail.view("<u8")[:, 1])
+    exp = tail[:, 18:21] - ord("0")
+    e = 10 * exp[:, 0].astype(np.int16) + exp[:, 1]
+    e = np.where(three, 10 * e + exp[:, 2], e)
+    e = np.where(tail[:, 17] == ord("-"), -e, e)
+    ok = (three | (ends - s == 22)) & (lead <= 9) & (buf[s + 1] == ord(".")) \
+        & ok_hi & ok_lo & (tail[:, 16] == ord("e")) \
+        & ((tail[:, 17] == ord("+")) | (tail[:, 17] == ord("-"))) \
+        & (exp[:, 0] <= 9) & (exp[:, 1] <= 9) & (~three | (exp[:, 2] <= 9)) \
+        & (np.abs(e) <= _E_MAX)
+    d = lead * np.uint64(10**16) + hi * 10**8 + lo
+    e[~ok] = 0
+    with np.errstate(all="ignore"):
+        r = d.astype(np.longdouble) / _POW10[16 - _POW10_LO - e]
+        y = r.astype(float)
+        # y's rounding interval reaches at least half the ulp of nextafter(y, 0),
+        # 2**(its exponent - 53), on either side; built from the bits of y >= _Y_MIN
+        half = ((y.view(np.uint64) - 1) & 0x7FF0000000000000) - (53 << 52)
+        decided = ok & ((d == 0) | ((y >= _Y_MIN) & (
+            np.abs((r - y).astype(float)) < half.view(float) - 2 * _EPS * y)))
+    return np.where(neg, -y, y), decided
+
+
+def _parse_rows(block: bytes) -> np.ndarray | None:
+    """The (n, 3) float64 rows of a block of whole lines, each value as float()
+    reads its token; None unless every line is three comma-separated tokens
+    that float() accepts."""
+    tokens = _split(block)
+    if tokens is None:
+        return None
+    x, decided = _binary(*tokens)
+    rest = np.flatnonzero(~decided)
+    if rest.size:
+        _, starts, ends = tokens
+        try:
+            x[rest] = [float(block[a:b]) for a, b in zip(starts[rest].tolist(),
+                                                          ends[rest].tolist())]
+        except ValueError:
+            return None
+    return x.reshape(-1, 3)
+
+
 def read_field(path) -> SampledField:
     """Read a field file; the grid, geometry and every row's coordinate are checked.
 
-    The body is parsed by one np.loadtxt call.  Whatever that rejects (or a
-    row off the header's grid) is re-read row by row, which accepts what
-    float() accepts and names the first bad line.  A bad header or row raises
-    FieldFileError, a ValueError that names the key or the line."""
-    with open(path) as fh:
+    The body is parsed a block of lines at a time by _parse_rows.  A body it
+    rejects, or a row off the header's grid, or a wrong row count, is re-read
+    row by row, which accepts what float() accepts and names the first bad
+    line.  A bad header or row raises FieldFileError, a ValueError that names
+    the key or the line."""
+    with open(path, "rb") as fh:
         try:
-            first = fh.readline()
+            first = fh.readline().decode("utf-8")
             if not first.startswith(_MAGIC):
                 raise FieldFileError(f"{path}: not a canonica-field v1 file")
             grid, geometry, evol = _read_header(path, first[len(_MAGIC):])
             body = fh.tell()
-            values = None
-            if fh.readline().strip():  # an empty body would make loadtxt warn
-                fh.seek(body)
-                values = _load_rows(fh, grid)
+            values = _read_blocks(fh, grid)
             if values is None:
                 fh.seek(body)
-                values = _read_rows(fh, path, grid)
+                with io.TextIOWrapper(fh, encoding="utf-8") as text:
+                    values = _read_rows(text, path, grid)
         except UnicodeDecodeError as exc:
             raise FieldFileError(f"{path}: not a text file: {exc}") from None
     return SampledField(grid, values, geometry, evol)
@@ -666,22 +766,41 @@ def _read_header(path, text: str) -> tuple[Grid1D, Geometry, float]:
     return grid, geometry, float(header["evol"])
 
 
-def _load_rows(fh, grid: Grid1D) -> np.ndarray | None:
-    """The values of the whole body in one np.loadtxt call, or None if it
-    does not parse into grid.count rows on the grid."""
-    try:
-        rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if rows.shape != (grid.count, 3) or \
-            not np.all(np.abs(rows[:, 0] - grid.points) <= _COORD_TOL * grid.step):
-        return None
-    # a view keeps the sign of a zero real part, which re + 1j*im loses
-    return np.ascontiguousarray(rows[:, 1:]).view(complex)[:, 0]
+def _read_blocks(fh, grid: Grid1D) -> np.ndarray | None:
+    """The values of a body of grid.count "a,b,c\\n" lines on the grid, read a
+    block of whole lines at a time; None if it is anything else.  No more rows
+    are allocated than the body has bytes for."""
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    values = np.empty(min(grid.count, max(size, 0) // _MIN_ROW), dtype=complex)
+    # a float view keeps the sign of a zero real part, which re + 1j*im loses
+    pairs = values.view(float).reshape(-1, 2)
+    tol = _COORD_TOL * grid.step
+    n, carry = 0, b""
+    while True:
+        chunk = fh.read(_BLOCK_BYTES)
+        if chunk:
+            cut = chunk.rfind(b"\n") + 1
+            if not cut:  # a line longer than a block
+                carry += chunk
+                continue
+            block, carry = b"".join((carry, memoryview(chunk)[:cut])), chunk[cut:]
+            del chunk  # so that a block's bytes are held once while it is parsed
+        elif carry:  # the last line has no newline
+            block, carry = carry + b"\n", b""
+        else:
+            break
+        rows = _parse_rows(block)
+        if rows is None or n + len(rows) > len(values) or \
+                not np.all(np.abs(rows[:, 0] - grid.points_at(np.arange(n, n + len(rows))))
+                           <= tol):
+            return None
+        pairs[n:n + len(rows)] = rows[:, 1:]
+        n += len(rows)
+    return values if n == grid.count else None
 
 
 def _read_rows(fh, path, grid: Grid1D) -> np.ndarray:
-    points, tol = grid.points, _COORD_TOL * grid.step
+    tol = _COORD_TOL * grid.step
     values = []
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
@@ -696,9 +815,9 @@ def _read_rows(fh, path, grid: Grid1D) -> np.ndarray:
         except ValueError as exc:
             raise FieldFileError(f"{path}:{lineno}: {exc}") from None
         row = len(values) - 1
-        if row < grid.count and not abs(coord - points[row]) <= tol:
+        if row < grid.count and not abs(coord - grid.points_at(row)) <= tol:
             raise FieldFileError(f"{path}:{lineno}: coordinate {coord!r} is not grid point "
-                             f"{row} ({float(points[row])!r})")
+                                 f"{row} ({float(grid.points_at(row))!r})")
     if len(values) != grid.count:
         raise FieldFileError(f"{path}: row count {len(values)} != declared {grid.count}")
     return np.array(values)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -433,6 +434,157 @@ def test_format_rows_sends_few_values_of_an_hg_file_to_percent():
     assert share < 0.05, f"{share:.1%} of the values take %"
 
 
+# ---------------------------------------------------------------------------
+# row parsing: fields._parse_rows against float() a token
+
+_X87 = np.finfo(np.longdouble).nmant >= 63
+
+
+def _float_per_token(text):
+    return np.array([float(t) for t in re.split(rb"[,\n]", text)[:-1]])
+
+
+def _assert_parses_like_float(text):
+    rows = fields._parse_rows(text)
+    assert rows is not None
+    assert np.array_equal(rows.ravel().view(np.uint64), _float_per_token(text).view(np.uint64))
+
+
+def _decided(text):
+    return fields._binary(*fields._split(text))[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.integers(0, 2**64 - 1), min_size=3 * k, max_size=3 * k)))
+def test_parse_rows_matches_float_on_any_bit_pattern(bits):
+    # NaN, +-inf, subnormals and -0.0 are all bit patterns
+    rows = np.array(bits, dtype=np.uint64).view(float).reshape(-1, 3)
+    _assert_parses_like_float(fields._format_rows(rows))
+
+
+def _exact_midpoints():
+    """Midpoints between adjacent doubles that 17 digits spell exactly: t * 10**q
+    with t * 5**q odd in [2**53, 2**54) lies halfway between multiples of 2**(q+1),
+    and t / 2 with t odd in [2**53, 2**54) halfway between integers."""
+    rng = np.random.default_rng(24)
+    out = []
+    for q in range(-1, 23):
+        f = 5 ** max(q, 0)
+        lo, hi = -(-(2**53) // f), (2**54 - 1) // f
+        out += [Fraction(f * t) * Fraction(2) ** q
+                for t in rng.integers(lo, hi, 20, endpoint=True).tolist()
+                if t % 2 and 2**53 <= f * t < 2**54]
+    return out
+
+
+def _midpoint_tokens():
+    """17-digit tokens one unit below, at and above midpoints between adjacent
+    doubles: random normal and subnormal ones, the midpoint below every power of
+    two (where the ulp halves), and exact midpoints; both signs of each."""
+    rng = np.random.default_rng(26)
+    lower = np.concatenate([
+        rng.integers(1, 0x7FEFFFFFFFFFFFFF, 3000, dtype=np.uint64).view(float),
+        np.nextafter(np.ldexp(1.0, np.arange(-1073, 1024)), 0.0),
+    ])
+    midpoints = [(Fraction(a) + Fraction(b)) / 2
+                 for a, b in zip(lower.tolist(), np.nextafter(lower, np.inf).tolist())]
+    tokens = []
+    for m in midpoints + _exact_midpoints():
+        e = math.floor(math.log10(m))
+        e += (m >= Fraction(10) ** (e + 1)) - (m < Fraction(10) ** e)
+        d = math.floor(m * Fraction(10) ** (16 - e))
+        for k in range(d - 1, d + 3):
+            if 10**16 <= k < 10**17:
+                digits = f"{k // 10**16}.{k % 10**16:016d}e{e:+03d}"
+                tokens += [digits, "-" + digits]
+    return tokens
+
+
+_SPECIAL_TOKENS = [
+    "0.0000000000000000e+00", "-0.0000000000000000e+00", "0.0000000000000000e-308",
+    "-0.0000000000000000e+999", "nan", "-nan", "inf", "-inf", "1e5", " 2.5 ",
+    "1.7976931348623157e+308", "1.7976931348623158e+308", "1.7976931348623159e+308",
+    "1.8000000000000000e+308", "9.9999999999999999e+307", "1.0000000000000000e-307",
+    "2.2250738585072011e-308", "2.2250738585072014e-308", "4.9406564584124654e-324",
+    "2.4703282292062327e-324", "2.4703282292062328e-324", "1.0000000000000000e+000",
+    "-1.2345678901234567e-100", "0.5000000000000000e+00", "0.0000000000000001e-300",
+    "1.0000000000000000e-400", "1.0000000000000000e+400", "1.0000000000000000E+01",
+    "1_0000000000000000e+00", "-2_2345678901234567e-10",  # no '.': float() reads 1e16
+    "9.0071992547409930e+15", "9.0071992547409950e+15",  # ties, to even: 2**53, 2**53 + 4
+]
+
+
+def _sweep_text():
+    tokens = _midpoint_tokens() + _SPECIAL_TOKENS
+    tokens += ["0.0"] * (-len(tokens) % 3)
+    return "".join(",".join(tokens[i:i + 3]) + "\n" for i in range(0, len(tokens), 3)).encode()
+
+
+def test_parse_rows_matches_float_on_sweep():
+    text = _sweep_text()
+    assert len(text) > 10**6
+    _assert_parses_like_float(text)
+    assert fields._parse_rows(b"9.0071992547409930e+15,9.0071992547409950e+15,-0.0\n") \
+        .tolist() == [[2.0**53, 2.0**53 + 4, -0.0]]
+    if _X87:  # most tokens take the long-double path, not float()
+        assert _decided(text).mean() > 0.9
+    # every written value, its neighbours, the writer's ties and a million bit patterns
+    _assert_parses_like_float(fields._format_rows(_as_rows(_sweep_values())))
+
+
+def test_parse_rows_with_a_float64_band_sends_every_nonzero_token_to_float(monkeypatch):
+    # the band and the power table of a long double that is only float64, where
+    # 10**309 and up are inf: no nonzero token is decided
+    monkeypatch.setattr(fields, "_EPS", float(np.finfo(float).eps))
+    with np.errstate(over="ignore"):
+        monkeypatch.setattr(fields, "_POW10", fields._POW10.astype(float).astype(np.longdouble))
+    text = _sweep_text()
+    decided = _decided(text)
+    assert decided.any() and not decided[_float_per_token(text) != 0].any()
+    _assert_parses_like_float(text)
+
+
+@pytest.mark.skipif(not _X87, reason="the long double is narrower than x87's 64-bit significand")
+@pytest.mark.parametrize("evol", [0.0, 0.5])
+def test_parse_rows_sends_few_tokens_of_an_hg_file_to_float(evol):
+    fld = sample(StdHG(3), Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 100_000), evol)
+    text = fields._format_rows(np.column_stack((fld.grid.points, fld.values.real,
+                                                fld.values.imag)))
+    share = 1.0 - _decided(text).mean()
+    assert share < 0.01, f"{share:.1%} of the tokens take float()"
+
+
+def test_read_field_memory_is_bounded():
+    fld = sample(Gauss(1.0), Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 400_000), 0.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.csv")
+        write_field(fld, path)
+        tracemalloc.start()
+        try:
+            back = read_field(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"read_field peak {peak / 2**20:.1f} MiB"
+    assert np.array_equal(_bits(back.values), _bits(fld.values))
+
+
+def test_read_field_reads_blocks_of_lines(tmp_path):
+    fld = sample(Gauss(4.0), Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 20_000), 0.0)
+    path = tmp_path / "f.csv"
+    write_field(fld, path)
+    head, *rows = path.read_bytes().split(b"\n")[:-1]
+    path.write_bytes(b"\n".join([head, *rows]))  # no final newline
+    assert np.array_equal(_bits(read_field(path).values), _bits(fld.values))
+    path.write_bytes(b"\n".join([head, b" " * 10**6 + rows[0], *rows[1:], b""]))  # a long line
+    assert np.array_equal(_bits(read_field(path).values), _bits(fld.values))
+    rows[12_345] = b"0.0," + rows[12_345].split(b",", 1)[1]
+    path.write_bytes(b"\n".join([head, *rows, b""]))
+    with pytest.raises(FieldFileError, match="f.csv:12347: coordinate 0.0 is not grid point 12345"):
+        read_field(path)
+
+
 _HEADER = {"kind": "full-line", "start": 0.0, "step": 0.5, "count": 3,
            "geometry": {"type": "linear"}, "evol": 0.0}
 
@@ -495,3 +647,17 @@ def test_read_field_accepts_coordinates_within_the_tolerance(tmp_path):
     rows = [0.0, 0.1 + 1e-9, 0.2 - 1e-9]
     _write_raw(path, {**_HEADER, "step": 0.1}, rows)
     assert np.array_equal(read_field(path).values, np.add(rows, 1))
+
+
+@pytest.mark.parametrize("count", [10**8, 10**12])
+def test_read_field_allocates_by_the_body_not_the_declared_count(tmp_path, count):
+    path = tmp_path / "bad.csv"
+    _write_raw(path, {**_HEADER, "count": count}, [0.0, 0.5])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldFileError, match=f"bad.csv: row count 2 != declared {count}$"):
+            read_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, f"read_field peak {peak / 2**20:.1f} MiB"
