@@ -20,7 +20,11 @@ off the matrix:
   field the rectangle rule then converges exponentially (Trefethen &
   Weideman, SIAM Rev. 56, 2014).  A Gaussian convolution runs the growth
   guard on the samples first, then the edge check; a real matrix runs the
-  edge check.  Every other linear kernel takes Gauss-Legendre.
+  edge check.  The convolution is circular, on next_fast_len(n + m - 1)
+  points for n samples and m outputs: the n + m - 1 lags are all the m
+  outputs reach, so none wraps (the chirp-z length of Rabiner, Schafer &
+  Rader, Bell Syst. Tech. J. 48, 1969).  Every other linear kernel takes
+  Gauss-Legendre.
 * ``gauss-legendre``: the linear or radial kernel on composite
   Gauss-Legendre panels over the input grid support, with the sampled field
   interpolated onto the quadrature nodes by a quintic spline.  Panels are
@@ -37,10 +41,13 @@ off the matrix:
 * ``point-map`` (B = 0): the point map of the kernel, read off the field's
   quintic spline.
 
-The plan holds the nodes, the weights and the finished kernel (refused above
-_MAX_KERNEL_BYTES); calling it on a field runs the guards, the spline at the
-nodes and the matvec.  `apply(kernel, field, out_grid)` builds the plan for
-the field's grid and calls it.
+The plan holds what depends on the grids alone: the nodes, the weights and
+the finished kernel, the chirp-FFT's FFT'd lag chirp, chirps and window, or
+the point-map factor.  Each path refuses a plan whose arrays pass
+_MAX_KERNEL_BYTES before it allocates them.  Calling the plan on a field
+runs the guards, the spline at the nodes and the matvec or the convolution.
+`apply(kernel, field, out_grid)` builds the plan for the field's grid and
+calls it.
 
 Bessel-I kernels are evaluated through the exponentially scaled form, so
 heat-type kernels never overflow.  Bessel-J kernels apply their chirps as a
@@ -133,7 +140,8 @@ class Kernel:
 class Plan:
     """A kernel built for one input grid (None: a callable f(y)) and one output
     grid; call it on a field.  A field on another grid is rejected.  `nbytes`
-    is the size of the kernel (FFT'd chirp, point-map factor) it holds."""
+    is the size of the arrays it holds: the kernel, the chirp-FFT's FFT'd lag
+    chirp, chirps and window, or the point-map factor."""
 
     kernel: Kernel
     in_grid: Grid1D | None
@@ -219,13 +227,18 @@ def _panel_count(cfg: QuadratureConfig, mat: SympMat2, lo: float, hi: float, out
     return min(wanted, _MAX_PANELS)
 
 
+def _held_bytes(nbytes: int, what: str) -> int:
+    """nbytes, the size of the arrays a plan holds for `what`; KernelRefused above
+    _MAX_KERNEL_BYTES."""
+    if nbytes > _MAX_KERNEL_BYTES:
+        raise KernelRefused(f"{what} needs {nbytes} bytes, above the {_MAX_KERNEL_BYTES} "
+                            "byte ceiling; use fewer output points, samples or nodes")
+    return nbytes
+
+
 def _kernel_bytes(rows: int, cols: int, real: bool) -> int:
     """Bytes of a rows x cols kernel; KernelRefused above _MAX_KERNEL_BYTES."""
-    nbytes = rows * cols * (8 if real else 16)
-    if nbytes > _MAX_KERNEL_BYTES:
-        raise KernelRefused(f"the {rows} x {cols} kernel needs {nbytes} bytes, above the "
-                            f"{_MAX_KERNEL_BYTES} byte ceiling; use fewer output points or nodes")
-    return nbytes
+    return _held_bytes(rows * cols * (8 if real else 16), f"the {rows} x {cols} kernel")
 
 
 @functools.lru_cache(maxsize=64)
@@ -401,6 +414,7 @@ def _point_map(mat: SympMat2, in_grid: Grid1D, out_x: np.ndarray, power: float, 
     """
     if abs(mat.a.imag) > 1e-12:
         raise ValueError("geometric resampling implemented for real A only")
+    nbytes = _held_bytes(16 * len(out_x), f"the point map onto {len(out_x)} points")
     a = mat.a.real
     pts = out_x / (abs(a) if in_grid.kind == GridKind.HALF_LINE else a)
     factor = abs(a) ** (-power) * np.exp(0.5j * (mat.c / mat.a) * out_x**2)
@@ -410,7 +424,7 @@ def _point_map(mat: SympMat2, in_grid: Grid1D, out_x: np.ndarray, power: float, 
         vals = factor * _interpolant(field)(pts)
         return vals * turn if turn != 1 else vals
 
-    return factor.nbytes, run
+    return nbytes, run
 
 
 def _require_grid(grid: Grid1D | None, kind: str):
@@ -545,32 +559,63 @@ def _linear_gl(mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid1D,
     return nbytes, lambda field: scale * _matvec(kern, wq * values(field))
 
 
+def _lag_chirp(b: complex, h: float, delta: float, n: int, m: int, size: int) -> np.ndarray:
+    """e^{i lag^2/2B} at the n + m - 1 lags delta + h k, k = -(n-1) .. m-1, zero-padded
+    to `size`.  At delta = 0 it is even in k, so exp runs once per distinct |k|
+    (h |k| and 0.0 + h k square to the same bits)."""
+    z = np.zeros(size, dtype=complex)
+    if delta == 0.0:
+        half = np.exp((0.5j / b) * (h * np.arange(max(n, m))) ** 2)
+        z[: n - 1] = half[n - 1 : 0 : -1]
+        z[n - 1 : n - 1 + m] = half[:m]
+    else:
+        z[: n + m - 1] = np.exp((0.5j / b) * (delta + h * np.arange(-(n - 1), m)) ** 2)
+    return z
+
+
 def _chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D, cfg: QuadratureConfig,
                matching: complex):
+    """Modulate by chirp_in, convolve with the lag chirp, modulate by chirp_out,
+    keeping entries n-1 .. n+m-2 of the convolution (module docstring).
+
+    chirp_in is 1 when A = 1; chirp_out is the scalar prefactor when D = 1, and
+    the prefactor times chirp_in when A = D onto the input's own grid.  `nbytes`
+    counts what the plan holds, checked against _MAX_KERNEL_BYTES before any of
+    it is allocated: the FFT'd lag chirp, the chirps that are arrays and the
+    apodization window.
+    """
     from scipy import fft  # slow to import; only the chirp-FFT path needs it
 
+    n, m_out = in_grid.count, out_grid.count
+    size = fft.next_fast_len(n + m_out - 1)
+    unit_in = mat.a == 1.0
+    nbytes = _held_bytes(
+        16 * size + (0 if unit_in else 16 * n) + (0 if mat.d == 1.0 else 16 * m_out)
+        + (0 if cfg.apodization is None else 8 * n),
+        f"the chirp-FFT plan of {n} samples onto {m_out} points ({size}-point FFTs)")
     h = in_grid.step
     x = in_grid.points
     window = _apodization(cfg, x, 0.5 * (x[0] + x[-1]))
     tau = _gaussian_variance(mat)
     b = mat.b
-    chirp_in = np.exp((0.5j / b) * (mat.a - 1.0) * x**2)
-    n, m_out = in_grid.count, out_grid.count
-    delta = out_grid.start - in_grid.start
-    lags = delta + h * np.arange(-(n - 1), m_out)
-    size = fft.next_fast_len(n + len(lags) - 1)
-    z_hat = fft.fft(np.exp((0.5j / b) * lags**2), size)
-    chirp_out = (matching * h / cmath.sqrt(2j * math.pi * b)
-                 * np.exp((0.5j / b) * (mat.d - 1.0) * out_grid.points**2))
+    chirp_in = None if unit_in else np.exp((0.5j / b) * (mat.a - 1.0) * x**2)
+    chirp_out = matching * h / cmath.sqrt(2j * math.pi * b)
+    if mat.d != 1.0:
+        chirp_out = chirp_out * (chirp_in if mat.d == mat.a and out_grid == in_grid else
+                                 np.exp((0.5j / b) * (mat.d - 1.0) * out_grid.points**2))
+    z_hat = fft.fft(_lag_chirp(b, h, out_grid.start - in_grid.start, n, m_out, size),
+                    overwrite_x=True)
 
     def run(field):
         f = field.values if window is None else field.values * window
         if tau is not None:  # before the edge check: a growing field raises, not warns
             _kernel_beats_growth(field, x, f, tau, (out_grid.start, out_grid.end))
         _edge_check(field, cfg)
-        return chirp_out * fft.ifft(fft.fft(f * chirp_in, size) * z_hat)[n - 1 : n - 1 + m_out]
+        spec = fft.fft(f if chirp_in is None else f * chirp_in, size)
+        spec *= z_hat
+        return chirp_out * fft.ifft(spec, overwrite_x=True)[n - 1 : n - 1 + m_out]
 
-    return z_hat.nbytes, run
+    return nbytes, run
 
 
 def _use_chirp_fft(mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid1D) -> bool:

@@ -16,6 +16,7 @@ from canonica.common import (
     EquationKind,
     GeometryMismatch,
     IntegrabilityViolation,
+    KernelRefused,
     TruncationWarning,
 )
 from canonica.fields import (
@@ -375,9 +376,65 @@ def test_chirp_fft_only_where_the_step_resolves_the_kernel():
     for alpha in (0.1, 1.9):
         assert np.max(np.abs(apply(frft(alpha), src, grid).values - src.values)) < 1e-8
         assert not transforms._use_chirp_fft(mat_fourier(alpha), grid, grid)
-    chirp_bytes = 16 * next_fast_len(3 * grid.count - 2)  # n samples against 2n - 1 lags
+    # the FFT'd lag chirp on next_fast_len(n + m - 1) points, chirp_in and chirp_out
+    chirp_bytes = 16 * (next_fast_len(2 * grid.count - 1) + 2 * grid.count)
     assert transforms.plan(frft(0.7), grid, grid).nbytes == chirp_bytes
     assert np.max(np.abs(apply(frft(0.7), src, grid).values - src.values)) < 1e-8
+
+
+def test_a_chirp_fft_plan_counts_and_caps_the_arrays_it_holds(monkeypatch):
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -8.0, 8.0, 128)
+    window = Grid1D(GridKind.FULL_LINE, grid.points[30], grid.step, 60)
+    # A = D = 1 holds no chirp, only the lag chirp's FFT, and the window when apodized
+    heat = poisson_propagate(0.5)
+    assert transforms.plan(heat, grid, grid).nbytes == 16 * 256
+    assert transforms.plan(heat, grid, grid, QuadratureConfig(apodization=3.0)).nbytes == (
+        16 * 256 + 8 * 128)
+    # onto another grid chirp_out is its own exponential, of the output's length
+    assert transforms.plan(frft(0.7), grid, window).nbytes == 16 * (next_fast_len(187) + 128 + 60)
+    held = transforms.plan(frft(0.7), grid, grid).nbytes
+    monkeypatch.setattr(transforms, "_MAX_KERNEL_BYTES", held)
+    assert transforms.plan(frft(0.7), grid, grid).nbytes == held
+    monkeypatch.setattr(transforms, "_MAX_KERNEL_BYTES", held - 1)
+    refusal = rf"128 samples onto 128 points \(256-point FFTs\) needs {held} bytes"
+    with pytest.raises(KernelRefused, match=refusal):
+        transforms.plan(frft(0.7), grid, grid)
+    # the point map is held to the same ceiling
+    monkeypatch.setattr(transforms, "_MAX_KERNEL_BYTES", 16 * 128 - 1)
+    with pytest.raises(KernelRefused, match="point map onto 128 points needs 2048 bytes"):
+        transforms.plan(geometric(mat_scale(2.0)), grid, grid)
+
+
+@pytest.mark.parametrize("n", [33, 64])
+@pytest.mark.parametrize("kernel", [frft(0.7), fresnel_propagate(0.3), poisson_propagate(0.5),
+                                    linear_ct(SympMat2(1.3, 0.9, 0.4, 1.36 / 1.3)),
+                                    linear_ct(SympMat2(1.0, 0.9, 0.4, 1.36)),
+                                    linear_ct(SympMat2(1.36, 0.9, 0.4, 1.0))],
+                         ids=["frft", "fresnel", "poisson", "a-ne-d", "a-is-1", "d-is-1"])
+def test_chirp_fft_is_the_rectangle_rule_on_every_output_window(kernel, n):
+    # h sum_j K(x_i, y_j) f_j, summed densely with the phase in long double, for outputs
+    # fewer than, as many as and more than the samples, starting on the input's start, on
+    # its lattice either side of it, and off the lattice
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -4.0, 4.0, n)
+    h, y = grid.step, grid.points
+    rng = np.random.default_rng(n)
+    envelope = np.exp(-0.5 * (3.0 * y / 2.0) ** 2)  # 1.5e-8 at the edges
+    src = SampledField(grid, (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * envelope)
+    mat = kernel.matrix
+    a, b, d = (np.clongdouble(v) for v in (mat.a, mat.b, mat.d))
+    pref = kernel.matching / cmath.sqrt(2j * math.pi * mat.b)
+    yl = y.astype(np.longdouble)[None, :]
+    for m in (n // 2, n, n + 9):
+        for shift in (0.0, 3.0, -5.0, 0.37):
+            out = Grid1D(GridKind.FULL_LINE, grid.start + shift * h, h, m)
+            xl = out.points.astype(np.longdouble)[:, None]
+            dense = np.exp(1j * (a * yl**2 - 2.0 * xl * yl + d * xl**2) / (2.0 * b))
+            exact = pref * h * (dense @ src.values.astype(np.clongdouble)).astype(complex)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", TruncationWarning)
+                got = transforms._chirp_fft(mat, grid, out, QuadratureConfig(),
+                                            kernel.matching)[1](src)
+            assert rel_l2(got, exact) < 1e-13, (m, shift)
 
 
 def test_small_b_kernel_is_resolved_below_the_panel_cap():
