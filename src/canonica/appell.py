@@ -1,24 +1,23 @@
 """The four families of Appell-type symmetry maps, ordinary and fractional.
 
-Each map has two realizations:
+Each family is one record (p, n/2), the power p = nu + 1 of its kernel and
+half its dimension: (1/2, 1/2) for the PWE and heat, (m + 1, 1) for radial
+wave, (mu/2, mu/2) for radial heat; and one (stage, propagator) pair,
+`symplectic.appell_factors`.  By the metaplectic representation both paths
+act by the pair's product [[A, B], [C, D]]:
 
-* an analytic path (`appell_analytic`) remapping a closed-form solution:
-  the output is again evaluable at arbitrary (coordinate, evolution value);
-* a numeric path (`appell_numeric`) acting on sampled source data at
-  evolution value 0.  Its fractional stage followed by the propagator is,
-  by the metaplectic representation, one canonical transform of the product
-  T(zeta) F^alpha (wave) or P(t) L^alpha (heat), up to a phase: the path runs
-  that one kernel times the stage's matching factor and the chain's
-  `symplectic.metaplectic_phase`, for p = nu + 1 of the kernel: 1/2 on the
-  line, m + 1 for radial wave, mu/2 for radial heat.
-
-Branch handling: the square-root (and mu/2-power) prefactors of the
-analytic maps are evaluated as principal powers of c * exp(-i phi) rather
-than of c alone.  This keeps the prefactor on the branch selected by the
-actual operator composition (convolution chains of absolutely convergent
-Gaussian integrals), which differs from the naive principal root by a sign
-exactly when c < 0 and sin phi < 0; the test suite checks this against
-closed-form Gaussian probe chains.
+* the analytic path (`appell_analytic`) remaps a closed-form solution f to the
+  solution pref e^{i C x^2/2A} f(x/A, evol'), evol' the evolution value of B/A.
+  pref = e^{i(p_w - n/2) phi} (A e^{-i phi})^{-n/2}, phi = alpha pi/2, is the
+  stage's matching factor e^{i p_w phi} (p_w = p for wave, 0 for heat) times
+  e^{-i n phi/2} (A e^{-i phi})^{-n/2}; on the wave locus A = 0 it reads B for
+  A and phi - pi/2 for phi.  The principal power of A e^{-i phi}, not of A, is
+  the branch the operator chain (convolutions of absolutely convergent
+  Gaussian integrals) selects; it differs from the naive one by a sign exactly
+  when A < 0 and sin phi < 0, as the tests' Gaussian probe chains check;
+* the numeric path (`appell_numeric`) maps sampled data at evolution value 0
+  by one canonical transform of the product, times the matching factor and
+  the pair's `symplectic.metaplectic_phase`.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ from .fields import (
     StdHG,
     StdLG,
 )
-from .symplectic import (SympMat2, compose, mat_fourier, mat_free, mat_laplace,
-                         metaplectic_phase, reduce_order)
+from .symplectic import appell_factors, compose, metaplectic_phase, reduce_order
 from . import transforms
 from .transforms import DEFAULT_CONFIG, QuadratureConfig
 
@@ -83,6 +81,14 @@ class AppellSpec:
 def _branch_power(c: float, phi: float, power: float) -> complex:
     """Principal power of c*exp(-i phi), the branch the operator chain selects."""
     return cmath.exp(power * cmath.log(c * cmath.exp(-1j * phi)))
+
+
+def _family_record(spec: AppellSpec) -> tuple[float, float, float]:
+    """The record (p, n/2, p_w) of the map's family (module docstring)."""
+    p, half = {EquationKind.PWE: (0.5, 0.5), EquationKind.HEAT: (0.5, 0.5),
+               EquationKind.RADIAL_PWE: (spec.m + 1.0, 1.0),
+               EquationKind.RADIAL_HEAT: (spec.mu / 2.0, spec.mu / 2.0)}[spec.equation]
+    return p, half, 0.0 if spec.equation.is_heat else p
 
 
 def _check_match(src: AnalyticField, spec: AppellSpec):
@@ -178,55 +184,33 @@ class AppellImage(AnalyticField):
         self.spec = spec
         self.equation = src.equation
         self.geometry = src.geometry
+        _, self._half, p_w = _family_record(spec)
+        self._turn, self._phi = p_w - self._half, spec.effective_alpha * math.pi / 2.0
+        self._stage, self._prop = appell_factors(spec.equation, spec.effective_alpha, 1.0)
+
+    def _prefactor(self, c, phi):
+        return cmath.exp(1j * self._turn * phi) * _branch_power(c, phi, -self._half)
 
     def _eval(self, x, evol):
-        spec = self.spec
-        alpha = spec.effective_alpha
-        phi = alpha * math.pi / 2.0
-        s, c0 = math.sin(phi), math.cos(phi)
-        eq = spec.equation
-        if eq is EquationKind.PWE:
-            c = c0 - evol * s
-            if abs(c) <= SINGULAR_TOL:
-                return self._pwe_on_locus(x, evol, phi, s)
-            pref = _branch_power(c, phi, -0.5)
-            chirp = np.exp(-0.5j * x**2 * s / c)
-            return pref * chirp * self.src.eval(x / c, (s + evol * c0) / c)
-        if eq is EquationKind.RADIAL_PWE:
-            c = c0 - evol * s
-            if abs(c) <= SINGULAR_TOL:
-                return self._radial_on_locus(x, evol, phi, s)
-            pref = cmath.exp(1j * (spec.m + 1) * phi) / c
-            chirp = np.exp(-0.5j * x**2 * s / c)
-            return pref * chirp * self.src.eval(x / c, (s + evol * c0) / c)
-        if eq is EquationKind.HEAT:
-            c = c0 + evol * s
-            if abs(c) <= SINGULAR_TOL:
-                raise SingularEvol(f"caloric map prefactor vanishes at t = {evol}")
-            pref = cmath.exp(-0.5j * phi) * _branch_power(c, phi, -0.5)
-            damp = np.exp(-0.5 * x**2 * s / c)
-            return pref * damp * self.src.eval(x / c, (evol * c0 - s) / c)
-        # radial heat
-        c = c0 + evol * s
+        # A and B of the product; the propagator at evol is [[1, evol * unit], [0, 1]]
+        st, unit = self._stage, self._prop.b
+        c, bb = (st.a + evol * unit * st.c).real, st.b + evol * unit * st.d
         if abs(c) <= SINGULAR_TOL:
-            raise SingularEvol(f"radial caloric map prefactor vanishes at t = {evol}")
-        mu = spec.mu
-        pref = cmath.exp(-0.5j * phi * mu) * _branch_power(c, phi, -mu / 2.0)
-        damp = np.exp(-0.5 * x**2 * s / c)
-        return pref * damp * self.src.eval(x / c, (evol * c0 - s) / c)
+            return self._on_locus(x, evol, bb.real)
+        chirp = np.exp(0.5j * x**2 * st.c / c)
+        src = self.src.eval(x / c, (bb / c / unit).real)
+        return self._prefactor(c, self._phi) * chirp * src
 
-    def _pwe_on_locus(self, x, zeta, phi, s):
-        """Branch at cos phi = zeta sin phi: Fourier transform of the slice."""
-        scale = (1.0 + zeta**2) * s
-        pref = _branch_power(scale, phi - math.pi / 2.0, -0.5)
-        chirp = np.exp(1j * zeta * x**2 / (1.0 + zeta**2))
-        return pref * chirp * _fourier_at(self.src, zeta, x / scale)
-
-    def _radial_on_locus(self, x, zeta, phi, s):
-        scale = (1.0 + zeta**2) * s
-        pref = cmath.exp(1j * (self.spec.m + 1) * (phi - math.pi / 2.0)) / scale
-        chirp = np.exp(1j * zeta * x**2 / (1.0 + zeta**2))
-        return pref * chirp * _hankel_at(self.src, self.spec.m, zeta, x / scale)
+    def _on_locus(self, x, evol, scale):
+        """Branch at A = 0: the Fourier (Hankel) transform of the slice at evol, at x/B,
+        under the chirp of the map from that slice, [[0, B], [C, D - evol C]]."""
+        if self.equation.is_heat:
+            raise SingularEvol(f"caloric map prefactor vanishes at t = {evol}")
+        k = x / scale
+        slice_at = (_hankel_at(self.src, self.spec.m, evol, k) if self.equation.is_radial
+                    else _fourier_at(self.src, evol, k))
+        chirp = np.exp(0.5j * x**2 * (self._stage.d - evol * self._stage.c) / scale)
+        return self._prefactor(scale, self._phi - math.pi / 2.0) * chirp * slice_at
 
 
 def appell_analytic(src: AnalyticField, spec: AppellSpec) -> AppellImage:
@@ -249,22 +233,17 @@ def appell_numeric(source: SampledField, spec: AppellSpec, out_grid: Grid1D,
         raise EquationMismatch(f"{'radial' if eq.is_radial else 'linear'} maps need {kind} sources")
     if eq.is_heat and evol < 0:
         raise ValueError("diffusion time must be positive")
+    p, half, p_w = _family_record(spec)
     # a caloric order past +-2 runs as its reduced order times the phase of the wrap
     wrap = alpha - reduce_order(alpha) if abs(alpha) > 2.0 else 0.0
-    stage = (mat_laplace if eq.is_heat else mat_fourier)(alpha - wrap)
-    prop = SympMat2(1.0, -1j * evol, 0.0, 1.0) if eq.is_heat else mat_free(evol)
+    stage, prop = appell_factors(eq, alpha - wrap, evol)
     mat = compose(prop, stage)
-    matching, p = {  # the stage's matching factor, and the power nu + 1 of its kernel
-        EquationKind.PWE: (cmath.exp(0.25j * math.pi * alpha), 0.5),
-        EquationKind.HEAT: (1.0, 0.5),
-        EquationKind.RADIAL_PWE: (cmath.exp(0.5j * math.pi * (spec.m + 1) * alpha), spec.m + 1.0),
-        EquationKind.RADIAL_HEAT: (1.0, spec.mu / 2.0),
-    }[eq]
-    factor = matching * metaplectic_phase(p, stage, prop)
+    factor = cmath.exp(0.5j * math.pi * p_w * alpha) * metaplectic_phase(p, stage, prop)
     if wrap:  # A^{alpha+4} = e^{-i pi mu} A^alpha, mu = 2p
         factor *= cmath.exp(-0.5j * math.pi * p * wrap)
-    n_dim, m = (spec.mu, 0) if eq.is_heat else (2.0, spec.m)
-    kernel = transforms.radial_ct(mat, n_dim, m) if eq.is_radial else transforms.linear_ct(mat)
+    # the radial kernel's order nu = p - 1 is n/2 + m - 1
+    kernel = (transforms.radial_ct(mat, 2.0 * half, int(p - half)) if eq.is_radial
+              else transforms.linear_ct(mat))
     kernel = replace(kernel, matching=factor, evol_shift=evol)
     return transforms.apply(kernel, source, out_grid, cfg)
 

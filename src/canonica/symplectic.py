@@ -171,18 +171,20 @@ def mat_bargmann() -> SympMat2:
     return SympMat2(r, -1j * r, -1j * r, r)
 
 
-def mat_appell(eq: EquationKind, alpha: float, evol: float) -> SympMat2:
-    """Parameter matrix of the (fractional) symmetry map at evolution value evol.
-
-    Wave kinds conjugate the rotation matrix by free sections,
-    T(evol) * F^alpha * T(-evol); heat kinds conjugate the hyperbolic matrix
-    by Gaussian-convolution sections, P(evol) * L^alpha * P(evol)^(-1), giving
-    [[t, i(1+t^2)], [i, -t]] at alpha = 1.
-    """
+def appell_factors(eq: EquationKind, alpha: float, evol: float) -> tuple[SympMat2, SympMat2]:
+    """The (stage, propagator) pair of the symmetry map of kind eq, for any real evol:
+    F^alpha and T(evol) for wave kinds, L^alpha and P(evol) = [[1, -i evol], [0, 1]]
+    for heat kinds.  Their product, propagator last, maps evolution value 0 to evol."""
     if eq.is_heat:
-        p = SympMat2(1.0, -1j * evol, 0.0, 1.0)
-        return compose(p, mat_laplace(alpha), inverse(p))
-    return compose(mat_free(evol), mat_fourier(alpha), mat_free(-evol))
+        return mat_laplace(alpha), SympMat2(1.0, -1j * evol, 0.0, 1.0)
+    return mat_fourier(alpha), mat_free(evol)
+
+
+def mat_appell(eq: EquationKind, alpha: float, evol: float) -> SympMat2:
+    """Parameter matrix of the (fractional) symmetry map at evolution value evol: the
+    stage conjugated by the propagator, [[t, i(1+t^2)], [i, -t]] for heat at alpha = 1."""
+    stage, prop = appell_factors(eq, alpha, evol)
+    return compose(prop, stage, inverse(prop))
 
 
 @dataclass(frozen=True)
@@ -198,11 +200,7 @@ class WeiNormanReal:
     free_length: complex
 
     def recompose(self) -> SympMat2:
-        return compose(
-            SympMat2(1.0, 0.0, self.lens_power, 1.0),
-            SympMat2(self.scale, 0.0, 0.0, 1.0 / self.scale),
-            SympMat2(1.0, self.free_length, 0.0, 1.0),
-        )
+        return compose(mat_lens(-self.lens_power), mat_scale(self.scale), mat_free(self.free_length))
 
 
 @dataclass(frozen=True)

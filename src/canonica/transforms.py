@@ -303,7 +303,8 @@ def _apodization(cfg: QuadratureConfig, x: np.ndarray, center: float):
     return None if width is None else np.exp(-((x - center) ** 2) / (2.0 * width**2))
 
 
-def _edge_check(field: SampledField, cfg: QuadratureConfig):
+def _edge_check(field: SampledField, cfg: QuadratureConfig | None):
+    """Warn when the field is not negligible at a truncation edge; cfg None: the point map."""
     peak = float(np.max(np.abs(field.values)))
     if peak == 0.0:
         return
@@ -311,9 +312,9 @@ def _edge_check(field: SampledField, cfg: QuadratureConfig):
         edge = abs(field.values[-1]) / peak  # the axis end is not a truncation edge
     else:
         edge = max(abs(field.values[0]), abs(field.values[-1])) / peak
-    if cfg.apodization is None and edge > EDGE_WARN_LEVEL:
-        _warn(f"field magnitude at grid edge is {edge:.2e} of peak; "
-              "widen the grid or enable apodization")
+    if (cfg is None or cfg.apodization is None) and edge > EDGE_WARN_LEVEL:
+        _warn(f"field magnitude at grid edge is {edge:.2e} of peak; widen the grid"
+              + ("" if cfg is None else " or enable apodization"))
 
 
 def _kernel_nodes(cfg: QuadratureConfig, mat: SympMat2, in_grid: Grid1D | None,
@@ -405,6 +406,7 @@ def _matvec(kern: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _point_map(mat: SympMat2, in_grid: Grid1D, out_x: np.ndarray, power: float, nu: float):
     """The B = 0 kernel of order nu, a point map: |A|^(-power) e^{i C x^2/2A}
     f(x/A), read off the field's spline; on a half-line grid the point is x/|A|.
+    The spline reads 0 off the grid, so a point read there runs the edge check.
 
     For A < 0 the kernel's B -> 0 limit turns by a phase that depends on the
     side of B = 0 the residual B (|B| <= GEOMETRIC_B_TOL) sits on:
@@ -419,8 +421,11 @@ def _point_map(mat: SympMat2, in_grid: Grid1D, out_x: np.ndarray, power: float, 
     pts = out_x / (abs(a) if in_grid.kind == GridKind.HALF_LINE else a)
     factor = abs(a) ** (-power) * np.exp(0.5j * (mat.c / mat.a) * out_x**2)
     turn = metaplectic_phase(nu + 1.0, mat)
+    beyond = bool(np.any((pts < in_grid.start) | (pts > in_grid.end)))
 
     def run(field):
+        if beyond:
+            _edge_check(field, None)
         vals = factor * _interpolant(field)(pts)
         return vals * turn if turn != 1 else vals
 
@@ -434,12 +439,13 @@ def _require_grid(grid: Grid1D | None, kind: str):
 
 def _geometry_guard(**params):
     """A guard that rejects a field whose geometry carries other values of the
-    transform's parameters."""
+    transform's parameters; a callable input carries none."""
     def guard(field):
+        geometry = getattr(field, "geometry", None)
         for key, value in params.items():
-            if abs(getattr(field.geometry, key, value) - value) > 1e-12:
+            if abs(getattr(geometry, key, value) - value) > 1e-12:
                 raise GeometryMismatch(
-                    f"field {field.geometry} does not match transform {key} {value}")
+                    f"field {geometry} does not match transform {key} {value}")
 
     return guard
 
@@ -858,7 +864,7 @@ def radial_ct(matrix: SympMat2, n_dim: float, m: int) -> Kernel:
     input variable, matching the radial diffraction-integral convention.
     An L-form matrix gives the Bessel-I kernel and requires exp(-r^2/4) decay.
     """
-    guards = (_geometry_guard(m=m),)
+    guards = (_geometry_guard(m=m, n_dim=n_dim),)
     if not matrix.is_real(1e-12):
         if not matrix.is_l_form():
             raise ValueError("radial_ct handles real and L-form matrices")
@@ -942,7 +948,7 @@ def radial_heat_propagate(t: float, mu: float) -> Kernel:
     if mu <= 1:
         raise ValueError("mu must exceed 1")
     return Kernel("radial_heat_propagate", mat_poisson(t), mu / 2.0 - 1.0, _dim_weights(mu),
-                  evol_shift=t, geometry=RadialDim(mu, 0))
+                  evol_shift=t, geometry=RadialDim(mu, 0), guards=(_geometry_guard(n_dim=mu),))
 
 
 def barut_girardello(n_dim: float, m: int) -> Kernel:

@@ -21,6 +21,7 @@ from canonica.common import (
     DivergenceRisk,
     EquationKind,
     EquationMismatch,
+    GeometryMismatch,
     SingularEvol,
     TruncationWarning,
 )
@@ -50,7 +51,7 @@ from canonica.appell import (
 )
 from canonica import appell, specfun, transforms
 from canonica.transforms import (QuadratureConfig, apply, fr_hankel, fr_laplace,
-                                 fr_radial_laplace, frft)
+                                 fr_radial_laplace, frft, radial_heat_propagate)
 
 EK = EquationKind
 CFG16 = QuadratureConfig(nodes_per_panel=16)
@@ -530,6 +531,22 @@ def test_numeric_radial_heat_fractional_cross_path():
     assert rel_l2(num.values, np.asarray(ana)) < 1e-5
 
 
+@pytest.mark.parametrize("mu, fits", [(5.0, False), (3.0, True)])
+def test_radial_heat_kernels_check_the_field_dimension(mu, fits):
+    # a source of dimension 3 under the numeric map and the propagator of dimension mu
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 18.0, 1536)
+    out = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 1.5, 64)
+    src = sample(_RadialGauss(0.7, 3.0), grid, 0.0)
+    spec = AppellSpec(EK.RADIAL_HEAT, alpha=0.6, evol=0.4, mu=mu)
+    for run in (lambda: appell_numeric(src, spec, out, CFG16),
+                lambda: apply(radial_heat_propagate(0.5, mu), src, out, CFG16)):
+        if fits:
+            assert run().geometry == RadialDim(mu, 0)
+        else:
+            with pytest.raises(GeometryMismatch, match="n_dim"):
+                run()
+
+
 def test_numeric_radial_heat_order_two_matches_analytic():
     # alpha = 2 puts the fractional stage on its B = 0 point map
     mu = 3.0
@@ -741,13 +758,16 @@ def test_numeric_heat_near_miss_is_flagged():
     assert warned and _analytic_error(values, f, out, spec) > 1e-4
 
 
-@pytest.mark.parametrize("alpha, direction, evol", [(-1.0, Direction.FORWARD, 0.0),
-                                                    (0.5, Direction.INVERSE, -1.0)])
-def test_on_locus_radial_branch_keeps_bessel_parity(alpha, direction, evol):
+@pytest.mark.parametrize("eq, alpha, direction, evol", [
+    pytest.param(eq, alpha, direction, evol,
+                 id=f"{'pwe-' if eq is EK.PWE else ''}{alpha}-{direction}-{evol}")
+    for eq in (EK.RADIAL_PWE, EK.PWE)
+    for alpha, direction, evol in [(-1.0, Direction.FORWARD, 0.0), (0.5, Direction.INVERSE, -1.0)]])
+def test_on_locus_radial_branch_keeps_bessel_parity(eq, alpha, direction, evol):
     # on the singular locus with a negative scale, J_m of odd m changes sign:
     # the locus value is the limit of its neighbours and agrees with the numeric map
-    f, grid, out, kw = ORDER_TWO_CASES[EK.RADIAL_PWE]
-    on = AppellSpec(EK.RADIAL_PWE, alpha=alpha, evol=evol, direction=direction, **kw)
+    f, grid, out, kw = ORDER_TWO_CASES[eq]
+    on = AppellSpec(eq, alpha=alpha, evol=evol, direction=direction, **kw)
     near = replace(on, evol=evol + 1e-9)
     locus = np.asarray(appell_analytic(f, on).eval(out.points, evol))
     beside = np.asarray(appell_analytic(f, near).eval(out.points, near.evol))

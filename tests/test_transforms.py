@@ -488,6 +488,20 @@ def test_geometric():
         apply(geometric(mat_free(1.0)), src, FULL)
 
 
+@pytest.mark.parametrize("scale, warns", [(0.7, True), (1.3, False)])
+def test_point_map_flags_output_points_read_beyond_the_grid(scale, warns):
+    # the Gaussian of width 2 ends at 0.135 of its peak on +-4; x/0.7 leaves the grid
+    # for |x| > 2.8, where the spline reads 0, and x/1.3 stays within +-3.08
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -4.0, 4.0, 257)
+    src = sample(Gauss(2.0), grid, 0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        apply(geometric(mat_scale(scale)), src, grid)
+    flagged = [w for w in caught if issubclass(w.category, TruncationWarning)]
+    assert len(flagged) == warns
+    assert not any("apodization" in str(w.message) for w in flagged)
+
+
 def test_linear_ct_dispatches_geometric_at_small_b():
     src = sample(Gauss(1.0), FULL, 0.0)
     out = apply(linear_ct(SympMat2(1.0, 1e-12, 0.0, 1.0)), src, FULL)
