@@ -35,17 +35,21 @@ off the matrix:
   check, after the growth guard for a Gaussian convolution, as on
   chirp-FFT.  A source that starts on the axis
   under a kernel ~ y^s, s non-integer, takes Gauss-Jacobi nodes of weight
-  y^s on its first panel.  Only Gaussian-convolution kernels accept a callable
-  f(y): it is evaluated on panels over the output window widened by
-  12 sqrt(tau), starting at the axis on half-line grids.
+  y^s on its first panel.  A Gaussian convolution that is linear or carries
+  a geometry accepts a callable f(y): it is evaluated on panels over the
+  output window widened by 12 sqrt(tau), starting at the axis on half-line
+  grids.
 * ``point-map`` (B = 0): the point map of the kernel, read off the field's
   quintic spline.
 
-The plan holds what depends on the grids alone: the nodes, the weights and
-the finished kernel, the chirp-FFT's FFT'd lag chirp, chirps and window, or
-the point-map factor.  Each path refuses a plan whose arrays pass
-_MAX_KERNEL_BYTES before it allocates them.  Calling the plan on a field
-runs the guards, the spline at the nodes and the matvec or the convolution.
+Every field check is read off the `Kernel` record (`_check_field`), so a
+matrix gets the same checks whichever function names it.  The plan holds
+what depends on the grids alone: the nodes, the weights and the finished
+kernel with the matching factor, the chirp-FFT's FFT'd lag chirp and
+chirps, or the point-map factor, and the apodization window.  Each path
+refuses a plan whose arrays pass _MAX_KERNEL_BYTES before it allocates
+them.  Calling the plan on a field multiplies it by the window, then runs
+the checks, the spline at the nodes and the matvec or the convolution.
 `apply(kernel, field, out_grid)` builds the plan for the field's grid and
 calls it.
 
@@ -82,6 +86,7 @@ from .fields import (
     GridKind,
     Linear,
     RadialDim,
+    RadialType,
     SampledField,
 )
 from .symplectic import (
@@ -122,9 +127,9 @@ DEFAULT_CONFIG = QuadratureConfig()
 class Kernel:
     """A transform as the kernel of one matrix (a row of the README's kernel table):
     its Bessel order nu (None: the linear kernel), the weight powers (cross, row,
-    col) of r y, r and y, the matching factor and the evolution shift; the output
-    geometry of a callable input (Gaussian convolutions only) and the guards that
-    check each field first.  `name` labels the radial kernel's errors."""
+    col) of r y, r and y, the matching factor, the evolution shift and the
+    geometry of the fields it reads and writes (None: any).  A value: equal
+    records build the same plans.  `name` labels the radial kernel's errors."""
 
     name: str
     matrix: SympMat2
@@ -133,7 +138,6 @@ class Kernel:
     matching: complex = 1.0
     evol_shift: float = 0.0
     geometry: object = None
-    guards: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,24 +145,26 @@ class Plan:
     """A kernel built for one input grid (None: a callable f(y)) and one output
     grid; call it on a field.  A field on another grid is rejected.  `nbytes`
     is the size of the arrays it holds: the kernel, the chirp-FFT's FFT'd lag
-    chirp, chirps and window, or the point-map factor."""
+    chirp and chirps, or the point-map factor, and the apodization window."""
 
     kernel: Kernel
     in_grid: Grid1D | None
     out_grid: Grid1D
     nbytes: int
     run: Callable  # field -> output values
+    window: np.ndarray | None  # apodization on in_grid
 
     def __call__(self, field) -> SampledField:
         grid = field.grid if isinstance(field, SampledField) else None
         if grid != self.in_grid:
             raise GeometryMismatch(f"the plan is built for input grid {self.in_grid}, not {grid}")
-        for guard in self.kernel.guards:
-            guard(field)
-        shift = self.kernel.evol_shift
+        if self.window is not None:
+            field = replace(field, values=field.values * self.window)
+        _check_field(self.kernel, field)
+        values, shift = self.run(field), self.kernel.evol_shift
         if grid is None:
-            return SampledField(self.out_grid, self.run(field), self.kernel.geometry, shift)
-        return SampledField(self.out_grid, self.run(field), field.geometry, field.evol + shift)
+            return SampledField(self.out_grid, values, self.kernel.geometry or Linear(), shift)
+        return SampledField(self.out_grid, values, field.geometry, field.evol + shift)
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +303,16 @@ def _interpolant(field: SampledField):
     return ev
 
 
-def _apodization(cfg: QuadratureConfig, x: np.ndarray, center: float):
-    """The Gaussian apodization window at x, or None when it is off."""
-    width = cfg.apodization
-    return None if width is None else np.exp(-((x - center) ** 2) / (2.0 * width**2))
-
-
-def _edge_check(field: SampledField, cfg: QuadratureConfig | None):
-    """Warn when the field is not negligible at a truncation edge; cfg None: the point map."""
-    peak = float(np.max(np.abs(field.values)))
-    if peak == 0.0:
-        return
-    if field.grid.kind == GridKind.HALF_LINE:
-        edge = abs(field.values[-1]) / peak  # the axis end is not a truncation edge
-    else:
-        edge = max(abs(field.values[0]), abs(field.values[-1])) / peak
-    if (cfg is None or cfg.apodization is None) and edge > EDGE_WARN_LEVEL:
-        _warn(f"field magnitude at grid edge is {edge:.2e} of peak; widen the grid"
-              + ("" if cfg is None else " or enable apodization"))
+def _edge_check(field: SampledField, ends: tuple):
+    """Warn when the field is not negligible at a truncation edge, the samples
+    `ends` (0, -1) past which the kernel reaches: both ends of a full-line grid
+    and the outer end of a half-line grid when it integrates, the ends its
+    mapped points pass on the point map."""
+    mag = np.abs(field.values)
+    peak = float(np.max(mag))
+    edge = max(mag[end] for end in ends) / peak if peak > 0.0 else 0.0
+    if edge > EDGE_WARN_LEVEL:
+        _warn(f"field magnitude at grid edge is {edge:.2e} of peak; widen the grid")
 
 
 def _kernel_nodes(cfg: QuadratureConfig, mat: SympMat2, in_grid: Grid1D | None,
@@ -323,11 +321,11 @@ def _kernel_nodes(cfg: QuadratureConfig, mat: SympMat2, in_grid: Grid1D | None,
     at the input axis (`_gl_nodes`), and the function that reads a field at
     the nodes behind the guard the matrix calls for.
 
-    A Gaussian convolution alone takes a callable f(y) (in_grid None; rule in
-    the module docstring).  A sampled field gets the edge check, after the
-    growth guard for a Gaussian convolution and after the convergence and
-    support check for other L-form kernels.  Apodization is centred on the
-    axis (half-line) or the grid midpoint.
+    A callable f(y) (in_grid None; rule in the module docstring) is read at
+    the nodes.  A sampled field gets the edge check at both ends of a
+    full-line grid and the outer end of a half-line grid, after the growth
+    guard for a Gaussian convolution and after the convergence and support
+    check for other L-form kernels.
     """
     out_x = out_grid.points
     outmax = float(np.max(np.abs(out_x)))
@@ -341,23 +339,19 @@ def _kernel_nodes(cfg: QuadratureConfig, mat: SympMat2, in_grid: Grid1D | None,
         return xq, wq, lambda f: np.asarray(f(xq), dtype=complex)
     lo, hi = in_grid.start, in_grid.end
     xmax = max(abs(lo), abs(hi))
-    center = 0.0 if in_grid.kind == GridKind.HALF_LINE else 0.5 * (lo + hi)
     panels = _panel_count(cfg, mat, lo, hi, outmax, in_grid.count)
     xq, wq = _gl_nodes(lo, hi, panels, cfg.nodes_per_panel, axis_power)
-    window = _apodization(cfg, xq, center)
     # a half-line source has one tail, whose most pessimistic output point is the outer end
-    ends = ((float(np.max(out_x)),) if in_grid.kind == GridKind.HALF_LINE
-            else (float(np.min(out_x)), float(np.max(out_x))))
+    half = in_grid.kind == GridKind.HALF_LINE
+    out_ends = (float(np.max(out_x)),) if half else (float(np.min(out_x)), float(np.max(out_x)))
 
     def values(field):
         if tau is None and _real_exponent(mat):
             _lform_support_check(mat, field, outmax, xmax)
         fq = _interpolant(field)(xq)
-        if window is not None:
-            fq = fq * window
         if tau is not None:  # before the edge check: a growing field raises, not warns
-            _kernel_beats_growth(field, xq, fq, tau, ends)
-        _edge_check(field, cfg)
+            _kernel_beats_growth(field, xq, fq, tau, out_ends)
+        _edge_check(field, (-1,) if half else (0, -1))
         return fq
 
     return xq, wq, values
@@ -403,51 +397,55 @@ def _matvec(kern: np.ndarray, v: np.ndarray) -> np.ndarray:
     return kern @ v
 
 
-def _point_map(mat: SympMat2, in_grid: Grid1D, out_x: np.ndarray, power: float, nu: float):
+def _point_map(kernel: Kernel, in_grid: Grid1D, out_grid: Grid1D, cfg: QuadratureConfig):
     """The B = 0 kernel of order nu, a point map: |A|^(-power) e^{i C x^2/2A}
-    f(x/A), read off the field's spline; on a half-line grid the point is x/|A|.
-    The spline reads 0 off the grid, so a point read there runs the edge check.
+    f(x/A) times the matching factor, read off the field's spline; on a
+    half-line grid the point is x/|A|.  The power is cross + col (every radial
+    kernel that reaches B = 0 has 2 cross + row + col = 1), and 1/2 for the
+    linear kernel, the nu = -1/2 case.  A mapped point past an end of the grid
+    reads 0 there, so it runs the edge check on that end.
 
     For A < 0 the kernel's B -> 0 limit turns by a phase that depends on the
     side of B = 0 the residual B (|B| <= GEOMETRIC_B_TOL) sits on:
-    `metaplectic_phase(nu + 1, mat)`.  The linear kernel is the nu = -1/2 case.
+    `metaplectic_phase(nu + 1, mat)`.
 
     Returns the bytes held and the function of the field.
     """
+    mat, out_x = kernel.matrix, out_grid.points
     if abs(mat.a.imag) > 1e-12:
         raise ValueError("geometric resampling implemented for real A only")
     nbytes = _held_bytes(16 * len(out_x), f"the point map onto {len(out_x)} points")
+    cross, _, col = kernel.weights
+    power, nu = (0.5, -0.5) if kernel.nu is None else (cross + col, kernel.nu)
     a = mat.a.real
     pts = out_x / (abs(a) if in_grid.kind == GridKind.HALF_LINE else a)
     factor = abs(a) ** (-power) * np.exp(0.5j * (mat.c / mat.a) * out_x**2)
-    turn = metaplectic_phase(nu + 1.0, mat)
-    beyond = bool(np.any((pts < in_grid.start) | (pts > in_grid.end)))
+    turn = kernel.matching * metaplectic_phase(nu + 1.0, mat)
+    ends = tuple(end for end, past in ((0, pts < in_grid.start), (-1, pts > in_grid.end))
+                 if np.any(past))
 
     def run(field):
-        if beyond:
-            _edge_check(field, None)
+        if ends:
+            _edge_check(field, ends)
         vals = factor * _interpolant(field)(pts)
         return vals * turn if turn != 1 else vals
 
     return nbytes, run
 
 
-def _require_grid(grid: Grid1D | None, kind: str):
-    if grid is None or grid.kind != kind:
-        raise GeometryMismatch(f"the transform needs a sampled field on a {kind} grid")
-
-
-def _geometry_guard(**params):
-    """A guard that rejects a field whose geometry carries other values of the
-    transform's parameters; a callable input carries none."""
-    def guard(field):
+def _check_field(kernel: Kernel, field):
+    """The field checks the record calls for.  A field whose geometry carries
+    another value of a parameter of the kernel's geometry is rejected; a
+    callable carries none.  A radial kernel of a real-exponent matrix other
+    than a Gaussian convolution requires exp(-r^2/4) decay."""
+    if kernel.geometry is not None:
         geometry = getattr(field, "geometry", None)
-        for key, value in params.items():
+        for key, value in vars(kernel.geometry).items():
             if abs(getattr(geometry, key, value) - value) > 1e-12:
-                raise GeometryMismatch(
-                    f"field {geometry} does not match transform {key} {value}")
-
-    return guard
+                raise GeometryMismatch(f"field {geometry} does not match transform {key} {value}")
+    mat = kernel.matrix
+    if kernel.nu is not None and _real_exponent(mat) and _gaussian_variance(mat) is None:
+        _require_gaussian_decay(field)
 
 
 def _kernel_beats_growth(field: SampledField, xq: np.ndarray, fq: np.ndarray, tau: float,
@@ -555,13 +553,14 @@ def _lform_support_check(mat: SympMat2, field: SampledField, outmax: float, xmax
               f"support {xmax:.2f}; shrink the output window or widen the source grid")
 
 
-def _linear_gl(mat: SympMat2, in_grid: Grid1D | None, out_grid: Grid1D,
-               cfg: QuadratureConfig, matching: complex):
+def _linear_gl(kernel: Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
+               cfg: QuadratureConfig):
+    mat = kernel.matrix
     xq, wq, values = _kernel_nodes(cfg, mat, in_grid, out_grid)
     out_x = out_grid.points
     nbytes = _kernel_bytes(len(out_x), len(xq), _real_exponent(mat))
     kern = _guarded_exp(_kernel_exponent(mat, out_x[:, None], xq[None, :], -2.0))
-    scale = matching / cmath.sqrt(2j * math.pi * mat.b)
+    scale = kernel.matching / cmath.sqrt(2j * math.pi * mat.b)
     return nbytes, lambda field: scale * _matvec(kern, wq * values(field))
 
 
@@ -579,33 +578,30 @@ def _lag_chirp(b: complex, h: float, delta: float, n: int, m: int, size: int) ->
     return z
 
 
-def _chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D, cfg: QuadratureConfig,
-               matching: complex):
+def _chirp_fft(kernel: Kernel, in_grid: Grid1D, out_grid: Grid1D, cfg: QuadratureConfig):
     """Modulate by chirp_in, convolve with the lag chirp, modulate by chirp_out,
     keeping entries n-1 .. n+m-2 of the convolution (module docstring).
 
     chirp_in is 1 when A = 1; chirp_out is the scalar prefactor when D = 1, and
     the prefactor times chirp_in when A = D onto the input's own grid.  `nbytes`
     counts what the plan holds, checked against _MAX_KERNEL_BYTES before any of
-    it is allocated: the FFT'd lag chirp, the chirps that are arrays and the
-    apodization window.
+    it is allocated: the FFT'd lag chirp and the chirps that are arrays.
     """
     from scipy import fft  # slow to import; only the chirp-FFT path needs it
 
+    mat = kernel.matrix
     n, m_out = in_grid.count, out_grid.count
     size = fft.next_fast_len(n + m_out - 1)
     unit_in = mat.a == 1.0
     nbytes = _held_bytes(
-        16 * size + (0 if unit_in else 16 * n) + (0 if mat.d == 1.0 else 16 * m_out)
-        + (0 if cfg.apodization is None else 8 * n),
+        16 * size + (0 if unit_in else 16 * n) + (0 if mat.d == 1.0 else 16 * m_out),
         f"the chirp-FFT plan of {n} samples onto {m_out} points ({size}-point FFTs)")
     h = in_grid.step
     x = in_grid.points
-    window = _apodization(cfg, x, 0.5 * (x[0] + x[-1]))
     tau = _gaussian_variance(mat)
     b = mat.b
     chirp_in = None if unit_in else np.exp((0.5j / b) * (mat.a - 1.0) * x**2)
-    chirp_out = matching * h / cmath.sqrt(2j * math.pi * b)
+    chirp_out = kernel.matching * h / cmath.sqrt(2j * math.pi * b)
     if mat.d != 1.0:
         chirp_out = chirp_out * (chirp_in if mat.d == mat.a and out_grid == in_grid else
                                  np.exp((0.5j / b) * (mat.d - 1.0) * out_grid.points**2))
@@ -613,10 +609,10 @@ def _chirp_fft(mat: SympMat2, in_grid: Grid1D, out_grid: Grid1D, cfg: Quadrature
                     overwrite_x=True)
 
     def run(field):
-        f = field.values if window is None else field.values * window
+        f = field.values
         if tau is not None:  # before the edge check: a growing field raises, not warns
             _kernel_beats_growth(field, x, f, tau, (out_grid.start, out_grid.end))
-        _edge_check(field, cfg)
+        _edge_check(field, (0, -1))
         spec = fft.fft(f if chirp_in is None else f * chirp_in, size)
         spec *= z_hat
         return chirp_out * fft.ifft(spec, overwrite_x=True)[n - 1 : n - 1 + m_out]
@@ -708,13 +704,13 @@ def _bessel_sum(kernel: Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
         beta = mat.b.imag
         bessel, k, xy = specfun.bessel_i_scaled, 1.0 / abs(beta), 2.0 * math.copysign(1.0, beta)
         rotation = cmath.exp(-0.5j * math.pi * nu * math.copysign(1.0, beta))
-        pref = (-1j) ** (nu + 1.0) / mat.b * rotation
+        pref = kernel.matching * (-1j) ** (nu + 1.0) / mat.b * rotation
     else:
         b = mat.b.real
         if b < 0 and abs(nu - round(nu)) > 1e-9:
             raise ValueError("negative B with non-integer Bessel order is not supported")
         bessel, k = specfun.bessel_j, 1.0 / abs(b)
-        pref = (-1j) ** (nu + 1.0) / b * ((-1.0) ** round(nu) if b < 0 else 1.0)
+        pref = kernel.matching * (-1j) ** (nu + 1.0) / b * ((-1.0) ** round(nu) if b < 0 else 1.0)
         reach, guard = k * float(np.max(ro)) * in_grid.end, specfun.bessel_j_guard(nu)
         if reach > guard:
             raise KernelRefused(f"{name}: the Bessel argument reaches {reach:.6g}, above the "
@@ -763,35 +759,41 @@ def _bessel_sum(kernel: Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
 
 def plan(kernel: Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
          cfg: QuadratureConfig = DEFAULT_CONFIG) -> Plan:
-    """The plan of `kernel` from `in_grid` (None: a callable input, Gaussian
-    convolutions only) to `out_grid`, to apply to any number of fields: the one
-    builder of every transform.
+    """The plan of `kernel` from `in_grid` (None: a callable input) to
+    `out_grid`, to apply to any number of fields: the one builder of every
+    transform.
 
-    The linear kernel (nu None) reads full-line grids, a radial kernel
-    half-line ones, or a callable if it gives its output `geometry` and B != 0.
-    At B = 0 it is the point map of power cross + col and order nu (power 1/2,
-    order -1/2 for the linear kernel), which needs 2 cross + row + col = 1;
-    every radial kernel that reaches B = 0 meets it.  The point map and the
-    Bessel sum are multiplied by the matching factor; chirp-FFT and
-    Gauss-Legendre, chosen as the module docstring says, fold it in.
+    The linear kernel (nu None) reads full-line grids and a radial kernel
+    half-line ones; a Gaussian convolution that is linear or carries a
+    geometry also reads a callable.  The path is the point map at B = 0, else
+    the Bessel sum for a radial kernel, else chirp-FFT or Gauss-Legendre as
+    the module docstring says; each folds in the matching factor.  With
+    `cfg.apodization` the plan holds the Gaussian window on the input grid,
+    centred on the axis of a half-line grid and the midpoint of a full-line one.
     """
     if not isinstance(kernel, Kernel):
         raise TypeError(f"a plan is built from a Kernel, not {kernel!r}")
     mat, nu = kernel.matrix, kernel.nu
     point_map = abs(mat.b) <= GEOMETRIC_B_TOL
-    if in_grid is not None or kernel.geometry is None or point_map:
-        _require_grid(in_grid, GridKind.FULL_LINE if nu is None else GridKind.HALF_LINE)
+    takes_callable = (not point_map and _gaussian_variance(mat) is not None
+                      and (nu is None or kernel.geometry is not None))
+    kind = GridKind.FULL_LINE if nu is None else GridKind.HALF_LINE
+    if (in_grid is not None or not takes_callable) and getattr(in_grid, "kind", None) != kind:
+        raise GeometryMismatch(f"the transform needs a sampled field on a {kind} grid")
     if point_map:
-        cross, _, col = kernel.weights
-        power, nu = (0.5, -0.5) if nu is None else (cross + col, nu)
-        nbytes, run = _point_map(mat, in_grid, out_grid.points, power, nu)
+        build = _point_map
     elif nu is not None:
-        nbytes, run = _bessel_sum(kernel, in_grid, out_grid, cfg)
+        build = _bessel_sum
     else:
         _integrability(mat)
         build = _chirp_fft if _use_chirp_fft(mat, in_grid, out_grid) else _linear_gl
-        return Plan(kernel, in_grid, out_grid, *build(mat, in_grid, out_grid, cfg, kernel.matching))
-    return Plan(kernel, in_grid, out_grid, nbytes, lambda f: kernel.matching * run(f))
+    nbytes, run = build(kernel, in_grid, out_grid, cfg)
+    window = None
+    if in_grid is not None and cfg.apodization is not None:
+        center = 0.0 if in_grid.kind == GridKind.HALF_LINE else 0.5 * (in_grid.start + in_grid.end)
+        window = np.exp(-((in_grid.points - center) ** 2) / (2.0 * cfg.apodization**2))
+        nbytes += window.nbytes
+    return Plan(kernel, in_grid, out_grid, nbytes, run, window)
 
 
 def apply(kernel: Kernel, field, out_grid: Grid1D,
@@ -853,7 +855,7 @@ def poisson_propagate(t: float) -> Kernel:
     """
     if t <= 0:
         raise ValueError("diffusion time must be positive")
-    return Kernel("poisson_propagate", mat_poisson(t), evol_shift=t, geometry=Linear())
+    return Kernel("poisson_propagate", mat_poisson(t), evol_shift=t)
 
 
 def radial_ct(matrix: SympMat2, n_dim: float, m: int) -> Kernel:
@@ -862,14 +864,13 @@ def radial_ct(matrix: SympMat2, n_dim: float, m: int) -> Kernel:
     Kernel ((-i)^(m+n/2)/B) (r r')^(1-n/2) exp(i(A r'^2 + D r^2)/2B)
     J_{n/2+m-1}(r r'/B) against the r'^(n-1) dr' measure; A acts on the
     input variable, matching the radial diffraction-integral convention.
-    An L-form matrix gives the Bessel-I kernel and requires exp(-r^2/4) decay.
+    An L-form matrix gives the Bessel-I kernel; it requires exp(-r^2/4) decay
+    unless it is a Gaussian convolution, which runs the growth guard.
     """
-    guards = (_geometry_guard(m=m, n_dim=n_dim),)
-    if not matrix.is_real(1e-12):
-        if not matrix.is_l_form():
-            raise ValueError("radial_ct handles real and L-form matrices")
-        guards += (_require_gaussian_decay,)
-    return Kernel("radial_ct", matrix, n_dim / 2.0 + m - 1.0, _dim_weights(n_dim), guards=guards)
+    if not matrix.is_real(1e-12) and not matrix.is_l_form():
+        raise ValueError("radial_ct handles real and L-form matrices")
+    return Kernel("radial_ct", matrix, n_dim / 2.0 + m - 1.0, _dim_weights(n_dim),
+                  geometry=RadialDim(n_dim, m))
 
 
 def radial_propagate(zeta: float, m: int) -> Kernel:
@@ -880,13 +881,13 @@ def radial_propagate(zeta: float, m: int) -> Kernel:
 def hankel(m: int) -> Kernel:
     """Hankel transform of order m with the r' dr' measure."""
     return Kernel("hankel", _HANKEL_MAT, m, _dim_weights(2.0), 1j ** (m + 1),
-                  guards=(_geometry_guard(m=m),))
+                  geometry=RadialDim(2.0, m))
 
 
 def fr_hankel(m: int, alpha: float) -> Kernel:
     """Fractional Hankel transform of order m (2-periodic in alpha)."""
     return Kernel("fr_hankel", mat_fourier(alpha), m, _dim_weights(2.0),
-                  cmath.exp(0.5j * math.pi * (m + 1) * alpha), guards=(_geometry_guard(m=m),))
+                  cmath.exp(0.5j * math.pi * (m + 1) * alpha), geometry=RadialDim(2.0, m))
 
 
 def _check_kind_and_order(kind: int, nu: float):
@@ -900,14 +901,13 @@ def hankel_type(kind: int, nu: float, nu_prime: float) -> Kernel:
     """First or second Hankel-type transform of order nu, parameter nu'."""
     _check_kind_and_order(kind, nu)
     return Kernel("hankel_type", _HANKEL_MAT, nu, _type_weights(kind, nu_prime), 1j ** (nu + 1.0),
-                  guards=(_geometry_guard(nu=nu, nu_prime=nu_prime),))
+                  geometry=RadialType(nu, nu_prime))
 
 
 def radial_laplace(kind: int, nu: float, nu_prime: float) -> Kernel:
     """Radial-Laplace-type transform (Bessel-I kernel, phase exp(-i pi (1+nu)))."""
     _check_kind_and_order(kind, nu)
-    return Kernel("radial_laplace", _RADIAL_LAPLACE_MAT, nu, _type_weights(kind, nu_prime),
-                  guards=(_require_gaussian_decay,))
+    return Kernel("radial_laplace", _RADIAL_LAPLACE_MAT, nu, _type_weights(kind, nu_prime))
 
 
 def fr_radial_laplace(alpha: float, nu: float, nu_prime: float) -> Kernel:
@@ -917,8 +917,7 @@ def fr_radial_laplace(alpha: float, nu: float, nu_prime: float) -> Kernel:
     [[cos phi, i sin phi], [i sin phi, cos phi]]; alpha = 1 coincides with
     radial_laplace(kind=1).
     """
-    return Kernel("fr_radial_laplace", mat_laplace(alpha), nu, _type_weights(1, nu_prime),
-                  guards=(_require_gaussian_decay,))
+    return Kernel("fr_radial_laplace", mat_laplace(alpha), nu, _type_weights(1, nu_prime))
 
 
 def bessel_exp(beta: float | str, nu: float, nu_prime: float) -> Kernel:
@@ -948,13 +947,13 @@ def radial_heat_propagate(t: float, mu: float) -> Kernel:
     if mu <= 1:
         raise ValueError("mu must exceed 1")
     return Kernel("radial_heat_propagate", mat_poisson(t), mu / 2.0 - 1.0, _dim_weights(mu),
-                  evol_shift=t, geometry=RadialDim(mu, 0), guards=(_geometry_guard(n_dim=mu),))
+                  evol_shift=t, geometry=RadialDim(mu, 0))
 
 
 def barut_girardello(n_dim: float, m: int) -> Kernel:
     """Bessel-I radial transform built on the Bargmann matrix, forward direction."""
     return Kernel("barut_girardello", mat_bargmann(), n_dim / 2.0 + m - 1.0,
-                  (1.0 - n_dim / 2.0, 0.0, 0.0), guards=(_require_gaussian_decay,))
+                  (1.0 - n_dim / 2.0, 0.0, 0.0))
 
 
 # CLI name -> the transform's function of its parameters

@@ -25,6 +25,7 @@ from canonica.fields import (
     Grid1D,
     GridKind,
     HeatPoly,
+    Linear,
     PlaneChirp,
     Radial,
     RadialDim,
@@ -255,8 +256,7 @@ def test_radial_composition_law_property(case):
 
 def test_gl_and_chirp_fft_paths_agree():
     src = sample(Gauss(1.1, 0.3), FULL, 0.0)
-    kernel = frft(0.6)
-    gl, cf = (build(kernel.matrix, FULL, FULL, QuadratureConfig(), kernel.matching)[1](src)
+    gl, cf = (build(frft(0.6), FULL, FULL, QuadratureConfig())[1](src)
               for build in (transforms._linear_gl, transforms._chirp_fft))
     assert rel_l2(gl, cf) < 1e-8
 
@@ -350,7 +350,7 @@ def test_heat_propagation_of_a_field_cut_at_the_grid_edge_warns():
     with pytest.warns(TruncationWarning, match="grid edge"):
         out = apply(poisson_propagate(0.5), src, grid).values
     with pytest.warns(TruncationWarning, match="grid edge"):
-        gl = transforms._linear_gl(mat_poisson(0.5), grid, grid, QuadratureConfig(), 1.0)[1](src)
+        gl = transforms._linear_gl(poisson_propagate(0.5), grid, grid, QuadratureConfig())[1](src)
     exact = np.asarray(heat.eval(grid.points, 0.5))
     assert 1e-6 < np.max(np.abs(out - gl)) < 1e-5
     assert np.max(np.abs(out - exact)) < 1e-4 and np.max(np.abs(gl - exact)) < 1e-4
@@ -432,8 +432,7 @@ def test_chirp_fft_is_the_rectangle_rule_on_every_output_window(kernel, n):
             exact = pref * h * (dense @ src.values.astype(np.clongdouble)).astype(complex)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", TruncationWarning)
-                got = transforms._chirp_fft(mat, grid, out, QuadratureConfig(),
-                                            kernel.matching)[1](src)
+                got = transforms._chirp_fft(kernel, grid, out, QuadratureConfig())[1](src)
             assert rel_l2(got, exact) < 1e-13, (m, shift)
 
 
@@ -453,10 +452,11 @@ def test_fresnel_chirp_on_plane_wave_bulk():
     grid = Grid1D.from_span(GridKind.FULL_LINE, -40.0, 40.0, 4096)
     src = sample(PlaneChirp(lam), grid, 0.0)
     xi = grid.points
-    # tight run: a narrow apodization leaves no edge truncation, and the
+    # tight run: a narrow apodization leaves 3.7e-6 at the edges, which is flagged, and the
     # apodized chirp is a Gaussian beam with an exact closed form
     W = 8.0
-    out = apply(fresnel_propagate(zeta), src, grid, QuadratureConfig(apodization=W))
+    with pytest.warns(TruncationWarning, match="grid edge is 3.73e-06"):
+        out = apply(fresnel_propagate(zeta), src, grid, QuadratureConfig(apodization=W))
     assert out.evol == pytest.approx(zeta)
     Q = 1.0 / W**2 - 1j / zeta
     b = 1j * (lam - xi / zeta)
@@ -464,9 +464,11 @@ def test_fresnel_chirp_on_plane_wave_bulk():
              / np.sqrt(2j * np.pi * zeta) * np.sqrt(2 * np.pi / Q) / np.sqrt(2 * np.pi))
     bulk = np.abs(xi) <= 10.0
     assert np.max(np.abs(out.values[bulk] - exact[bulk])) < 1e-7
-    # default quarter-span apodization: the bulk reproduces the
-    # frequency-chirped wave up to the envelope bias
-    out = apply(fresnel_propagate(zeta), src, grid, QuadratureConfig(apodization=grid.span / 4))
+    # quarter-span apodization: the bulk reproduces the frequency-chirped wave up to the
+    # envelope bias, and the window's edge, 0.135 of its peak, is flagged
+    with pytest.warns(TruncationWarning, match="grid edge is 1.35e-01"):
+        out = apply(fresnel_propagate(zeta), src, grid,
+                    QuadratureConfig(apodization=grid.span / 4))
     ref = np.asarray(PlaneChirp(lam).eval(xi, zeta))
     quarter = np.abs(xi) <= 5.0
     assert np.max(np.abs(out.values[quarter] - ref[quarter])) < 0.07 * np.max(np.abs(ref))
@@ -1137,6 +1139,111 @@ def test_a_plan_rejects_fields_it_was_not_built_for():
         for_callables(sample(Gauss(1.0), FULL, 0.0))
     with pytest.raises(GeometryMismatch):
         transforms.plan(hankel(0), None, HALF, CFG16)  # only Gaussian convolutions take callables
+
+
+# the arguments of each TRANSFORMS function
+RECORD_ARGS = {
+    "linear-ct": (mat_fourier(0.3),), "geometric": (mat_scale(2.0),), "fresnel-prop": (0.5,),
+    "frft": (0.7,), "fr-laplace": (0.5,), "poisson-prop": (0.5,),
+    "radial-ct": (mat_free(0.5), 3.0, 1), "hankel": (1,), "fr-hankel": (1, 0.7),
+    "hankel-type": (1, 1.0, -0.6), "radial-laplace": (2, 1.0, -0.6),
+    "fr-radial-laplace": (0.5, 1.0, -0.6), "bessel-exp": (0.5, 1.0, -0.6),
+    "radial-heat-prop": (0.5, 3.0), "barut-girardello": (2.0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(transforms.TRANSFORMS))
+def test_a_kernel_record_is_a_value(name):
+    # equal arguments give equal records, so work can be keyed and traced by the record
+    make, args = transforms.TRANSFORMS[name], RECORD_ARGS[name]
+    one, two = make(*args), make(*args)
+    assert one == two and hash(one) == hash(two)
+    assert "0x" not in repr(one)
+
+
+def test_the_record_geometry_is_the_geometry_of_the_fields_it_reads():
+    assert radial_ct(mat_free(0.5), 3.0, 1).geometry == RadialDim(3.0, 1)
+    assert hankel(1).geometry == fr_hankel(1, 0.7).geometry == RadialDim(2.0, 1)
+    assert hankel_type(1, 1.0, -0.6).geometry == RadialType(1.0, -0.6)
+    assert radial_heat_propagate(0.5, 3.0).geometry == RadialDim(3.0, 0)
+    assert poisson_propagate(0.5).geometry is None and radial_laplace(1, 1.0, 0.0).geometry is None
+
+
+def test_a_matrix_gets_the_same_checks_whichever_function_names_it():
+    # e^{-r^2/8} decays slower than e^{-r^2/4}; a Gaussian convolution runs the growth guard,
+    # not the decay requirement of the other Bessel-I kernels, under either name
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 12.0, 256)
+    r = grid.points
+    fld = SampledField(grid, np.exp(-r**2 / 8) + 0j, RadialDim(3, 0))
+    by_ct = apply(radial_ct(mat_poisson(0.5), 3, 0), fld, grid, CFG16)
+    by_heat = apply(radial_heat_propagate(0.5, 3), fld, grid, CFG16)
+    assert by_ct.values.tobytes() == by_heat.values.tobytes()
+    # both accept a callable, and its image takes the record's geometry, or Linear() on the line
+    for kernels, out in (((radial_ct(mat_poisson(0.5), 3, 0), radial_heat_propagate(0.5, 3)),
+                          Grid1D.from_span(GridKind.HALF_LINE, 0.0, 3.0, 32)),
+                         ((linear_ct(mat_poisson(0.5)), poisson_propagate(0.5)),
+                          Grid1D.from_span(GridKind.FULL_LINE, -3.0, 3.0, 32))):
+        got = [apply(k, lambda y: y**2 + 1j * y, out, CFG16) for k in kernels]
+        assert got[0].values.tobytes() == got[1].values.tobytes()
+        assert got[0].geometry == got[1].geometry == (kernels[0].geometry or Linear())
+    # a field of another dimension is rejected by the record of either name
+    other = SampledField(grid, r * np.exp(-r**2 / 2) + 0j, RadialDim(5, 1))
+    for kernel in (hankel(1), radial_ct(mat_fourier(1.0), 2, 1)):
+        with pytest.raises(GeometryMismatch, match="n_dim"):
+            apply(kernel, other, grid, CFG16)
+
+
+_WINDOW_HALF = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 8.0, 256)
+_WINDOW_FULL = Grid1D.from_span(GridKind.FULL_LINE, -8.0, 8.0, 128)
+
+
+@pytest.mark.parametrize("kernel, grid, out", [
+    (frft(0.7), _WINDOW_FULL, _WINDOW_FULL),
+    (frft(0.1), _WINDOW_FULL, _WINDOW_FULL),
+    (fr_hankel(1, 0.7), _WINDOW_HALF, Grid1D.from_span(GridKind.HALF_LINE, 0.0, 4.0, 64)),
+    (geometric(mat_scale(1.3)), _WINDOW_FULL, _WINDOW_FULL),
+], ids=["chirp-fft", "gauss-legendre", "bessel-sum", "point-map"])
+def test_apodization_is_one_window_on_the_sampled_field(kernel, grid, out):
+    # every path integrates the field times the plan's window, and nothing else changes
+    x = grid.points
+    fld = SampledField(grid, (x * np.exp(-x**2 / 4) * (1.0 + 0.2j * x)).astype(complex),
+                       Radial(1) if kernel.nu is not None else Linear())
+    cfg = QuadratureConfig(nodes_per_panel=16, apodization=2.5)
+    built = transforms.plan(kernel, grid, out, cfg)
+    center = 0.0 if grid.kind == GridKind.HALF_LINE else 0.5 * (grid.start + grid.end)
+    assert np.array_equal(built.window, np.exp(-((x - center) ** 2) / (2.0 * 2.5**2)))
+    assert built.nbytes == transforms.plan(kernel, grid, out, CFG16).nbytes + 8 * grid.count
+    windowed = replace(fld, values=fld.values * built.window)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        got = apply(kernel, fld, out, cfg).values
+        assert got.tobytes() == apply(kernel, windowed, out, CFG16).values.tobytes()
+        assert got.tobytes() == built(fld).values.tobytes()
+
+
+def test_the_edge_check_judges_the_windowed_field():
+    # a plane chirp, windowed: W = 6 leaves 2e-10 at the edges of +-40 and W = 20 leaves 0.135
+    grid = Grid1D.from_span(GridKind.FULL_LINE, -40.0, 40.0, 4096)
+    src = sample(PlaneChirp(2.0), grid, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        apply(fresnel_propagate(0.8), src, grid, QuadratureConfig(apodization=6.0))
+    with pytest.warns(TruncationWarning, match=r"grid edge is 1\.35e-01 of peak; widen the grid$"):
+        apply(fresnel_propagate(0.8), src, grid, QuadratureConfig(apodization=20.0))
+
+
+@pytest.mark.parametrize("scale, warns", [(2.0, True), (0.5, False)])
+def test_a_half_line_point_map_flags_points_read_below_the_grid_start(scale, warns):
+    # e^{-(r-1)^2/2} on 1..9 peaks at the grid start; r/2 < 1 reads 0 below it (0.4999 off),
+    # while 2 r reads past the outer end only, where the field is e^{-32}
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 1.0, 9.0, 257)
+    src = SampledField(grid, np.exp(-(grid.points - 1.0) ** 2 / 2) + 0j, Radial(0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        apply(radial_ct(mat_scale(scale), 2, 0), src, grid)
+    flagged = [str(w.message) for w in caught if issubclass(w.category, TruncationWarning)]
+    assert flagged == (["field magnitude at grid edge is 1.00e+00 of peak; widen the grid"]
+                       if warns else [])
 
 
 def test_truncation_warnings_name_the_callers_line(tmp_path):
