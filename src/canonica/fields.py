@@ -561,8 +561,12 @@ def _words(chunks) -> np.ndarray:
 _LEAD = _words(b"\0" + sign + b"%d." % d for sign in (b"\0", b"-") for d in range(10))
 _PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), dtype=np.uint16)
 _DIGITS4 = np.column_stack((np.repeat(_PAIRS, 100), np.tile(_PAIRS, 100))).view(np.uint32)[:, 0]
-_EXP_LO = -330
-_EXP = _words((b"e%+03d" % e).ljust(8, b"\0") for e in range(_EXP_LO, 310)).reshape(-1, 2)
+_EXP_LO, _EXP_HI = -330, 310
+# the last two words of a slot, one table row each, for every exponent and for
+# the separator after a row's first, second and third value
+_EXP = _words((b"e%+03d" % e).ljust(7, b"\0") + sep for sep in (b",", b",", b"\n")
+              for e in range(_EXP_LO, _EXP_HI)).reshape(-1, 2).T.copy()
+_EXP_COLUMNS = np.arange(3) * (_EXP_HI - _EXP_LO) - _EXP_LO  # exponent -> table column
 _SEPARATORS = np.frombuffer(b",,\n", dtype=np.uint8)
 
 
@@ -570,22 +574,28 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(D, E, decided): |x| rounds to D * 10**(E - 16) with 10**16 <= D < 10**17,
     or D = E = 0 for a zero; D and E are correct where decided is true.
 
-    s = |x| * 10**(16 - E) is one rounded product with a rounded table entry, so
-    it errs by at most about eps * s; a value is decided only when the fraction
-    of s clears the rounding tie by twice that."""
+    s = |x| * 10**(16 - E) is one rounded long-double product with a rounded
+    table entry, so it errs by at most about eps * s; a value is decided only
+    when the fraction of s clears the rounding tie by twice that.  The test runs
+    in float64: the fraction s - D, which float64 holds within 2**-54 (exactly
+    on x87, where it is a multiple of 2**-10), against 2 eps D plus 2**-100 D >=
+    7.9e-15, which covers that rounding, D <= s < D + 1 and the float64 product.
+    So it decides no value that the test in long double would not."""
     with np.errstate(all="ignore"):
         a = np.abs(x)
         zero = a == 0
-        e = np.floor(np.log10(np.where(np.isfinite(a) & ~zero, a, 1.0))).astype(np.int64)
+        ok = np.isfinite(a) & ~zero
+        e = np.floor(np.log10(np.where(ok, a, 1.0))).astype(np.int64)
         s = a.astype(np.longdouble) * _POW10[16 - _POW10_LO - e]
-        fix = np.flatnonzero((s < 1e16) | (s >= 1e17))  # log10 off by one
-        if fix.size:
-            e[fix] += np.where(s[fix] < 1e16, -1, 1)
-            s[fix] = a[fix].astype(np.longdouble) * _POW10[16 - _POW10_LO - e[fix]]
         d = s.astype(np.int64)
-        frac = s - d
-        # false for an inf or nan s
-        decided = (s >= 1e16) & (s < 1e17) & (np.abs(frac - 0.5) > s * (2 * _EPS))
+        fix = np.flatnonzero(ok & ((d < 10**16) | (d >= 10**17)))  # log10 off by one
+        if fix.size:
+            e[fix] += np.where(d[fix] < 10**16, -1, 1)
+            s[fix] = a[fix].astype(np.longdouble) * _POW10[16 - _POW10_LO - e[fix]]
+            d[fix] = s[fix].astype(np.int64)
+            ok[fix[(d[fix] < 10**16) | (d[fix] >= 10**17)]] = False  # still off: to %
+        frac = (s - d).astype(float)
+        decided = ok & (np.abs(frac - 0.5) > d * (2 * _EPS + 2.0**-100))
     d += frac > 0.5
     carry = d == 10**17
     d[carry] = 10**16
@@ -595,28 +605,34 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d, e, decided | zero
 
 
-def _format_rows(block: np.ndarray) -> bytes:
+def _format_rows(block: np.ndarray) -> bytearray:
     """The bytes of "%.16e,%.16e,%.16e\\n" % row for every row of an (n, 3) block."""
     x = block.ravel()
     d, e, decided = _decimal(x)
     rest = np.flatnonzero(~decided)
     d[rest] = 0
     e[rest] = 0
-    slots = np.empty((len(x), 7), dtype=np.uint32)
-    hi, lo = np.divmod(d, 10**8)
-    lead, hi = np.divmod(hi, 10**8)
+    packed = bytearray(28 * len(x))  # so that translate reads the slots without a copy
+    slots = np.frombuffer(packed, dtype=np.uint32).reshape(-1, 7)
+    # d = lead * 10**16 + hi * 10**8 + lo
+    hi = d // 10**8
+    lo = d - hi * 10**8
+    lead = hi // 10**8
+    hi -= lead * 10**8
     slots[:, 0] = _LEAD[lead + 10 * np.signbit(x)]
-    slots[:, 1], slots[:, 2] = _DIGITS4[hi // 10**4], _DIGITS4[hi % 10**4]
-    slots[:, 3], slots[:, 4] = _DIGITS4[lo // 10**4], _DIGITS4[lo % 10**4]
-    slots[:, 5:] = _EXP[e - _EXP_LO]
-    if rest.size:
+    for col, group in ((1, hi), (3, lo)):
+        top = group // 10**4
+        slots[:, col] = _DIGITS4[top]
+        slots[:, col + 1] = _DIGITS4[group - top * 10**4]
+    columns = e.reshape(-1, 3)
+    columns += _EXP_COLUMNS  # e now indexes the _EXP tables
+    slots[:, 5] = _EXP[0][e]
+    slots[:, 6] = _EXP[1][e]
+    if rest.size:  # their last word holds the separator alone, as E = 0
         text = ("%.16e\n" * rest.size) % tuple(x[rest].tolist())
         slots[rest, :6] = np.array(text.split("\n")[:-1], dtype="S24").view(np.uint32) \
             .reshape(-1, 6)
-        slots[rest, 6] = 0
-    raw = slots.view(np.uint8).reshape(-1, 3, 28)
-    raw[:, :, -1] = _SEPARATORS
-    return raw[raw != 0].tobytes()
+    return packed.translate(None, b"\0")
 
 
 # Reading splits the work the same way (Clinger's fast path with an exact
@@ -632,6 +648,12 @@ _BLOCK_BYTES = 4096 * 72  # bytes read at a time: 4,096 rows as written
 _MIN_ROW = 5  # bytes of the shortest row, "0,0,0"
 _PAD = bytes(32)  # so that a 24-byte window from any token's third byte is in range
 _E_MAX = 307  # |E| bound: 10**(E_MAX + 1) is a finite float64
+_E_SIGNS = np.frombuffer(b"e-e+", dtype=np.uint16)
+# two ASCII digits as a native uint16, less 0x3030 (which wraps below '0'), index
+# their value; any other pair indexes an entry of 1000, or past the end, which
+# take(mode="clip") reads as the last entry, 1000: over _E_MAX even times ten
+_PAIR_VALUES = np.full(0x090B, 1000, dtype=np.int16)
+_PAIR_VALUES[_PAIRS - 0x3030] = np.arange(100)
 _Y_MIN = 2.0**-969  # from here up, half an ulp is a normal float64
 
 
@@ -668,19 +690,21 @@ def _binary(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) \
     s = starts + neg
     three = ends - s == 23  # a three-digit exponent
     lead = buf[s] - ord("0")
-    # per token: 16 digits, 'e', the exponent's sign and its two or three digits
-    tail = np.lib.stride_tricks.sliding_window_view(buf, 24)[s + 2]
+    # per token: 16 digits, 'e', the exponent's sign and its two or three digits,
+    # one 24-byte item each from a view that starts an item at every byte
+    tail = np.ndarray(len(buf) - 23, dtype="S24", buffer=buf, strides=(1,))[s + 2] \
+        .view(np.uint8).reshape(-1, 24)
     hi, ok_hi = _eight_digits(tail.view("<u8")[:, 0])
     lo, ok_lo = _eight_digits(tail.view("<u8")[:, 1])
-    exp = tail[:, 18:21] - ord("0")
-    e = 10 * exp[:, 0].astype(np.int16) + exp[:, 1]
-    e = np.where(three, 10 * e + exp[:, 2], e)
-    e = np.where(tail[:, 17] == ord("-"), -e, e)
+    pairs = tail.view(np.uint16)  # pairs[:, 8] is "e-" or "e+", pairs[:, 9] two digits
+    e_neg = pairs[:, 8] == _E_SIGNS[0]
+    e = _PAIR_VALUES.take(pairs[:, 9] - 0x3030, mode="clip")
+    third = tail[:, 20] - ord("0")
+    e = np.where(three, 10 * e + third, e)
+    e = np.where(e_neg, -e, e)
     ok = (three | (ends - s == 22)) & (lead <= 9) & (buf[s + 1] == ord(".")) \
-        & ok_hi & ok_lo & (tail[:, 16] == ord("e")) \
-        & ((tail[:, 17] == ord("+")) | (tail[:, 17] == ord("-"))) \
-        & (exp[:, 0] <= 9) & (exp[:, 1] <= 9) & (~three | (exp[:, 2] <= 9)) \
-        & (np.abs(e) <= _E_MAX)
+        & ok_hi & ok_lo & (e_neg | (pairs[:, 8] == _E_SIGNS[1])) \
+        & (~three | (third <= 9)) & (np.abs(e) <= _E_MAX)
     d = lead * np.uint64(10**16) + hi * 10**8 + lo
     e[~ok] = 0
     with np.errstate(all="ignore"):

@@ -353,6 +353,8 @@ def test_write_field_memory_is_bounded():
 # ---------------------------------------------------------------------------
 # row formatting: fields._format_rows against one f-string a value
 
+_X87 = np.finfo(np.longdouble).nmant >= 63
+
 def _reference_rows(rows):
     return "".join(f"{a:.16e},{b:.16e},{c:.16e}\n" for a, b, c in rows.tolist()).encode()
 
@@ -425,8 +427,72 @@ def test_format_rows_with_a_float64_band_sends_every_nonzero_value_to_percent(mo
     assert fields._format_rows(rows) == _reference_rows(rows)
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
-                    reason="the long double is narrower than x87's 64-bit significand")
+def _reference_scale(x):
+    """(s, e): |x| * 10**(16 - e) in long double, with 10**16 <= s < 10**17 where
+    that is finite."""
+    with np.errstate(all="ignore"):
+        a = np.abs(x)
+        e = np.floor(np.log10(np.where(np.isfinite(a) & (a != 0), a, 1.0))).astype(np.int64)
+        s = a.astype(np.longdouble) * fields._POW10[16 - fields._POW10_LO - e]
+        fix = np.flatnonzero((s < 1e16) | (s >= 1e17))  # log10 off by one
+        e[fix] += np.where(s[fix] < 1e16, -1, 1)
+        s[fix] = a[fix].astype(np.longdouble) * fields._POW10[16 - fields._POW10_LO - e[fix]]
+    return s, e
+
+
+def _reference_decimal(x):
+    """fields._decimal with the tie test in long double: the fraction of s must
+    clear 1/2 by 2 eps s.  The float64 test must decide no value this leaves to %."""
+    s, e = _reference_scale(x)
+    with np.errstate(all="ignore"):
+        d = s.astype(np.int64)
+        frac = s - d
+        decided = (s >= 1e16) & (s < 1e17) & (np.abs(frac - 0.5) > s * (2 * fields._EPS))
+    d += frac > 0.5
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    zero = np.abs(x) == 0
+    d[zero] = 0
+    e[zero] = 0
+    return d, e, decided | zero
+
+
+def _band_edge_values():
+    """Values whose long-double fraction lies within four of its last-place units
+    of the band edge |frac - 1/2| = 2 eps s, on both sides of it."""
+    x = np.random.default_rng(28).integers(0, 2**64, 10**6, dtype=np.uint64).view(float)
+    x = x[np.isfinite(x) & (x != 0)]
+    s, _ = _reference_scale(x)
+    gap = np.abs(s - s.astype(np.int64) - 0.5) - s * (2 * fields._EPS)
+    near = np.abs(gap) <= 4 * np.spacing(s)
+    assert (gap[near] > 0).sum() > 100 and (gap[near] < 0).sum() > 100
+    return x[near]
+
+
+def _assert_decides_within_reference(x):
+    d, e, decided = fields._decimal(x)
+    ref_d, ref_e, ref_decided = _reference_decimal(x)
+    assert not (decided & ~ref_decided).any()
+    assert np.array_equal(d[decided], ref_d[decided])
+    assert np.array_equal(e[decided], ref_e[decided])
+    if _X87:  # and its margin is wider by at most 1e-14: the same values take %
+        assert np.array_equal(decided, ref_decided)
+
+
+@pytest.mark.parametrize("values", [_sweep_values, _band_edge_values],
+                         ids=["sweep", "band-edge"])
+def test_decimal_decides_no_value_the_long_double_rule_sends_to_percent(values):
+    _assert_decides_within_reference(values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12))
+def test_decimal_decides_within_the_long_double_rule_on_any_bit_pattern(bits):
+    _assert_decides_within_reference(np.array(bits, dtype=np.uint64).view(float))
+
+
+@pytest.mark.skipif(not _X87, reason="the long double is narrower than x87's 64-bit significand")
 def test_format_rows_sends_few_values_of_an_hg_file_to_percent():
     fld = sample(StdHG(3), Grid1D.from_span(GridKind.FULL_LINE, -20.0, 20.0, 100_000), 0.5)
     values = np.concatenate([fld.grid.points, fld.values.real, fld.values.imag])
@@ -436,8 +502,6 @@ def test_format_rows_sends_few_values_of_an_hg_file_to_percent():
 
 # ---------------------------------------------------------------------------
 # row parsing: fields._parse_rows against float() a token
-
-_X87 = np.finfo(np.longdouble).nmant >= 63
 
 
 def _float_per_token(text):
@@ -531,6 +595,14 @@ def test_parse_rows_matches_float_on_sweep():
         assert _decided(text).mean() > 0.9
     # every written value, its neighbours, the writer's ties and a million bit patterns
     _assert_parses_like_float(fields._format_rows(_as_rows(_sweep_values())))
+
+
+@pytest.mark.parametrize("exponent", [
+    "e+0a", "e+/1", "e+:1", "e+1/", "e-1:", "e+10/", "e+1:0", "e*01", "E+01", "e+0100",
+])
+def test_binary_leaves_a_malformed_exponent_to_float(exponent):
+    # '/' and ':' sit just below '0' and just above '9'
+    assert not _decided(f"1.2345678901234567{exponent},0.0,0.0\n".encode())[0]
 
 
 def test_parse_rows_with_a_float64_band_sends_every_nonzero_token_to_float(monkeypatch):
