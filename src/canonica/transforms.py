@@ -53,10 +53,15 @@ the checks, the spline at the nodes and the matvec or the convolution.
 `apply(kernel, field, out_grid)` builds the plan for the field's grid and
 calls it.
 
-Bessel-I kernels are evaluated through the exponentially scaled form, so
-heat-type kernels never overflow.  Bessel-J kernels apply their chirps as a
-column and a row vector, so every radial kernel is real and is applied in
-float64.
+Bessel-I kernels I_nu(k r y) e^{(A y^2 + D r^2)/2 beta} are built by
+`specfun.bessel_i_outer` from the separable forms of I_nu's two expansions:
+the series below k r y = 30 and Hankel's expansion above are each a matrix
+product of row and column factors, and every other factor joins one
+exponential per entry.  Hankel's entries read that exponent in the
+cancellation-free form of `_kernel_exponent`, so heat-type kernels never
+overflow; the DivergenceRisk guard reads it on every entry.  Bessel-J
+kernels apply their chirps as a column and a row vector, so every radial
+kernel is real and is applied in float64.
 """
 
 from __future__ import annotations
@@ -357,7 +362,7 @@ def _kernel_nodes(cfg: QuadratureConfig, mat: SympMat2, in_grid: Grid1D | None,
     return xq, wq, values
 
 
-def _kernel_exponent(mat: SympMat2, x, y, xy: float):
+def _kernel_exponent(mat: SympMat2, x, y, xy: float, out=None):
     """Exponent i (A y^2 + D x^2 + xy x y) / 2B of a kernel of `mat`.
 
     The linear kernel has xy = -2.  The radial Bessel-I kernel (L-form
@@ -366,10 +371,11 @@ def _kernel_exponent(mat: SympMat2, x, y, xy: float):
     never calls this.  The real L-form exponent is computed as
     ((y + xy x/2)^2 + (A - 1) y^2 + (D - 1) x^2)/(2 beta), so that a Gaussian
     convolution (A = D = 1) gets -(y - x)^2/(2 tau) without cancellation.
+    A real exponent is written into `out` when it is given.
     """
     if _real_exponent(mat):
         beta, a, d = mat.b.imag, mat.a.real, mat.d.real
-        expo = y + 0.5 * xy * x
+        expo = np.add(y, 0.5 * xy * x, out=out)
         np.square(expo, out=expo)
         if a != 1.0 or d != 1.0:
             expo += (a - 1.0) * y**2
@@ -382,11 +388,16 @@ def _kernel_exponent(mat: SympMat2, x, y, xy: float):
     return expo
 
 
-def _guarded_exp(expo: np.ndarray) -> np.ndarray:
-    """exp(expo), computed in place; DivergenceRisk if it would overflow."""
+def _checked_exponent(expo: np.ndarray) -> np.ndarray:
+    """expo; DivergenceRisk if its exp would overflow."""
     if float(np.max(expo.real)) > MAX_EXPONENT:
         raise DivergenceRisk("kernel exponent overflows double precision")
-    return np.exp(expo, out=expo)
+    return expo
+
+
+def _guarded_exp(expo: np.ndarray) -> np.ndarray:
+    """exp(expo), computed in place; DivergenceRisk if it would overflow."""
+    return np.exp(_checked_exponent(expo), out=expo)
 
 
 def _matvec(kern: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -670,13 +681,13 @@ def _bessel_sum(kernel: Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
     B < 0; its chirp has no r y term, so it is applied as two vectors,
     e^{iA y^2/2B} in the weights and e^{iD r^2/2B} on the output, around a
     float64 kernel.  An L-form B = i beta gives the Bessel-I kernel through
-    J_nu(r y/(i beta)) = e^{-i pi nu sgn(beta)/2} I_nu(r y/|beta|), evaluated
-    as the exponentially scaled I_nu times the whole real exponent, whose two
-    chirps could overflow apart.  On the axis the kernel behaves like
-    r^(nu+cross+row): a positive power gives a zero row, power zero the finite
-    limit (y/2|B|)^nu / Gamma(nu+1) y^cross y^col (times e^{expo(0, y)} for
-    Bessel-I), and a negative power has no finite value, so an r = 0 output
-    point is rejected.
+    J_nu(r y/(i beta)) = e^{-i pi nu sgn(beta)/2} I_nu(r y/|beta|), built by
+    `specfun.bessel_i_outer` (module docstring) with its two chirps and the
+    growth of I_nu in one exponent, since apart they could overflow.  On the
+    axis the kernel behaves like r^(nu+cross+row): a positive power gives a
+    zero row, power zero the finite limit (y/2|B|)^nu / Gamma(nu+1) y^cross
+    y^col (times e^{expo(0, y)} for Bessel-I), and a negative power has no
+    finite value, so an r = 0 output point is rejected.
 
     Towards the input axis the kernel behaves like y^(nu+cross+col).  A power
     <= -1 is not integrable, so a source grid that starts on the axis with a
@@ -702,14 +713,14 @@ def _bessel_sum(kernel: Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
     lform = _real_exponent(mat)
     if lform:
         beta = mat.b.imag
-        bessel, k, xy = specfun.bessel_i_scaled, 1.0 / abs(beta), 2.0 * math.copysign(1.0, beta)
+        k, xy = 1.0 / abs(beta), 2.0 * math.copysign(1.0, beta)
         rotation = cmath.exp(-0.5j * math.pi * nu * math.copysign(1.0, beta))
         pref = kernel.matching * (-1j) ** (nu + 1.0) / mat.b * rotation
     else:
         b = mat.b.real
         if b < 0 and abs(nu - round(nu)) > 1e-9:
             raise ValueError("negative B with non-integer Bessel order is not supported")
-        bessel, k = specfun.bessel_j, 1.0 / abs(b)
+        k = 1.0 / abs(b)
         pref = kernel.matching * (-1j) ** (nu + 1.0) / b * ((-1.0) ** round(nu) if b < 0 else 1.0)
         reach, guard = k * float(np.max(ro)) * in_grid.end, specfun.bessel_j_guard(nu)
         if reach > guard:
@@ -721,22 +732,30 @@ def _bessel_sum(kernel: Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
     w_col = wq if col == 0.0 else wq * xq**col
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows are set on apply
         row_factor = ro**row if row != 0.0 else 1.0
-        if not lform:  # the Bessel-J chirp, as a column and a row vector
+        if lform:
+            # I_nu(z) z^cross e^{(A y^2 + D r^2)/2 beta} at z = k r y; k^-cross on the rows
+            # turns z^cross into the kernel's (r y)^cross
+            def exponent(rows, out):  # (A y^2 + D r^2)/2 beta + z, under the overflow guard
+                _checked_exponent(_kernel_exponent(mat, ro[rows, None], xq[None, :], xy, out))
+
+            kern = specfun.bessel_i_outer(nu, k * ro, xq, cross, mat.d.real * ro**2 / (2.0 * beta),
+                                          mat.a.real * xq**2 / (2.0 * beta), exponent)
+            row_factor = row_factor * k**-cross
+        else:
+            # the Bessel-J chirp, as a column and a row vector
             if mat.a != 0:
                 w_col = w_col * np.exp((0.5j / mat.b) * mat.a * xq**2)
             if mat.d != 0:
                 row_factor = row_factor * np.exp((0.5j / mat.b) * mat.d * ro**2)
-        # one scratch array of the kernel's size: the Bessel argument k r y, then (r y)^cross
-        arg = np.multiply(ro[:, None], xq[None, :])
-        if k != 1.0:
-            arg *= k
-        kern = bessel(nu, arg)
-        if cross != 0.0:
-            np.multiply(ro[:, None], xq[None, :], out=arg)
-            kern *= np.power(arg, cross, out=arg)
-        del arg
-        if lform:
-            kern *= _guarded_exp(_kernel_exponent(mat, ro[:, None], xq[None, :], xy))
+            # one scratch array of the kernel's size: the Bessel argument k r y, then (r y)^cross
+            arg = np.multiply(ro[:, None], xq[None, :])
+            if k != 1.0:
+                arg *= k
+            kern = specfun.bessel_j(nu, arg)
+            if cross != 0.0:
+                np.multiply(ro[:, None], xq[None, :], out=arg)
+                kern *= np.power(arg, cross, out=arg)
+            del arg
     limit = None
     if np.any(axis) and abs(power) <= 1e-12:
         limit = (0.5 * k * xq) ** nu / math.gamma(nu + 1.0) * xq**cross

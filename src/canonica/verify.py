@@ -373,8 +373,11 @@ def _det_random_draws(seed: int, count: int, kinds: int = 7):
     first, the high half kept for the next `integers` call (`random()` never touches
     it), and maps each by Lemire's rule (ACM TOMACS 29, 2019): m = u n, rejected while
     m mod 2^32 < (2^32 - n) mod n.  Which word a draw reads depends on the kinds before
-    it, so one loop of plain integer arithmetic finds each draw's kind and first
-    `random()` word; numpy then reads every uniform from the word array at once.
+    it.  A fresh word whose two halves both pass gives two consecutive draws, which
+    read 1 + {1, 3} + {1, 3} words by their kinds, so numpy maps every word to both
+    kinds and that count at once, and one loop of plain integer arithmetic steps a word
+    at a time; a word with a rejected half takes the rule one half at a time.  numpy
+    then reads every uniform from the word array at once.
     """
     bitgen = np.random.PCG64(seed)
     words = bitgen.random_raw(2 * count + 4096)  # about 1.8 words a draw at 7 kinds
@@ -385,29 +388,55 @@ def _det_random_draws(seed: int, count: int, kinds: int = 7):
             words = np.concatenate((words, bitgen.random_raw(n - len(words) + 2 * count)))
         return words
 
-    kind, first = array("q"), array("q")  # each draw's kind and first `random()` word
     threshold = (2**32 - kinds) % kinds
-    pos, high = 0, None
-    block, base = [], 0  # words[base:base + 4096] as Python ints
-    for _ in range(count):
-        while True:
-            if high is None:
-                if pos - base >= len(block):
-                    base, block = pos, words_to(pos + 4096)[pos:pos + 4096].tolist()
-                w = block[pos - base]
-                pos += 1
-                v, high = w & 0xFFFFFFFF, w >> 32
-            else:
-                v, high = high, None
-            m = v * kinds
-            if m & 0xFFFFFFFF >= threshold:
-                break
-        k = m >> 32
-        kind.append(k)
-        first.append(pos)
-        pos += 3 if k == _SCALE_KIND else 1
+    low32, n = np.uint64(0xFFFFFFFF), np.uint64(kinds)
+
+    def halves(w):  # per word: the kinds of both halves, the words each draw reads, both pass
+        m_lo, m_hi = (w & low32) * n, (w >> np.uint64(32)) * n
+        k_lo, k_hi = ((m >> np.uint64(32)).astype(np.int64) for m in (m_lo, m_hi))
+        reads_lo, reads_hi = (np.where(k == _SCALE_KIND, 3, 1) for k in (k_lo, k_hi))
+        both = ((m_lo & low32) >= threshold) & ((m_hi & low32) >= threshold)
+        return k_lo, k_hi, reads_lo, reads_hi, both
+
+    pairs, pair_at = array("q"), array("q")  # words giving two draws, and their first draw's index
+    single, single_first, single_at = array("q"), array("q"), array("q")  # one-half draws
+    drawn, pos, high = 0, 0, None
+    base, steps = 0, []  # words a two-draw word at base + i reads (0: a half is rejected)
+    while drawn < count:
+        if pos - base >= len(steps):
+            base, w = pos, words_to(pos + 4096)[pos:pos + 4096]
+            _, _, reads_lo, reads_hi, both = halves(w)
+            steps = np.where(both, 1 + reads_lo + reads_hi, 0).tolist()
+        step = steps[pos - base]
+        if high is None and step:
+            pairs.append(pos)
+            pair_at.append(drawn)
+            drawn += 2
+            pos += step
+            continue
+        if high is None:
+            w = int(words[pos])
+            pos += 1
+            v, high = w & 0xFFFFFFFF, w >> 32
+        else:
+            v, high = high, None
+        m = v * kinds
+        if m & 0xFFFFFFFF >= threshold:
+            k = m >> 32
+            single.append(k)
+            single_first.append(pos)
+            single_at.append(drawn)
+            drawn += 1
+            pos += 3 if k == _SCALE_KIND else 1
     words_to(pos)  # every word the last draws read
-    kind, first = np.frombuffer(kind, dtype=np.int64), np.frombuffer(first, dtype=np.int64)
+    kind, first = np.empty(drawn, dtype=np.int64), np.empty(drawn, dtype=np.int64)
+    pairs, pair_at = np.frombuffer(pairs, dtype=np.int64), np.frombuffer(pair_at, dtype=np.int64)
+    k_lo, k_hi, reads_lo, _, _ = halves(words[pairs])
+    kind[pair_at], kind[pair_at + 1] = k_lo, k_hi
+    first[pair_at], first[pair_at + 1] = pairs + 1, pairs + 1 + reads_lo
+    single_at = np.frombuffer(single_at, dtype=np.int64)
+    kind[single_at], first[single_at] = single, single_first
+    kind, first = kind[:count], first[:count]
 
     def uniform(lo, hi, at):  # `uniform(lo, hi)`: lo + (hi - lo) `random()` of word `at`
         return lo + (hi - lo) * ((words[at] >> np.uint64(11)) * 2.0**-53)

@@ -210,6 +210,97 @@ def test_bessel_i_scaled_memory_is_the_output_plus_a_block():
     assert peak <= out.nbytes + 4 * 2**20
 
 
+def _gaussian_outer(nu, u, v, power):
+    """bessel_i_outer on u x v with row_log -u^2/2 and col_log -v^2/2, whose exponent
+    E = -(u - v)^2/2 is the Gaussian's: I_nu(u v) (u v)^power e^{-(u^2 + v^2)/2}."""
+    def exponent(rows, out):
+        np.subtract(u[rows, None], v[None, :], out=out)
+        np.square(out, out=out)
+        out *= -0.5
+
+    return specfun.bessel_i_outer(nu, u, v, power, -0.5 * u**2, -0.5 * v**2, exponent)
+
+
+_OUTER_NUS = [-0.5, 0.0, 0.5000036, 1.0, 2.5, 10.0]
+
+
+@pytest.mark.parametrize("power", [0.0, -0.75])
+@pytest.mark.parametrize("nu", _OUTER_NUS)
+def test_bessel_i_outer_against_mpmath(nu, power):
+    # z = u v below and above the split, at 30 -+ 1e-9 and 30, at 0 and up to 2070, in
+    # three bands of rows; u^2/2 is exact or below 16, so every entry above 1e-300 is
+    # well conditioned, and the rest underflow
+    w = np.sqrt(_SPLIT + np.array([-1e-9, 0.0, 1e-9]))
+    u = v = np.concatenate([[0.0, 0.25, 1.0, 3.0], w, [44.0, 45.0, 46.0]])
+    got = _gaussian_outer(nu, u, v, power)
+    with mpmath.workdps(40):
+        ref = np.array([[float(mpmath.besseli(nu, mpmath.mpf(a) * b) * (mpmath.mpf(a) * b) ** power
+                               * mpmath.exp(mpmath.mpf(-0.5 * a * a) - 0.5 * b * b))
+                         if a * b else math.nan for b in v] for a in u])
+    inner = ~np.isnan(ref)
+    assert np.all(np.abs(got - ref)[inner] <= 1e-14 * np.abs(ref)[inner] + 1e-300)
+    assert np.count_nonzero(ref[inner] > 1e-300) >= 40
+    # z = 0: the limit 2^-nu / Gamma(nu + 1) e^{-(u^2 + v^2)/2} of order nu + power
+    q = nu + power
+    limit = (math.inf if q < 0 else 0.0 if q > 0
+             else 2.0**-nu / math.gamma(nu + 1.0) * np.exp(-0.5 * v**2))
+    assert np.array_equal(got[0], np.broadcast_to(limit, v.shape))
+
+
+@pytest.mark.parametrize("nu", _OUTER_NUS)
+def test_bessel_i_outer_scales_both_expansions(nu):
+    # u near 1e-20 and v near 1e21: z = u v runs from 15 to 60, but unscaled the
+    # series factor (v/2)^2k and Hankel's u^-k overflow
+    u, v = np.array([1e-20, 1.7e-20, 2e-20]), np.array([1.5e21, 2.5e21, 3e21])
+
+    def exponent(rows, out):
+        np.multiply(u[rows, None], v[None, :], out=out)
+
+    got = specfun.bessel_i_outer(nu, u, v, 0.5, np.zeros(3), np.zeros(3), exponent)
+    with mpmath.workdps(40):
+        z = [[mpmath.mpf(a) * b for b in v] for a in u]
+        ref = np.array([[float(mpmath.besseli(nu, x) * mpmath.sqrt(x)) for x in row] for row in z])
+    assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+
+@pytest.mark.parametrize("nu", _OUTER_NUS)
+def test_bessel_i_outer_keeps_its_factors_finite_at_small_beta(nu):
+    # the heat kernel of time 1e-3 on r, y <= 8: u = r/1e-3 reaches 8e3 and
+    # (u/2)^118 overflows unscaled; the outer product is the entrywise kernel
+    # e^{-z} I_nu(z) z^power e^{-(r - y)^2/2t} wherever that is finite
+    t = 1e-3
+    r, y = np.linspace(0.0, 8.0, 129), np.linspace(0.004, 8.0, 300)
+    u, power = r / t, -0.25
+
+    def exponent(rows, out):
+        np.subtract(r[rows, None], y[None, :], out=out)
+        np.square(out, out=out)
+        out /= -2.0 * t
+
+    got = specfun.bessel_i_outer(nu, u, y, power, -r**2 / (2 * t), -y**2 / (2 * t), exponent)
+    z = np.multiply.outer(u, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gauss = np.exp(-np.subtract.outer(r, y) ** 2 / (2 * t))
+        ref = specfun.bessel_i_scaled(nu, z) * z**power * gauss
+    finite = np.isfinite(ref)
+    assert finite[1:].all() and np.isfinite(got[finite]).all()
+    rowmax = np.max(np.abs(ref[1:]), axis=1, keepdims=True)
+    assert np.max(np.abs(got[1:] - ref[1:]) / rowmax) <= 1e-13
+
+
+def test_bessel_i_outer_takes_ive_above_the_validated_orders_and_needs_ascending_factors():
+    from scipy.special import ive
+
+    nu = specfun._BESSEL_I_MAX_ORDER + 2.0
+    u = v = np.array([0.5, 3.0, 5.0, 9.0, 20.0])
+    got = _gaussian_outer(nu, u, v, 0.5)
+    z = np.multiply.outer(u, v)
+    want = ive(nu, z) * z**0.5 * np.exp(-np.subtract.outer(u, v)**2 / 2)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    with pytest.raises(ValueError, match="ascending"):
+        _gaussian_outer(1.0, u[::-1], v, 0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(nu=st.floats(0.5, specfun._BESSEL_I_MAX_ORDER - 1.0),
        x=hnp.arrays(float, st.integers(1, 64), elements=st.floats(0.05, 4 * _SPLIT)))

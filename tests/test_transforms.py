@@ -48,7 +48,7 @@ from canonica.symplectic import (
     mat_scale,
     metaplectic_phase,
 )
-from canonica import transforms
+from canonica import appell, specfun, transforms
 from canonica.cli import main
 from canonica.transforms import (
     QuadratureConfig,
@@ -1392,3 +1392,65 @@ def test_bessel_j_kernel_assembly_peaks_near_twice_the_kernel(kernel):
         tracemalloc.stop()
     assert built.nbytes >= 60 * 2**20
     assert peak <= 2.25 * built.nbytes
+
+
+def _entrywise_bessel_i(nu, u, v, power, row_log, col_log, exponent):
+    """`specfun.bessel_i_outer` as an entry-by-entry kernel: e^{-z} I_nu(z) from
+    `specfun.bessel_i_scaled` times z^power e^E on the whole kernel at once."""
+    kern = np.empty((len(u), len(v)))
+    exponent(slice(None), kern)
+    z = np.multiply.outer(u, v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return specfun.bessel_i_scaled(nu, z) * z**power * np.exp(kern)
+
+
+def _radial_heat_map(alpha, width, out_end, out_count):
+    """The numeric radial-heat Appell map of tests/test_appell.py's cross-path cases
+    (mu 3, evol 0.4, 16 nodes a panel): a Gaussian on 0..18 (1536 points) onto
+    0..out_end, through a 256 x 1536 or 128 x 1536 Bessel-I kernel."""
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 18.0, 1536)
+    src = SampledField(grid, np.exp(-grid.points**2 / (2 * width**2)) + 0j, RadialDim(3.0, 0))
+    spec = appell.AppellSpec(EquationKind.RADIAL_HEAT, alpha=alpha, evol=0.4, mu=3.0)
+    out = Grid1D.from_span(GridKind.HALF_LINE, 0.0, out_end, out_count)
+    return lambda: appell.appell_numeric(src, spec, out, CFG16).values
+
+
+def _bessel_exp_small_beta(beta):
+    """exp(beta B^dagger) of a Gaussian at small beta onto 0..8: u = r/2 beta reaches
+    4e3 (1e-3) and 4e4 (1e-4)."""
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 10.0, 500)
+    src = SampledField(grid, np.exp(-grid.points**2 / 6) + 0j)
+    out = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 8.0, 300)
+    return lambda: apply(bessel_exp(beta, 0.5, 0.25), src, out).values
+
+
+@pytest.mark.parametrize("run", [_radial_heat_map(1.0, 1.0, 6.0, 256),
+                                 _radial_heat_map(0.6, 0.7, 1.5, 128),
+                                 _bessel_exp_small_beta(1e-3), _bessel_exp_small_beta(1e-4)],
+                         ids=["radial-heat-alpha-1", "radial-heat-alpha-0.6",
+                              "bessel-exp-1e-3", "bessel-exp-1e-4"])
+def test_bessel_i_plan_matches_the_entrywise_kernel(run, monkeypatch):
+    # the two expansions as matrix products, band by band, against the same plan with
+    # its kernel assembled entry by entry from bessel_i_scaled
+    got = run()
+    monkeypatch.setattr(specfun, "bessel_i_outer", _entrywise_bessel_i)
+    want = run()
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_bessel_i_plan_builds_in_bands_beside_the_kernel(monkeypatch):
+    # the 256 x 1536 kernel of the alpha = 1 radial-heat map (3 MiB) is built band by
+    # band: its temporaries stay within three band-sized arrays
+    plans, plan = [], transforms.plan
+    monkeypatch.setattr(transforms, "plan", lambda *a: plans.append(a) or plan(*a))
+    _radial_heat_map(1.0, 1.0, 6.0, 256)()
+    plan(*plans[0])
+    tracemalloc.start()
+    try:
+        built = plan(*plans[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built.nbytes == 256 * 1536 * 8
+    assert peak <= built.nbytes + 3 * 8 * specfun._BESSEL_I_BAND
