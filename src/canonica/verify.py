@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,93 +357,24 @@ def disentanglement_check(beta: float) -> dict:
 
 # m1-det-random draws seven constructor kinds: mat_free(u), mat_lens(u), mat_scale(s),
 # mat_fourier(u), mat_laplace(u), mat_poisson(|u| + 0.1), mat_gauss_aperture(|u| + 0.1),
-# for u uniform in [-2, 2); a scale draw then draws s
+# for u uniform in [-2, 2); each scale draw also draws its s
 _SCALE_KIND = 2
 
 
-def _det_random_draws(seed: int, count: int, kinds: int = 7):
-    """The first `count` draws of m1-det-random, bit for bit those of
-    `np.random.default_rng(seed)`: each is `integers(0, kinds)` then `uniform(-2, 2)`,
-    and a scale draw (kind 2) then takes `uniform(0.3, 2.0)` and `uniform(-0.5, 0.5)`
-    for Re s and Im s.  Returns the kinds, u and s as arrays (s is NaN off scale draws).
-
-    The draws follow numpy's `Generator` rules on raw PCG64 words (O'Neill 2014):
-    `random()` is (w >> 11) 2^-53; `integers` takes 32-bit halves of a word, low half
-    first, the high half kept for the next `integers` call (`random()` never touches
-    it), and maps each by Lemire's rule (ACM TOMACS 29, 2019): m = u n, rejected while
-    m mod 2^32 < (2^32 - n) mod n.  Which word a draw reads depends on the kinds before
-    it.  A fresh word whose two halves both pass gives two consecutive draws, which
-    read 1 + {1, 3} + {1, 3} words by their kinds, so numpy maps every word to both
-    kinds and that count at once, and one loop of plain integer arithmetic steps a word
-    at a time; a word with a rejected half takes the rule one half at a time.  numpy
-    then reads every uniform from the word array at once.
-    """
-    bitgen = np.random.PCG64(seed)
-    words = bitgen.random_raw(2 * count + 4096)  # about 1.8 words a draw at 7 kinds
-
-    def words_to(n):  # the first n words at least, drawn on demand
-        nonlocal words
-        if len(words) < n:
-            words = np.concatenate((words, bitgen.random_raw(n - len(words) + 2 * count)))
-        return words
-
-    threshold = (2**32 - kinds) % kinds
-    low32, n = np.uint64(0xFFFFFFFF), np.uint64(kinds)
-
-    def halves(w):  # per word: the kinds of both halves, the words each draw reads, both pass
-        m_lo, m_hi = (w & low32) * n, (w >> np.uint64(32)) * n
-        k_lo, k_hi = ((m >> np.uint64(32)).astype(np.int64) for m in (m_lo, m_hi))
-        reads_lo, reads_hi = (np.where(k == _SCALE_KIND, 3, 1) for k in (k_lo, k_hi))
-        both = ((m_lo & low32) >= threshold) & ((m_hi & low32) >= threshold)
-        return k_lo, k_hi, reads_lo, reads_hi, both
-
-    pairs, pair_at = array("q"), array("q")  # words giving two draws, and their first draw's index
-    single, single_first, single_at = array("q"), array("q"), array("q")  # one-half draws
-    drawn, pos, high = 0, 0, None
-    base, steps = 0, []  # words a two-draw word at base + i reads (0: a half is rejected)
-    while drawn < count:
-        if pos - base >= len(steps):
-            base, w = pos, words_to(pos + 4096)[pos:pos + 4096]
-            _, _, reads_lo, reads_hi, both = halves(w)
-            steps = np.where(both, 1 + reads_lo + reads_hi, 0).tolist()
-        step = steps[pos - base]
-        if high is None and step:
-            pairs.append(pos)
-            pair_at.append(drawn)
-            drawn += 2
-            pos += step
-            continue
-        if high is None:
-            w = int(words[pos])
-            pos += 1
-            v, high = w & 0xFFFFFFFF, w >> 32
-        else:
-            v, high = high, None
-        m = v * kinds
-        if m & 0xFFFFFFFF >= threshold:
-            k = m >> 32
-            single.append(k)
-            single_first.append(pos)
-            single_at.append(drawn)
-            drawn += 1
-            pos += 3 if k == _SCALE_KIND else 1
-    words_to(pos)  # every word the last draws read
-    kind, first = np.empty(drawn, dtype=np.int64), np.empty(drawn, dtype=np.int64)
-    pairs, pair_at = np.frombuffer(pairs, dtype=np.int64), np.frombuffer(pair_at, dtype=np.int64)
-    k_lo, k_hi, reads_lo, _, _ = halves(words[pairs])
-    kind[pair_at], kind[pair_at + 1] = k_lo, k_hi
-    first[pair_at], first[pair_at + 1] = pairs + 1, pairs + 1 + reads_lo
-    single_at = np.frombuffer(single_at, dtype=np.int64)
-    kind[single_at], first[single_at] = single, single_first
-    kind, first = kind[:count], first[:count]
-
-    def uniform(lo, hi, at):  # `uniform(lo, hi)`: lo + (hi - lo) `random()` of word `at`
-        return lo + (hi - lo) * ((words[at] >> np.uint64(11)) * 2.0**-53)
-
+def _det_random_draws(seed: int, count: int):
+    """The first `count` draws of m1-det-random from `np.random.default_rng(seed)`, in
+    numpy's batch calls: all kinds by `integers(0, 7)`, then all u by `uniform(-2, 2)`,
+    then, for the scale draws, Re s by `uniform(0.3, 2.0)` and Im s by
+    `uniform(-0.5, 0.5)`.  Returns the kinds, u and s as arrays (s is NaN off scale
+    draws)."""
+    rng = np.random.default_rng(seed)
+    kind = rng.integers(0, 7, size=count)
+    u = rng.uniform(-2.0, 2.0, size=count)
     scale = kind == _SCALE_KIND
+    n = np.count_nonzero(scale)
     s = np.full(count, np.nan, dtype=complex)
-    s[scale] = _complex(uniform(0.3, 2.0, first[scale] + 1), uniform(-0.5, 0.5, first[scale] + 2))
-    return kind, uniform(-2.0, 2.0, first), s
+    s[scale] = _complex(rng.uniform(0.3, 2.0, size=n), rng.uniform(-0.5, 0.5, size=n))
+    return kind, u, s
 
 
 def _complex(re, im) -> np.ndarray:
@@ -518,8 +448,8 @@ def _triple_devs(rows: np.ndarray) -> np.ndarray:
 
 
 def _check_det_random():
-    # the draws, and so the pinned worst case, are tied to PCG64's seeding and numpy's
-    # Generator rules (`_det_random_draws`); a numpy that changes either fails a tier-1 test
+    # the draws, and so the pinned worst case, are tied to numpy's batch streams of
+    # `default_rng` (`_det_random_draws`); a numpy that changes them fails a tier-1 test
     devs = _triple_devs(_constructor_rows(*_det_random_draws(20110131, 30000)))
     return {"max_abs": float(np.max(devs)), "tolerance": 1e-14}
 
