@@ -2,18 +2,20 @@
 
 Hermite and generalized Laguerre polynomials are evaluated by their
 three-term recurrences, and so is J_n for integer orders n >= 2 where
-x >= n.  The scaled e^{-x} I_nu(x) of order nu <= 10 is evaluated from its
-ascending power series below x = 30 and from Hankel's large-argument
-expansion above.  Both Bessel functions work on arrays in fixed blocks.
-On an outer product z = u_i v_j, as in a radial heat kernel, both
-expansions of I_nu are sums of a power of u_i times a power of v_j, so
-`bessel_i_outer` sums each as one matrix product (rank 60 and 18) in
-bands of rows, with the coefficients of `bessel_i_scaled`.
-Airy, scalar Bessel calls and every other Bessel order delegate to
-scipy.special behind the domain guards below; the guards keep every call
-inside the range where double precision delivers ~1e-10 relative accuracy
-and no overflow.  scipy.special is slow to import, so each function that
-calls it imports it on first use: importing this module loads no scipy.
+x >= n, in fixed blocks of points.  Kernels on an outer product
+z = u_i v_j are built from separable forms.  `bessel_j_outer` returns
+J_nu(u_i v_j) as a core J_nu(u_i eta_b) on p Chebyshev points eta of the
+range of v and the barycentric matrix from eta to v: along v the kernel is
+band-limited, and p is the degree at which the Chebyshev coefficients of
+its highest frequency fall below 1e-16.  For the scaled e^{-z} I_nu(z) of
+order nu <= 10, `bessel_i_outer` sums its ascending power series below
+z = 30 and Hankel's large-argument expansion above as matrix products
+(rank 60 and 18) in bands of rows.  Airy, scalar Bessel calls and every
+other Bessel order delegate to scipy.special behind the domain guards
+below; the guards keep every call inside the range where double precision
+delivers ~1e-10 relative accuracy and no overflow.  scipy.special is slow
+to import, so each function that calls it imports it on first use:
+importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ _BESSEL_I_SPLIT = 30.0  # scaled I: power series below this argument, Hankel's e
 _BESSEL_I_MAX_ORDER = 10.0  # scaled I: the highest order both branches hold to ~1e-14
 _BESSEL_I_SERIES_TERMS = 60
 _BESSEL_I_HANKEL_TERMS = 18
-_BESSEL_I_BAND = 65536  # entries per band of rows of bessel_i_outer: bounds its temporaries
+_BESSEL_BAND = 65536  # entries per band of rows of the outer builders: bounds their temporaries
+_BESSEL_J_TAIL = 1e-16  # bessel_j_outer: the size of the first Chebyshev coefficient it drops
 
 
 def _check_degree(n, limit):
@@ -149,38 +152,72 @@ def bessel_j(nu: float, x):
     return _by_blocks(x, fill)
 
 
-def _horner(coeffs, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] t^k into `out`, accumulated in place."""
-    out.fill(coeffs[-1])
-    for c in coeffs[-2::-1]:
-        out *= t
-        out += c
-    return out
+def bessel_j_columns(nu: float, u, v) -> int:
+    """The columns of `bessel_j_outer`'s core: its p Chebyshev points, or len(v)
+    where the kernel stays dense.
 
-
-def _bessel_i_series(nu: float, coeffs, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """e^{-x} (x/2)^nu sum_k (x^2/4)^k / (k! Gamma(nu+k+1)) into `out` (DLMF 10.25.2).
-
-    Every term is positive, so nothing cancels.  At x = 0 the sum is its
-    first coefficient and the power is exact: 1 for nu = 0, 0 above, and
-    +inf below, the limit of I_{-1/2}.
+    Along v the kernel J_nu(u_i v) is a sum of e^{i u_i v s}, |s| <= 1
+    (Bessel's integral), so on [min v, max v] it has frequency at most
+    omega = max u (max v - min v)/2 in the interval's variable t in [-1, 1].
+    The Chebyshev coefficients of e^{i omega t} are 2 i^n J_n(omega), so p
+    is the smallest n > omega with |J_n(omega)| < _BESSEL_J_TAIL, and at
+    least 2.  A non-integer order has a branch point at z = 0, and a p that
+    reaches len(v) saves nothing: both stay dense.
     """
-    t = np.multiply(x, x)
-    t *= 0.25
-    _horner(coeffs, t, out)
-    out *= np.exp(np.negative(x, out=t), out=t)
-    if nu:
-        with np.errstate(divide="ignore"):
-            out *= np.power(np.multiply(x, 0.5, out=t), nu, out=t)
+    from scipy.special import jv
+
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if not float(nu).is_integer() or v.size < 3:
+        return v.size
+    omega = float(np.max(u, initial=0.0)) * 0.5 * float(np.ptp(v))
+    # |J_n(omega)| falls below 1e-16 by n = omega + 12.5 omega^(1/3) (+ 13 below omega = 1)
+    n = math.floor(omega) + 1 + np.arange(32 + 16 * math.ceil(omega ** (1.0 / 3.0)))
+    below = np.flatnonzero(np.abs(jv(n, omega)) < _BESSEL_J_TAIL)
+    p = max(2, int(n[below[0]])) if below.size else v.size
+    return min(p, v.size)
+
+
+def _chebyshev_interpolation(eta: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The len(v) x p matrix whose row j reads the polynomial through the p
+    Chebyshev points eta (cos(pi b/(p - 1)), descending, mapped onto an
+    interval) at v_j: the second barycentric form, weights (-1)^b halved at
+    the ends (Berrut & Trefethen, SIAM Rev. 46, 2004), in bands of rows.  A
+    v_j on a point eta_b reads its value."""
+    w = np.where(np.arange(eta.size) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    out = np.empty((v.size, eta.size))
+    rows = max(1, _BESSEL_BAND // eta.size)
+    for lo in range(0, v.size, rows):
+        band = out[lo:lo + rows]
+        np.subtract(v[lo:lo + rows, None], eta, out=band)
+        on_point = band == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):  # redone below
+            np.divide(w, band, out=band)
+            band /= band.sum(axis=1, keepdims=True)
+        hit = on_point.any(axis=1)
+        if hit.any():
+            band[hit] = on_point[hit]
     return out
 
 
-def _bessel_i_hankel(coeffs, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(2 pi x)^{-1/2} sum_k (-1)^k a_k(nu) x^{-k} into `out` (DLMF 10.40.1)."""
-    t = np.divide(1.0, x)
-    _horner(coeffs, t, out)
-    out /= np.sqrt(np.multiply(x, 2.0 * math.pi, out=t), out=t)
-    return out
+def bessel_j_outer(nu: float, u, v):
+    """The factors (core, L) of K[i, j] = J_nu(u_i v_j), u, v >= 0: K = core @ L.T.
+
+    The core is J_nu(u_i eta_b) on the p = `bessel_j_columns` Chebyshev
+    points eta of [min v, max v], evaluated by `bessel_j`, and L the
+    len(v) x p barycentric interpolation matrix from eta to v
+    (`_chebyshev_interpolation`).  Only v is interpolated, so each row keeps
+    its accuracy relative to its own size, down to u_i = 0.  Where p is
+    len(v) the core is the dense kernel J_nu(u_i v_j) and L is None.
+    """
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    p = bessel_j_columns(nu, u, v)
+    if p == v.size:
+        return bessel_j(nu, np.multiply.outer(u, v)), None
+    lo, hi = float(np.min(v)), float(np.max(v))
+    eta = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(p) / (p - 1))
+    eta[0], eta[-1] = hi, lo
+    return bessel_j(nu, np.multiply.outer(u, eta)), _chebyshev_interpolation(eta, v)
 
 
 def _bessel_i_coeffs(nu: float):
@@ -195,42 +232,12 @@ def _bessel_i_coeffs(nu: float):
 
 
 def bessel_i_scaled(nu: float, x):
-    """exp(-x) * I_nu(x), x >= 0; overflow-safe building block for heat-type kernels.
+    """exp(-x) * I_nu(x), x >= 0, by scipy's ive: the entries of `bessel_i_outer`
+    above order _BESSEL_I_MAX_ORDER."""
+    from scipy.special import ive
 
-    Array inputs of order nu <= _BESSEL_I_MAX_ORDER are evaluated in blocks of
-    _BESSEL_BLOCK points: the power series below x = _BESSEL_I_SPLIT and
-    Hankel's expansion above, both summed by Horner from coefficients
-    computed once per call.  Each branch works in the output block with one
-    temporary, which keeps the allocations of a kernel-sized call small.
-    Scalar inputs and higher orders, where the expansion loses accuracy at
-    the split, go to scipy's ive.
-
-    No kernel builder calls the array path (`bessel_i_outer` sums the same
-    expansions as matrix products); it is kept as the entry-by-entry
-    reference that `bessel_i_outer` is tested against.  scipy's ive cannot
-    take that role at 1e-14: against mpmath it errs up to 5e-14 relative
-    (the array path 3e-15), and it misses the recurrence
-    I_{nu-1} - I_{nu+1} = (2 nu / x) I_nu by as much.
-    """
     x = _check_bessel_args(nu, x, math.inf)
-    if not np.ndim(x) or nu > _BESSEL_I_MAX_ORDER:
-        from scipy.special import ive
-
-        return ive(nu, x) if np.ndim(x) else float(ive(nu, x))
-    series, hankel = _bessel_i_coeffs(nu)
-
-    def fill(xb, ob):
-        far = xb >= _BESSEL_I_SPLIT
-        if far.all():
-            _bessel_i_hankel(hankel, xb, ob)
-        elif not far.any():
-            _bessel_i_series(nu, series, xb, ob)
-        else:
-            xf, xn = xb[far], xb[~far]
-            ob[far] = _bessel_i_hankel(hankel, xf, np.empty_like(xf))
-            ob[~far] = _bessel_i_series(nu, series, xn, np.empty_like(xn))
-
-    return _by_blocks(x, fill)
+    return ive(nu, x) if np.ndim(x) else float(ive(nu, x))
 
 
 def _powers(x: np.ndarray, n: int) -> np.ndarray:
@@ -249,11 +256,11 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _bessel_i_bands(u: np.ndarray, v_top: float, cols: int):
-    """Slices of at most _BESSEL_I_BAND // cols rows, ascending u, each with
+    """Slices of at most _BESSEL_BAND // cols rows, ascending u, each with
     u_last min(v_top, SPLIT/u_first) <= 4 SPLIT: a band scaled by its own u
     then holds every series factor below (2 SPLIT)^(2k) and every Hankel
     factor below (SPLIT/4)^(-k) on the columns it reads."""
-    most = max(1, _BESSEL_I_BAND // cols)
+    most = max(1, _BESSEL_BAND // cols)
     lo = 0
     while lo < u.size:
         reach = v_top if u[lo] * v_top < _BESSEL_I_SPLIT else _BESSEL_I_SPLIT / u[lo]
@@ -263,59 +270,75 @@ def _bessel_i_bands(u: np.ndarray, v_top: float, cols: int):
         lo = hi
 
 
-def _bessel_i_band(nu, power, series, hankel, u, v, row_log, col_log, split, out):
-    """One band of `bessel_i_outer`: `out` holds the exponent E and gets the kernel.
+def _bessel_i_band(nu, power, series, hankel, u, v, row_log, col_log, split, rows, exponent,
+                   ceiling, out):
+    """One band of `bessel_i_outer`, the slice `rows` of its rows, into `out`.
 
     Rows [0, full) lie below the split on every column and rows [near, b)
     above it; the series block is rows [0, near) x columns [0, split[0]), the
     Hankel block rows [full, b) x columns [split[-1], m).  Hankel's block is
-    summed into its own array first, since the series block overwrites the
-    exponent its mixed rows share.  Each block reads z as (u/s)(s v), with s
-    its largest u for the series and its smallest for Hankel's expansion, so
-    that the logs of its row and column factors do not cancel either."""
+    summed into its own array first, from the exponent E on that block, since
+    the two blocks share the mixed rows.  The series block reads no E: there
+    E = row_log + col_log + z with z < SPLIT, so it calls `exponent` only
+    where that bound passes `ceiling`.  Each block reads z as (u/s)(s v),
+    with s its largest u for the series and its smallest for Hankel's
+    expansion, so that the logs of its row and column factors do not cancel
+    either."""
     m = v.size
     full, near = int(np.count_nonzero(split == m)), int(np.count_nonzero(split))
     far = None
     if full < u.size:  # e^E z^power (2 pi z)^(-1/2) sum_k a_k z^-k
         scale = u[full]
         uh, vh = u[full:] / scale, scale * v[split[-1]:]
-        rows = (power - 0.5) * np.log(uh) - 0.5 * math.log(2.0 * math.pi)
-        far = out[full:, split[-1]:] + rows[:, None]
+        far = np.empty((uh.size, vh.size))
+        exponent(slice(rows.start + full, rows.stop), slice(split[-1], m), far)
+        far += ((power - 0.5) * np.log(uh) - 0.5 * math.log(2.0 * math.pi))[:, None]
         far += (power - 0.5) * np.log(vh)
         np.exp(far, out=far)
         far *= (_powers(1.0 / uh, len(hankel)).T * hankel) @ _powers(1.0 / vh, len(hankel))
     if near:  # e^{row_log + col_log} z^power (z/2)^nu sum_k c_k (z/2)^2k
+        block = out[:near, :split[0]]
+        if float(np.max(row_log[:near])) + float(np.max(col_log[:split[0]])) \
+                + _BESSEL_I_SPLIT > ceiling:
+            exponent(slice(rows.start, rows.start + near), slice(0, split[0]), block)
         scale = u[near - 1] if u[near - 1] > 0.0 else 1.0
         us, vs = u[:near] / scale, scale * v[:split[0]]
         q = nu + power  # z^power (z/2)^nu = 2^-nu (u/s)^q (s v)^q
-        rows, cols = row_log[:near] - nu * math.log(2.0), col_log[:split[0]]
+        logs, cols = row_log[:near] - nu * math.log(2.0), col_log[:split[0]]
         if q:
-            rows, cols = rows + q * np.log(us), cols + q * np.log(vs)
-        block = np.add(rows[:, None], cols, out=out[:near, :split[0]])
+            logs, cols = logs + q * np.log(us), cols + q * np.log(vs)
+        np.add(logs[:, None], cols, out=block)
         np.exp(block, out=block)
         block *= (_powers(us**2, len(series)).T * series) @ _powers((0.5 * vs) ** 2, len(series))
     if far is not None:
         np.copyto(out[full:, split[-1]:], far, where=np.arange(split[-1], m) >= split[full:, None])
 
 
-def bessel_i_outer(nu: float, u, v, power: float, row_log, col_log, exponent) -> np.ndarray:
+def bessel_i_outer(nu: float, u, v, power: float, row_log, col_log, exponent,
+                   ceiling: float = math.inf) -> np.ndarray:
     """K[i, j] = I_nu(z) z^power e^{row_log[i] + col_log[j]} at z = u_i v_j, for
-    ascending u, v >= 0.  `exponent(rows, out)` writes E = row_log[i] +
-    col_log[j] + z on the slice `rows` of u into `out`, in a form free of the
-    cancellation of that sum (a Gaussian's -(x - y)^2/2t): above the split
-    K = e^E z^power e^{-z} I_nu(z) takes that form, below it the sum.
+    ascending u, v >= 0.  `exponent(rows, cols, out)` writes
+    E = row_log[i] + col_log[j] + z on the slices `rows` of u and `cols` of v
+    into `out`, in a form free of the cancellation of that sum (a Gaussian's
+    -(x - y)^2/2t): above the split K = e^E z^power e^{-z} I_nu(z) takes that
+    form, below it the sum.  Below the split E is written only where
+    max row_log + max col_log + _BESSEL_I_SPLIT passes `ceiling`, so an
+    `exponent` that guards E against a ceiling sees every E that could pass
+    it: the caller's ceiling sits below its guard by E's rounding.
 
-    Both expansions of `bessel_i_scaled` are sums of products of a power of
-    u_i and a power of v_j, so each is one matrix product: the series
-    sum_k c_k (u_i/2)^(2k) v_j^(2k) of rank _BESSEL_I_SERIES_TERMS below
-    z = _BESSEL_I_SPLIT (taken as v_j < SPLIT/u_i), Hankel's
-    sum_k a_k u_i^(-k) v_j^(-k) of rank _BESSEL_I_HANKEL_TERMS above.  The
-    kernel is built in bands of rows (`_bessel_i_bands`), each scaled by its
-    own u so that no factor over- or underflows where its entry is used.
-    The factors (z/2)^nu of the series and (2 pi z)^(-1/2) of Hankel's
-    expansion, and z^power, join the exponent of one exponential per entry:
-    their logs are a term of the row plus one of the column.  Orders above
-    _BESSEL_I_MAX_ORDER take `bessel_i_scaled` on each entry.
+    Both expansions of I_nu are sums of products of a power of u_i and a
+    power of v_j, so each is one matrix product: the power series
+    sum_k c_k (u_i/2)^(2k) v_j^(2k) (DLMF 10.25.2) of rank
+    _BESSEL_I_SERIES_TERMS below z = _BESSEL_I_SPLIT (taken as
+    v_j < SPLIT/u_i), Hankel's sum_k a_k u_i^(-k) v_j^(-k) (DLMF 10.40.1) of
+    rank _BESSEL_I_HANKEL_TERMS above.  The kernel is built in bands of rows
+    (`_bessel_i_bands`), each scaled by its own u so that no factor over- or
+    underflows where its entry is used.  The factors (z/2)^nu of the series
+    and (2 pi z)^(-1/2) of Hankel's expansion, and z^power, join the exponent
+    of one exponential per entry: their logs are a term of the row plus one
+    of the column.  Orders above _BESSEL_I_MAX_ORDER, where Hankel's
+    expansion loses accuracy at the split, take `bessel_i_scaled` on each
+    entry.
     """
     u = _check_bessel_args(nu, u, math.inf)
     v = _check_bessel_args(nu, v, math.inf)
@@ -329,11 +352,11 @@ def bessel_i_outer(nu: float, u, v, power: float, row_log, col_log, exponent) ->
         split = np.searchsorted(v, _BESSEL_I_SPLIT / u)  # per row: the columns below the split
         for rows in _bessel_i_bands(u, float(v[-1]), v.size):
             band = out[rows]
-            exponent(rows, band)
             if nu <= _BESSEL_I_MAX_ORDER:
                 _bessel_i_band(nu, power, series, hankel, u[rows], v, row_log[rows], col_log,
-                               split[rows], band)
+                               split[rows], rows, exponent, ceiling, band)
                 continue
+            exponent(rows, slice(None), band)
             z = np.multiply.outer(u[rows], v)
             if power:
                 band += power * np.log(z)

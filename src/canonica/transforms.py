@@ -59,9 +59,15 @@ the series below k r y = 30 and Hankel's expansion above are each a matrix
 product of row and column factors, and every other factor joins one
 exponential per entry.  Hankel's entries read that exponent in the
 cancellation-free form of `_kernel_exponent`, so heat-type kernels never
-overflow; the DivergenceRisk guard reads it on every entry.  Bessel-J
-kernels apply their chirps as a column and a row vector, so every radial
-kernel is real and is applied in float64.
+overflow; the DivergenceRisk guard reads it on every entry that could pass
+MAX_EXPONENT.  A Bessel-J kernel of integer order is held as the factors of
+`specfun.bessel_j_outer`: J_nu(k r y) is band-limited along the nodes y, so
+it is a core J_nu(k r eta) on p Chebyshev points eta times their
+interpolation matrix onto the nodes, with p about k max r (max y - min y)/2
++ 12.5 of its cube root, and the plan holds p (N_out + N_nodes) entries
+instead of N_out N_nodes.  It applies its chirps and (r y)^cross as a
+column and a row vector, so every radial kernel is real and is applied in
+float64.
 """
 
 from __future__ import annotations
@@ -679,8 +685,13 @@ def _bessel_sum(kernel: Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
     (r y_j)^cross r^row y_j^col w_j f_j for every output point r.  Real B
     gives the Bessel-J kernel, with the J_nu parity (integer nu only) for
     B < 0; its chirp has no r y term, so it is applied as two vectors,
-    e^{iA y^2/2B} in the weights and e^{iD r^2/2B} on the output, around a
-    float64 kernel.  An L-form B = i beta gives the Bessel-I kernel through
+    e^{iA y^2/2B} in the weights and e^{iD r^2/2B} on the output, and so is
+    (r y)^cross = r^cross y^cross, around the float64 factors of
+    `specfun.bessel_j_outer`: the call runs
+    row_factor (core @ (interp.T @ (w f))), or core @ (w f) where the kernel
+    stays dense (a non-integer order, or as many Chebyshev points as nodes).
+    Their bytes are refused above _MAX_KERNEL_BYTES before they are built.
+    An L-form B = i beta gives the Bessel-I kernel through
     J_nu(r y/(i beta)) = e^{-i pi nu sgn(beta)/2} I_nu(r y/|beta|), built by
     `specfun.bessel_i_outer` (module docstring) with its two chirps and the
     growth of I_nu in one exponent, since apart they could overflow.  On the
@@ -699,7 +710,7 @@ def _bessel_sum(kernel: Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
     argument r y/|B| above the guard of `specfun.bessel_j` is refused
     (KernelRefused) before the nodes are built.
 
-    Returns the kernel's bytes and the function of the field.
+    Returns the bytes the plan holds and the function of the field.
     """
     name, mat, nu = kernel.name, kernel.matrix, kernel.nu
     cross, row, col = kernel.weights
@@ -728,46 +739,53 @@ def _bessel_sum(kernel: Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
                                 f"guard {guard:g} of J_{nu:g}; |B| = {abs(b):.3g} is too small "
                                 "for these grids")
     xq, wq, values = _kernel_nodes(cfg, mat, in_grid, out_grid, source_power)
-    nbytes = _kernel_bytes(len(ro), len(xq), True)
     w_col = wq if col == 0.0 else wq * xq**col
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 rows are set on apply
         row_factor = ro**row if row != 0.0 else 1.0
         if lform:
+            nbytes = _kernel_bytes(len(ro), len(xq), True)
+            a, d = mat.a.real, mat.d.real
+            # E's rounding, and that of its separable bound, is a few ulps of the squares they sum
+            square = (float(np.max(ro)) + float(np.max(xq))) ** 2 / (2.0 * abs(beta))
+            ceiling = MAX_EXPONENT - 1e-13 * ((2.0 * abs(a) + 2.0 * abs(d) + 3.0) * square + 30.0)
+
             # I_nu(z) z^cross e^{(A y^2 + D r^2)/2 beta} at z = k r y; k^-cross on the rows
             # turns z^cross into the kernel's (r y)^cross
-            def exponent(rows, out):  # (A y^2 + D r^2)/2 beta + z, under the overflow guard
-                _checked_exponent(_kernel_exponent(mat, ro[rows, None], xq[None, :], xy, out))
+            def exponent(rows, cols, out):  # (A y^2 + D r^2)/2 beta + z, under the overflow guard
+                _checked_exponent(_kernel_exponent(mat, ro[rows, None], xq[None, cols], xy, out))
 
-            kern = specfun.bessel_i_outer(nu, k * ro, xq, cross, mat.d.real * ro**2 / (2.0 * beta),
-                                          mat.a.real * xq**2 / (2.0 * beta), exponent)
-            row_factor = row_factor * k**-cross
+            kern = specfun.bessel_i_outer(nu, k * ro, xq, cross, d * ro**2 / (2.0 * beta),
+                                          a * xq**2 / (2.0 * beta), exponent, ceiling)
+            interp, row_factor = None, row_factor * k**-cross
         else:
-            # the Bessel-J chirp, as a column and a row vector
+            # J_nu(k r y) as a core on the rows and an interpolation matrix on the nodes
+            # (`specfun.bessel_j_outer`); the chirps and (r y)^cross = r^cross y^cross join the
+            # row and column vectors
+            cols = specfun.bessel_j_columns(nu, k * ro, xq)
+            if cols == len(xq):
+                nbytes = _kernel_bytes(len(ro), cols, True)
+            else:
+                nbytes = _held_bytes(8 * cols * (len(ro) + len(xq)),
+                                     f"the {len(ro)} x {len(xq)} kernel's {cols}-column factors")
             if mat.a != 0:
                 w_col = w_col * np.exp((0.5j / mat.b) * mat.a * xq**2)
             if mat.d != 0:
                 row_factor = row_factor * np.exp((0.5j / mat.b) * mat.d * ro**2)
-            # one scratch array of the kernel's size: the Bessel argument k r y, then (r y)^cross
-            arg = np.multiply(ro[:, None], xq[None, :])
-            if k != 1.0:
-                arg *= k
-            kern = specfun.bessel_j(nu, arg)
             if cross != 0.0:
-                np.multiply(ro[:, None], xq[None, :], out=arg)
-                kern *= np.power(arg, cross, out=arg)
-            del arg
+                w_col, row_factor = w_col * xq**cross, row_factor * ro**cross
+            kern, interp = specfun.bessel_j_outer(nu, k * ro, xq)
     limit = None
     if np.any(axis) and abs(power) <= 1e-12:
-        limit = (0.5 * k * xq) ** nu / math.gamma(nu + 1.0) * xq**cross
-        if lform:
-            limit = limit * _guarded_exp(_kernel_exponent(mat, 0.0, xq, xy))
+        limit = (0.5 * k * xq) ** nu / math.gamma(nu + 1.0)
+        if lform:  # a Bessel-J plan holds y^cross in w_col
+            limit = limit * xq**cross * _guarded_exp(_kernel_exponent(mat, 0.0, xq, xy))
 
     def run(field):
         if axis_source and abs(field.values[0]) > EDGE_WARN_LEVEL * np.max(np.abs(field.values)):
             raise ValueError(f"{name}: the kernel ~ y^{source_power:g} is not integrable at y = 0")
         wf = w_col * values(field)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = _matvec(kern, wf)
+            vals = _matvec(kern, wf if interp is None else _matvec(interp.T, wf))
             vals *= row_factor
         if np.any(axis):
             vals[axis] = 0.0 if limit is None else limit @ wf

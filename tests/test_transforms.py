@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.fft import next_fast_len
 
+from bessel_i_reference import bessel_i_scaled as reference_i_scaled
 from canonica.common import (
     CanonicaError,
     DivergenceRisk,
@@ -1339,8 +1340,9 @@ BESSEL_J_KERNELS = {
 
 @pytest.mark.parametrize("name", sorted(BESSEL_J_KERNELS))
 def test_bessel_j_kernel_matches_the_dense_kernel(name, monkeypatch):
-    # the plan applies e^{iAy^2/2B} and e^{iDr^2/2B} as vectors around a float64 kernel;
-    # the reference sums the whole complex kernel
+    # the plan applies e^{iAy^2/2B} and e^{iDr^2/2B} as vectors around the float64 factors
+    # of J_nu (a dense kernel at a non-integer order); the reference sums the whole
+    # complex kernel
     # (-i)^(nu+1)/B e^{i(Ay^2 + Dr^2)/2B} J_nu(ry/B) (ry)^cross r^row y^col
     from scipy.special import jv
 
@@ -1368,8 +1370,10 @@ def test_bessel_j_kernel_matches_the_dense_kernel(name, monkeypatch):
     want = matching * (-1j) ** (nu + 1.0) / b * parity * (kernel @ (w * at_nodes(field)))
 
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert dtypes == [np.float64]
-    assert built.nbytes == out.count * len(y) * 8
+    core, interp = specfun.bessel_j_outer(nu, out.points / abs(b), y)
+    assert (interp is None) == (not float(nu).is_integer())
+    assert dtypes == [np.float64] * (1 if interp is None else 2)
+    assert built.nbytes == core.nbytes + (0 if interp is None else interp.nbytes)
     if name == "radial_propagate":
         propagated = apply(radial_propagate(0.7, 0), field, out, CFG16)
         assert propagated.values.tobytes() == got.tobytes()
@@ -1380,8 +1384,10 @@ def test_bessel_j_kernel_matches_the_dense_kernel(name, monkeypatch):
                               "FrHankel(m=0, alpha=0.5)"])
 def test_bessel_j_kernel_assembly_peaks_near_twice_the_kernel(kernel):
     # 8000 samples on a 0.0025 step take 500 panels of 16 nodes, more than the kernel asks
-    # for; with 1000 outputs on a 0.02 step that is a float64 kernel of 61 MiB, built beside
-    # one scratch array of its size (the Bessel argument, then (r y)^cross)
+    # for; with 1000 outputs on a 0.02 step the 61 MiB float64 kernel is held as a
+    # 1000 x p core and an 8000 x p interpolation matrix (18.1 MiB at p = 264 for B = 1,
+    # 24.3 MiB at p = 354 for fr_hankel), built beside the core's Bessel argument, then
+    # beside a band of the interpolation matrix
     grid = Grid1D(GridKind.HALF_LINE, 0.0, 0.0025, 8000)
     out = Grid1D(GridKind.HALF_LINE, 0.0, 0.02, 1000)
     tracemalloc.start()
@@ -1390,18 +1396,64 @@ def test_bessel_j_kernel_assembly_peaks_near_twice_the_kernel(kernel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert built.nbytes >= 60 * 2**20
+    assert built.nbytes >= 18 * 2**20
     assert peak <= 2.25 * built.nbytes
 
 
-def _entrywise_bessel_i(nu, u, v, power, row_log, col_log, exponent):
+
+def _lg_half_line(count):
+    """LG(1, 1) sampled on `count` points of 0..14, the grid fr_hankel(1, 0.5) maps onto."""
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 14.0, count)
+    return grid, sample(StdLG(1, 1), grid, 0.0)
+
+
+def test_large_radial_plan_matches_a_dense_jv_kernel():
+    # fr_hankel(1, 0.5) on 1024 points onto themselves, 1024 nodes: the factored plan
+    # against the whole complex kernel summed from scipy's jv on the same nodes
+    from scipy.special import jv
+
+    kernel = fr_hankel(1, 0.5)
+    mat, nu, (cross, row, col) = kernel.matrix, kernel.nu, kernel.weights
+    grid, src = _lg_half_line(1024)
+    got = transforms.plan(kernel, grid, grid)(src).values
+    y, w, at_nodes = transforms._kernel_nodes(QuadratureConfig(), mat, grid, grid)
+    a, b, d = mat.a.real, mat.b.real, mat.d.real
+    r, ry = grid.points[:, None], grid.points[:, None] * y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radial = jv(nu, ry / b) * ry**cross * r**row * y**col
+    radial[0] = 0.0  # the r -> 0 power nu + cross + row = 1 is positive
+    dense = np.exp(1j * (a * y**2 + d * r**2) / (2.0 * b)) * radial
+    want = kernel.matching * (-1j) ** (nu + 1.0) / b * (dense @ (w * at_nodes(src)))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_large_radial_plan_at_16384_points_holds_under_64_mib(monkeypatch):
+    # the dense 16384 x 16384 kernel would be 2 GiB and refused; its factors are 49 MiB,
+    # held to the ceiling before they are built, and the output is LG(1, 1) times its
+    # eigenvalue -i, read at the peak
+    grid, src = _lg_half_line(16384)
+    built = transforms.plan(fr_hankel(1, 0.5), grid, grid)
+    assert built.nbytes < 64 * 2**20
+    with monkeypatch.context() as patch:
+        patch.setattr(transforms, "_MAX_KERNEL_BYTES", built.nbytes - 1)
+        refusal = rf"16384 x 16384 kernel's \d+-column factors needs {built.nbytes} bytes"
+        with pytest.raises(KernelRefused, match=refusal):
+            transforms.plan(fr_hankel(1, 0.5), grid, grid)
+    got = built(src).values
+    peak = int(np.argmax(np.abs(src.values)))
+    eigenvalue = got[peak] / src.values[peak]
+    assert abs(eigenvalue + 1j) <= 1e-12
+    assert np.max(np.abs(got - eigenvalue * src.values)) <= 1e-12 * abs(src.values[peak])
+
+def _entrywise_bessel_i(nu, u, v, power, row_log, col_log, exponent, ceiling=math.inf):
     """`specfun.bessel_i_outer` as an entry-by-entry kernel: e^{-z} I_nu(z) from
-    `specfun.bessel_i_scaled` times z^power e^E on the whole kernel at once."""
+    the reference `bessel_i_scaled` times z^power e^E on the whole kernel at once,
+    so E meets the overflow guard on every entry."""
     kern = np.empty((len(u), len(v)))
-    exponent(slice(None), kern)
+    exponent(slice(None), slice(None), kern)
     z = np.multiply.outer(u, v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return specfun.bessel_i_scaled(nu, z) * z**power * np.exp(kern)
+        return reference_i_scaled(nu, z) * z**power * np.exp(kern)
 
 
 def _radial_heat_map(alpha, width, out_end, out_count):
@@ -1431,7 +1483,7 @@ def _bessel_exp_small_beta(beta):
                               "bessel-exp-1e-3", "bessel-exp-1e-4"])
 def test_bessel_i_plan_matches_the_entrywise_kernel(run, monkeypatch):
     # the two expansions as matrix products, band by band, against the same plan with
-    # its kernel assembled entry by entry from bessel_i_scaled
+    # its kernel assembled entry by entry from the reference bessel_i_scaled
     got = run()
     monkeypatch.setattr(specfun, "bessel_i_outer", _entrywise_bessel_i)
     want = run()
@@ -1453,4 +1505,42 @@ def test_bessel_i_plan_builds_in_bands_beside_the_kernel(monkeypatch):
     finally:
         tracemalloc.stop()
     assert built.nbytes == 256 * 1536 * 8
-    assert peak <= built.nbytes + 3 * 8 * specfun._BESSEL_I_BAND
+    assert peak <= built.nbytes + 3 * 8 * specfun._BESSEL_BAND
+
+
+def _raises_divergence(kernel, in_end, out_end):
+    """True when the plan of `kernel` from 128 samples on 0..in_end onto 16 points on
+    0..out_end raises DivergenceRisk."""
+    grid = Grid1D.from_span(GridKind.HALF_LINE, 0.0, in_end, 128)
+    out = Grid1D.from_span(GridKind.HALF_LINE, 0.0, out_end, 16)
+    try:
+        transforms.plan(kernel, grid, out, CFG16)
+    except DivergenceRisk:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("out_end", [0.4, 3.0], ids=["series-block-only", "both-blocks"])
+def test_bessel_i_overflow_guard_raises_where_every_entry_would(out_end, monkeypatch):
+    # fr_radial_laplace(0.3) grows like e^{0.98 (y^2 + r^2) + 2.2 r y}.  Its series block
+    # skips the exponent where the block's row and column terms plus the split bound it
+    # below the guard; the verdict is held to that of the guard on every entry (ceiling
+    # -inf), at source ends bisected onto the guard's threshold and drawn either side of it
+    kernel = fr_radial_laplace(0.3, 0.5, -1.5)
+    outer = specfun.bessel_i_outer
+
+    def every_entry(end):
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "bessel_i_outer", lambda *args: outer(*args[:7], -math.inf))
+            return _raises_divergence(kernel, end, out_end)
+
+    lo, hi = 5.0, 40.0
+    assert not every_entry(lo) and every_entry(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if every_entry(mid) else (mid, hi)
+    steps = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1)
+    ends = [hi * (1.0 + step) for step in steps] + [lo * (1.0 - step) for step in steps]
+    verdicts = [every_entry(end) for end in ends]
+    assert verdicts == [True] * len(steps) + [False] * len(steps)
+    assert [_raises_divergence(kernel, end, out_end) for end in ends] == verdicts

@@ -259,12 +259,18 @@ def test_checks_build_each_distinct_kernel_once(monkeypatch, check, kernels):
 
 def test_hankel_selfrec_kernels_have_384_nodes(monkeypatch):
     # 384 outputs against 24 panels of 16 nodes: the per-sample floor, since 9 panels of
-    # Phi(16) = 17 rad cover the kernel's phase 12 * 12
+    # Phi(16) = 17 rad cover the kernel's phase 12 * 12.  Along the nodes on 0..12 the
+    # kernel has frequency 12 * 6 = 72, so its core holds 118 Chebyshev points
     from canonica import specfun
 
     shapes = []
-    bessel_j = specfun.bessel_j
-    monkeypatch.setattr(specfun, "bessel_j",
-                        lambda nu, x: shapes.append(x.shape) or bessel_j(nu, x))
+    outer = specfun.bessel_j_outer
+
+    def recorded(nu, u, v):
+        core, interp = outer(nu, u, v)
+        shapes.append((len(u), len(v), core.shape, interp.shape))
+        return core, interp
+
+    monkeypatch.setattr(specfun, "bessel_j_outer", recorded)
     assert run_suite(["t7-hankel-selfrec"])["all_pass"]
-    assert shapes == [(384, 384)] * 4
+    assert shapes == [(384, 384, (384, 118), (384, 118))] * 4
