@@ -8,6 +8,7 @@ Outputs are deterministic: fixed float formatting, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import re
@@ -363,9 +364,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser: building it takes about 2 ms, and parse_args
+    keeps no state from one call to the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
     try:

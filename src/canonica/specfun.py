@@ -2,7 +2,8 @@
 
 Hermite and generalized Laguerre polynomials are evaluated by their
 three-term recurrences, and so is J_n for integer orders n >= 2 where
-x >= n, in fixed blocks of points.  Kernels on an outer product
+x >= n, in fixed blocks of points; below the order, J_n of an order up to
+_BESSEL_J_SERIES_MAX_ORDER is its power series.  Kernels on an outer product
 z = u_i v_j are built from separable forms.  `bessel_j_outer` returns
 J_nu(u_i v_j) as a core J_nu(u_i eta_b) on p Chebyshev points eta of the
 range of v and the barycentric matrix from eta to v: along v the kernel is
@@ -10,16 +11,19 @@ band-limited, and p is the degree at which the Chebyshev coefficients of
 its highest frequency fall below 1e-16.  For the scaled e^{-z} I_nu(z) of
 order nu <= 10, `bessel_i_outer` sums its ascending power series below
 z = 30 and Hankel's large-argument expansion above as matrix products
-(rank 60 and 18) in bands of rows.  Airy, scalar Bessel calls and every
-other Bessel order delegate to scipy.special behind the domain guards
-below; the guards keep every call inside the range where double precision
-delivers ~1e-10 relative accuracy and no overflow.  scipy.special is slow
-to import, so each function that calls it imports it on first use:
-importing this module loads no scipy.
+(rank 60 and 18) in bands of rows.  Airy, scalar Bessel calls, J_n below
+the order above _BESSEL_J_SERIES_MAX_ORDER, the scalar J_n(omega) of the
+Chebyshev degree and every other Bessel order delegate to scipy.special
+behind the domain guards below; the guards keep every call inside the
+range where double precision delivers ~1e-10 relative accuracy and no
+overflow.  scipy.special is slow to import, so each function that calls it
+imports it on first use: importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +38,7 @@ _BESSEL_I_SERIES_TERMS = 60
 _BESSEL_I_HANKEL_TERMS = 18
 _BESSEL_BAND = 65536  # entries per band of rows of the outer builders: bounds their temporaries
 _BESSEL_J_TAIL = 1e-16  # bessel_j_outer: the size of the first Chebyshev coefficient it drops
+_BESSEL_J_SERIES_MAX_ORDER = 11  # J_n below the order: the series holds 2e-15 up to here
 
 
 def _check_degree(n, limit):
@@ -84,9 +89,9 @@ def _check_bessel_args(nu, x, x_max):
     if nu < -0.5:
         raise ValueError(f"bessel order must be >= -1/2, got {nu}")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if (x < 0).any():
         raise ValueError("bessel argument must be nonnegative")
-    if np.any(x > x_max):
+    if (x > x_max).any():
         raise ValueError(f"bessel argument exceeds guard {x_max}")
     return x
 
@@ -123,13 +128,43 @@ def bessel_j_guard(nu: float) -> float:
     return 1e4 * (1.0 + nu)
 
 
+@functools.cache
+def _bessel_j_series_coeffs(n: int) -> tuple:
+    """(-1)^k / (2^(n + 2k) k! (n + k)!) for k = 0, 1, ... up to the first term
+    of J_n's series below 1e-18 at x = n: below the order every term it drops
+    is smaller.  They are numpy scalars, which an in-place ufunc takes faster
+    than Python floats."""
+    coeffs = []
+    for k in itertools.count():
+        coeffs.append(np.float64((-1) ** k / (2 ** (n + 2 * k) * math.factorial(k)
+                                              * math.factorial(n + k))))
+        if abs(coeffs[-1]) * n ** (n + 2 * k) < 1e-18:  # the k-th term at x = n
+            return tuple(coeffs)
+
+
+def _bessel_j_series(n: int, x: np.ndarray) -> np.ndarray:
+    """J_n(x) = x^n sum_k (-1)^k x^2k / (2^(n + 2k) k! (n + k)!) (DLMF 10.2.2) for
+    x < n, by Horner's rule in x^2 on `_bessel_j_series_coeffs` (13 terms at
+    order 2, 24 at 11).  The rounding of the alternating sum, about
+    1e-16 I_n(x), stays below 2e-15 up to order _BESSEL_J_SERIES_MAX_ORDER."""
+    coeffs = _bessel_j_series_coeffs(n)
+    y = x * x
+    s = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        s *= y
+        s += c
+    s *= x ** n
+    return s
+
+
 def bessel_j(nu: float, x):
     """Bessel function of the first kind J_nu(x), x >= 0.
 
     Array inputs of order 0 and 1 go to cephes j0/j1; higher integer orders
     go through `_bessel_j_ladder` in blocks of _BESSEL_BLOCK points.  Points
-    with x < nu, where the upward recurrence is unstable, and every other
-    order or scalar input go to scipy's jv.
+    with x < nu, where the upward recurrence is unstable, take the power
+    series (`_bessel_j_series`) up to order _BESSEL_J_SERIES_MAX_ORDER and
+    scipy's jv above it.  Every other order, and scalar input, goes to jv.
     """
     from scipy.special import j0, j1, jv
 
@@ -141,13 +176,14 @@ def bessel_j(nu: float, x):
     if nu <= 1.0:
         return j1(x) if nu else j0(x)
     n = int(nu)
+    below = functools.partial(_bessel_j_series if n <= _BESSEL_J_SERIES_MAX_ORDER else jv, n)
 
     def fill(xb, ob):
         with np.errstate(divide="ignore", invalid="ignore"):  # x < n is redone below
             _bessel_j_ladder(n, xb, j0(xb), j1(xb), ob)
         low = xb < n
         if low.any():
-            ob[low] = jv(nu, xb[low])
+            ob[low] = below(xb[low])
 
     return _by_blocks(x, fill)
 
@@ -161,8 +197,10 @@ def bessel_j_columns(nu: float, u, v) -> int:
     omega = max u (max v - min v)/2 in the interval's variable t in [-1, 1].
     The Chebyshev coefficients of e^{i omega t} are 2 i^n J_n(omega), so p
     is the smallest n > omega with |J_n(omega)| < _BESSEL_J_TAIL, and at
-    least 2.  A non-integer order has a branch point at z = 0, and a p that
-    reaches len(v) saves nothing: both stay dense.
+    least 2.  Above omega, J_n(omega) falls as n grows, so p is found by
+    bisection: about 8 scalar jv calls.  A non-integer order has a branch
+    point at z = 0, and a p that reaches len(v) saves nothing: both stay
+    dense.
     """
     from scipy.special import jv
 
@@ -171,10 +209,17 @@ def bessel_j_columns(nu: float, u, v) -> int:
         return v.size
     omega = float(np.max(u, initial=0.0)) * 0.5 * float(np.ptp(v))
     # |J_n(omega)| falls below 1e-16 by n = omega + 12.5 omega^(1/3) (+ 13 below omega = 1)
-    n = math.floor(omega) + 1 + np.arange(32 + 16 * math.ceil(omega ** (1.0 / 3.0)))
-    below = np.flatnonzero(np.abs(jv(n, omega)) < _BESSEL_J_TAIL)
-    p = max(2, int(n[below[0]])) if below.size else v.size
-    return min(p, v.size)
+    lo = math.floor(omega) + 1
+    hi = lo + 31 + 16 * math.ceil(omega ** (1.0 / 3.0))
+    if abs(jv(hi, omega)) >= _BESSEL_J_TAIL:
+        return v.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if abs(jv(mid, omega)) < _BESSEL_J_TAIL:
+            hi = mid
+        else:
+            lo = mid + 1
+    return min(max(2, lo), v.size)
 
 
 def _chebyshev_interpolation(eta: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -200,24 +245,28 @@ def _chebyshev_interpolation(eta: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def bessel_j_outer(nu: float, u, v):
+def bessel_j_outer(nu: float, u, v, p: int):
     """The factors (core, L) of K[i, j] = J_nu(u_i v_j), u, v >= 0: K = core @ L.T.
 
-    The core is J_nu(u_i eta_b) on the p = `bessel_j_columns` Chebyshev
-    points eta of [min v, max v], evaluated by `bessel_j`, and L the
-    len(v) x p barycentric interpolation matrix from eta to v
-    (`_chebyshev_interpolation`).  Only v is interpolated, so each row keeps
-    its accuracy relative to its own size, down to u_i = 0.  Where p is
-    len(v) the core is the dense kernel J_nu(u_i v_j) and L is None.
+    The core is J_nu(u_i eta_b) on the p = `bessel_j_columns(nu, u, v)`
+    Chebyshev points eta of [min v, max v], evaluated by `bessel_j` in bands
+    of _BESSEL_BAND entries, and L the len(v) x p barycentric interpolation
+    matrix from eta to v (`_chebyshev_interpolation`).  Only v is
+    interpolated, so each row keeps its accuracy relative to its own size,
+    down to u_i = 0.  Where p is len(v) the core is the dense kernel
+    J_nu(u_i v_j) and L is None.
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    p = bessel_j_columns(nu, u, v)
-    if p == v.size:
-        return bessel_j(nu, np.multiply.outer(u, v)), None
-    lo, hi = float(np.min(v)), float(np.max(v))
-    eta = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(p) / (p - 1))
-    eta[0], eta[-1] = hi, lo
-    return bessel_j(nu, np.multiply.outer(u, eta)), _chebyshev_interpolation(eta, v)
+    eta = v
+    if p < v.size:
+        lo, hi = float(np.min(v)), float(np.max(v))
+        eta = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(p) / (p - 1))
+        eta[0], eta[-1] = hi, lo
+    core = np.empty((u.size, p))
+    rows = max(1, _BESSEL_BAND // max(1, p))
+    for i in range(0, u.size, rows):
+        core[i:i + rows] = bessel_j(nu, np.multiply.outer(u[i:i + rows], eta))
+    return core, None if p == v.size else _chebyshev_interpolation(eta, v)
 
 
 def _bessel_i_coeffs(nu: float):

@@ -690,7 +690,8 @@ def _bessel_sum(kernel: Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
     `specfun.bessel_j_outer`: the call runs
     row_factor (core @ (interp.T @ (w f))), or core @ (w f) where the kernel
     stays dense (a non-integer order, or as many Chebyshev points as nodes).
-    Their bytes are refused above _MAX_KERNEL_BYTES before they are built.
+    Their column count is `specfun.bessel_j_columns`, found once: their bytes
+    are refused from it above _MAX_KERNEL_BYTES before they are built.
     An L-form B = i beta gives the Bessel-I kernel through
     J_nu(r y/(i beta)) = e^{-i pi nu sgn(beta)/2} I_nu(r y/|beta|), built by
     `specfun.bessel_i_outer` (module docstring) with its two chirps and the
@@ -773,7 +774,7 @@ def _bessel_sum(kernel: Kernel, in_grid: Grid1D | None, out_grid: Grid1D,
                 row_factor = row_factor * np.exp((0.5j / mat.b) * mat.d * ro**2)
             if cross != 0.0:
                 w_col, row_factor = w_col * xq**cross, row_factor * ro**cross
-            kern, interp = specfun.bessel_j_outer(nu, k * ro, xq)
+            kern, interp = specfun.bessel_j_outer(nu, k * ro, xq, cols)
     limit = None
     if np.any(axis) and abs(power) <= 1e-12:
         limit = (0.5 * k * xq) ** nu / math.gamma(nu + 1.0)

@@ -582,9 +582,9 @@ def _check_cross(field, half_width):
     grid = Grid1D(GridKind.FULL_LINE, -half_width, 2.0 * half_width / 4095, 4096)
     spec = AppellSpec(EquationKind.PWE, alpha=1.0, evol=0.7)
     num = appell_numeric(sample(field, grid, 0.0), spec, grid)
-    ana = appell_analytic(field, spec).eval(grid.points, 0.7)
     mask = np.abs(grid.points) <= 10.0
-    return {"max_abs": _rel_l2(num.values[mask], np.asarray(ana)[mask]), "tolerance": 1e-5}
+    ana = appell_analytic(field, spec).eval(grid.points[mask], 0.7)
+    return {"max_abs": _rel_l2(num.values[mask], np.asarray(ana)), "tolerance": 1e-5}
 
 
 class ApodizedAiry(AnalyticField):

@@ -15,7 +15,7 @@ from canonica.fields import (
     FAMILIES, Gauss, Grid1D, GridKind, RadialHeatPoly, SampledField, read_field, sample,
     write_field,
 )
-from canonica.symplectic import SympMat2, mat_fourier, mat_free
+from canonica.symplectic import SympMat2, compose, mat_fourier, mat_free
 
 
 def run_cli(*args):
@@ -27,6 +27,34 @@ def test_usage_error_exit_code(capsys):
     assert run_cli("no-such-command") == 1
     assert run_cli("sample", "--family", "nope", "--grid", "-1:1:8",
                    "--out", "/tmp/x.csv") == 1
+
+
+def test_main_builds_one_parser_and_parses_each_call_alone(tmp_path, monkeypatch, capsys):
+    # main keeps its parser for the process; a call sees only its own flags
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        wide, plain = tmp_path / "wide.csv", tmp_path / "plain.csv"
+        assert run_cli("sample", "--family", "gauss", "--width", "2", "--grid", "-3:3:16",
+                       "--out", str(wide)) == 0
+        assert run_cli("matrix", "compose", "free:1", "fourier:1") == 0
+        assert run_cli("sample", "--family", "gauss", "--grid", "-3:3:16", "--out", str(plain)) == 0
+        parser = cli._parser()
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    composed = compose(mat_free(1.0), mat_fourier(1.0)).to_json()
+    assert capsys.readouterr().out.splitlines()[1] == composed
+    assert read_field(plain).values.tobytes() != read_field(wide).values.tobytes()
+    first = parser.parse_args(["sample", "--family", "gauss", "--width", "2", "--grid", "0:1:4",
+                               "--out", "x.csv"])
+    second = parser.parse_args(["matrix", "invert", "free:1"])
+    third = parser.parse_args(["sample", "--family", "gauss", "--grid", "0:1:4", "--out", "x.csv"])
+    assert (first.width, first.func, third.width, third.func) == (2.0, cli.cmd_sample, None,
+                                                                   cli.cmd_sample)
+    assert second.func is cli.cmd_matrix and not hasattr(second, "width")
 
 
 def test_sample_std_hg(tmp_path, capsys):

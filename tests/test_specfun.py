@@ -134,15 +134,70 @@ def test_bessel_j_integer_orders_against_mpmath(nu):
 
 
 def test_bessel_j_below_the_order():
-    # x < nu, where the upward recurrence is unstable, goes to jv; j0 and j1
-    # need no fallback, down to x = 0
-    for nu in (2, 3, 8):
+    # x < n, where the upward recurrence is unstable, takes the power series up to order
+    # N = _BESSEL_J_SERIES_MAX_ORDER, held to the ladder's 2e-15 against 30-digit mpmath;
+    # its alternating sum cancels most just below x = n.  Above N it stays on jv, and j0
+    # and j1 need no fallback, down to x = 0
+    top = specfun._BESSEL_J_SERIES_MAX_ORDER
+    rng = np.random.default_rng(12)
+    for nu in range(2, top + 1):
+        x = np.concatenate([np.linspace(0.0, nu, 40, endpoint=False), rng.uniform(0.0, nu, 100),
+                            rng.uniform(nu - 1.0, nu, 60)])
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselj(nu, xi)) for xi in x])
+        got = specfun.bessel_j(nu, x)
+        assert got[0] == 0.0
+        assert np.max(np.abs(got - ref)) <= 2e-15
+    for nu in (top + 1, 20):
         x = np.linspace(0.0, nu, 40, endpoint=False)
         assert np.array_equal(specfun.bessel_j(nu, x), special.jv(nu, x))
     x = np.linspace(0.0, 1.0, 40)
     for nu in (0, 1):
         assert np.max(np.abs(specfun.bessel_j(nu, x) - special.jv(nu, x))) < 1e-15
         assert specfun.bessel_j(nu, x)[0] == special.jv(nu, 0.0)
+
+
+def test_bessel_j_sends_no_point_of_a_series_order_to_jv(monkeypatch):
+    # arrays of integer order <= N are j0, j1, the ladder and the series; jv takes the
+    # points below the order from N + 1 on
+    top = specfun._BESSEL_J_SERIES_MAX_ORDER
+    calls = []
+    jv = special.jv
+    monkeypatch.setattr(special, "jv", lambda nu, x: calls.append(nu) or jv(nu, x))
+    x = np.linspace(0.0, 3.0 * top, 1000)
+    for nu in range(top + 1):
+        specfun.bessel_j(nu, x)
+    assert calls == []
+    specfun.bessel_j(top + 1, x)
+    assert calls == [top + 1]
+
+
+def _linear_sweep_columns(nu, u, v):
+    """`specfun.bessel_j_columns` by a sweep over every n of its bracket, vectorised."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if not float(nu).is_integer() or v.size < 3:
+        return v.size
+    omega = float(np.max(u, initial=0.0)) * 0.5 * float(np.ptp(v))
+    n = math.floor(omega) + 1 + np.arange(32 + 16 * math.ceil(omega ** (1.0 / 3.0)))
+    below = np.flatnonzero(np.abs(special.jv(n, omega)) < specfun._BESSEL_J_TAIL)
+    p = max(2, int(n[below[0]])) if below.size else v.size
+    return min(p, v.size)
+
+
+def test_bessel_j_columns_bisects_to_the_linear_sweep():
+    # on [0, 2] the frequency omega is max u; below omega = 1 the degree is at least 2,
+    # and 3 or 40 columns take the dense fallback where p would reach them
+    omegas = np.concatenate([[0.0, 1e-300], np.geomspace(1e-6, 1e4, 700), np.arange(1.0, 60.0)])
+    seen = set()
+    for size in (3, 40, 100_000):
+        v = np.linspace(0.0, 2.0, size)
+        for omega in omegas:
+            u = np.array([0.0, 0.5 * omega, omega])
+            p = specfun.bessel_j_columns(2, u, v)
+            assert p == _linear_sweep_columns(2, u, v), (size, omega)
+            seen.add((size, p == size))
+    assert {(40, True), (40, False)} <= seen
+    assert specfun.bessel_j_columns(2.5, [3.0], np.linspace(0.0, 2.0, 50)) == 50
 
 
 def test_bessel_j_blocks_keep_shape_scalars_and_other_orders():

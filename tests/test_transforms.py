@@ -1370,7 +1370,8 @@ def test_bessel_j_kernel_matches_the_dense_kernel(name, monkeypatch):
     want = matching * (-1j) ** (nu + 1.0) / b * parity * (kernel @ (w * at_nodes(field)))
 
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    core, interp = specfun.bessel_j_outer(nu, out.points / abs(b), y)
+    u = out.points / abs(b)
+    core, interp = specfun.bessel_j_outer(nu, u, y, specfun.bessel_j_columns(nu, u, y))
     assert (interp is None) == (not float(nu).is_integer())
     assert dtypes == [np.float64] * (1 if interp is None else 2)
     assert built.nbytes == core.nbytes + (0 if interp is None else interp.nbytes)
@@ -1427,13 +1428,28 @@ def test_large_radial_plan_matches_a_dense_jv_kernel():
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _traced_plan(kernel, in_grid, out_grid):
+    """The plan and the peak bytes allocated while it is built, after a small plan of
+    the same kernel has made the first-use imports."""
+    small = Grid1D.from_span(GridKind.HALF_LINE, 0.0, 14.0, 64)
+    transforms.plan(kernel, small, small)
+    tracemalloc.start()
+    try:
+        built = transforms.plan(kernel, in_grid, out_grid)
+        return built, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_large_radial_plan_at_16384_points_holds_under_64_mib(monkeypatch):
     # the dense 16384 x 16384 kernel would be 2 GiB and refused; its factors are 49 MiB,
-    # held to the ceiling before they are built, and the output is LG(1, 1) times its
-    # eigenvalue -i, read at the peak
+    # held to the ceiling before they are built and built beside a band of their
+    # temporaries (1.03x measured), and the output is LG(1, 1) times its eigenvalue -i,
+    # read at the peak
     grid, src = _lg_half_line(16384)
-    built = transforms.plan(fr_hankel(1, 0.5), grid, grid)
+    built, peak = _traced_plan(fr_hankel(1, 0.5), grid, grid)
     assert built.nbytes < 64 * 2**20
+    assert peak <= 1.1 * built.nbytes
     with monkeypatch.context() as patch:
         patch.setattr(transforms, "_MAX_KERNEL_BYTES", built.nbytes - 1)
         refusal = rf"16384 x 16384 kernel's \d+-column factors needs {built.nbytes} bytes"
@@ -1444,6 +1460,23 @@ def test_large_radial_plan_at_16384_points_holds_under_64_mib(monkeypatch):
     eigenvalue = got[peak] / src.values[peak]
     assert abs(eigenvalue + 1j) <= 1e-12
     assert np.max(np.abs(got - eigenvalue * src.values)) <= 1e-12 * abs(src.values[peak])
+
+
+@pytest.mark.parametrize("kernel, n_in, n_out, held",
+                         [(fr_hankel(1, 0.5), 1024, 16384, 24),
+                          (hankel_type(1, 0.5, -0.6), 2048, 1024, 15)],
+                         ids=["factored-1024-to-16384", "dense-order-0.5"])
+def test_bessel_j_core_is_built_in_bands(kernel, n_in, n_out, held):
+    # a 16384 x p core beside a 1024 x p interpolation matrix, and the dense 1024 x 2048
+    # kernel of a non-integer order: each built whole beside its whole Bessel argument
+    # peaked at 1.9x and 2.0x what the plan holds; built in bands of rows, at 1.03x and
+    # 1.07x (the rest of the plan, such as the source's spline, is the 0.07)
+    grid, _ = _lg_half_line(n_in)
+    out, _ = _lg_half_line(n_out)
+    built, peak = _traced_plan(kernel, grid, out)
+    assert built.nbytes >= held * 2**20
+    assert peak <= 1.1 * built.nbytes
+
 
 def _entrywise_bessel_i(nu, u, v, power, row_log, col_log, exponent, ceiling=math.inf):
     """`specfun.bessel_i_outer` as an entry-by-entry kernel: e^{-z} I_nu(z) from

@@ -247,12 +247,29 @@ def test_check_registry_covers_every_criterion():
                                             ("t7-hankel-type-selfrec", 2),
                                             ("o8-eveq-identities", 6)])
 def test_checks_build_each_distinct_kernel_once(monkeypatch, check, kernels):
-    # each check applies one Bessel kernel per (order, kind, grid) to all its fields
+    # each check applies one Bessel kernel per (order, kind, grid) to all its fields: one
+    # core of `bessel_j_outer`, however many bands of bessel_j calls it takes, or one
+    # bessel_j call made outside it
     from canonica import specfun
 
-    orders = []
-    bessel_j = specfun.bessel_j
-    monkeypatch.setattr(specfun, "bessel_j", lambda nu, x: orders.append(nu) or bessel_j(nu, x))
+    orders, building = [], []
+    bessel_j, outer = specfun.bessel_j, specfun.bessel_j_outer
+
+    def core(nu, u, v, p):
+        orders.append(nu)
+        building.append(nu)
+        try:
+            return outer(nu, u, v, p)
+        finally:
+            building.pop()
+
+    def direct(nu, x):
+        if not building:
+            orders.append(nu)
+        return bessel_j(nu, x)
+
+    monkeypatch.setattr(specfun, "bessel_j_outer", core)
+    monkeypatch.setattr(specfun, "bessel_j", direct)
     assert run_suite([check])["all_pass"]
     assert len(orders) == kernels
 
@@ -266,8 +283,8 @@ def test_hankel_selfrec_kernels_have_384_nodes(monkeypatch):
     shapes = []
     outer = specfun.bessel_j_outer
 
-    def recorded(nu, u, v):
-        core, interp = outer(nu, u, v)
+    def recorded(nu, u, v, p):
+        core, interp = outer(nu, u, v, p)
         shapes.append((len(u), len(v), core.shape, interp.shape))
         return core, interp
 
